@@ -22,12 +22,26 @@ Binding rules, applied when a unit's attribute frame materializes:
 Sequences pass by value at operation calls (fresh cursor, own items);
 unit values pass by reference, with their list fields' cursors reset
 at entry so every operation gets a fresh view of the collections.
+
+Operation bodies run on one of two tiers with identical results, steps
+and errors:
+
+* the tree walker (`_Machine.exec_block`) runs an Operation's first
+  call. Most bodies that run once are replayed recordings, straight
+  line and never run again, so compiling them would cost more than
+  walking them;
+* from the second call on, the body runs as Python closures compiled
+  once per Operation (see "Closure tier" below). Node kinds, primitive
+  verbs and name scopes are settled at compile time, and each access
+  decision is kept per call site. The compiled body is stored on the
+  Operation object itself, so it lives and dies with the operation:
+  there is no global cache to hold knowledge bases alive.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import ir
@@ -263,6 +277,10 @@ class EmptyCollection(ExecError):
     pass
 
 
+class NumeralsExhausted(ExecError):
+    """Say was handed Nothing: the count ran past the last numeral."""
+
+
 class _Return(Exception):
     def __init__(self, value: Value):
         self.value = value
@@ -271,10 +289,16 @@ class _Return(Exception):
 # ---------------------------------------------------------------------------
 # Machine
 
-@dataclass
 class _Frame:
-    unit: ConceptUnit
-    locals: dict
+    """One operation activation: the running unit, its locals, and the
+    unit's attribute frame, bound once at call entry."""
+
+    __slots__ = ("unit", "locals", "attrs")
+
+    def __init__(self, unit: ConceptUnit, locals_map: dict, attrs: dict):
+        self.unit = unit
+        self.locals = locals_map
+        self.attrs = attrs
 
 
 class _Machine:
@@ -411,13 +435,22 @@ class _Machine:
         return UnitVal(cls.name, fields)
 
     # -- name resolution
+    #
+    # A `site` argument is the one-entry memo of a compiled access point:
+    # a one-element list holding what last passed the check there, the
+    # (caller, target) pair for a read, the writing unit for an
+    # attribute write. A decision depends only on the units and the
+    # member, and the member is fixed per site.
 
     def lookup(self, frame: _Frame, name: str) -> Value:
         if name in frame.locals:
             return frame.locals[name]
-        attrs = self.unit_frame(frame.unit)
-        if name in attrs:
-            return attrs[name]
+        if name in frame.attrs:
+            return frame.attrs[name]
+        return self.shared_value(frame, name)
+
+    def shared_value(self, frame: _Frame, name: str, site: list | None = None) -> Value:
+        """A name that is neither local nor an own attribute: Globals data."""
         globals_unit = self.units.get(ir.GLOBALS_UNIT)
         if globals_unit is not None and frame.unit.name != ir.GLOBALS_UNIT:
             try:
@@ -425,26 +458,35 @@ class _Machine:
             except BindingMismatch:
                 shared = {}
             if name in shared:
-                self._require_access(frame.unit, globals_unit, name)
+                self._require_access(frame.unit, globals_unit, name, site)
                 return shared[name]
         raise UnboundName(f"{name!r} is not bound in {frame.unit.name}")
 
-    def assign(self, frame: _Frame, name: str, value: Value) -> None:
+    def assign(self, frame: _Frame, name: str, value: Value, site: list | None = None) -> None:
         if name in frame.locals:
             frame.locals[name] = value
             return
-        attrs = self.unit_frame(frame.unit)
-        if name in attrs:
+        if name in frame.attrs:
             if frame.unit.attribute(name).is_const:
                 raise TypeMismatch(f"{frame.unit.name}.{name} is constant")
-            attrs[name] = value
+            frame.attrs[name] = value
+            if site is not None:
+                site[0] = frame.unit
             return
         raise UnboundName(f"{name!r} is not assignable in {frame.unit.name}")
 
-    def _require_access(self, caller: ConceptUnit, target: ConceptUnit, member: str) -> None:
+    def _require_access(
+        self,
+        caller: ConceptUnit,
+        target: ConceptUnit,
+        member: str,
+        site: list | None = None,
+    ) -> None:
         access = ir.check_access(caller.domain, caller.name, target, member)
         if not access:
             raise AccessViolation(access.reason)
+        if site is not None:
+            site[0] = (caller, target)
 
     # -- primitives
 
@@ -457,6 +499,8 @@ class _Machine:
             self.emit("PointedTo", target.entity)
             return NOTHING
         if verb == "Say":
+            if len(args) == 1 and args[0] is NOTHING:
+                raise NumeralsExhausted("the numerals ran out: Say has no count word left")
             if len(args) != 1 or not isinstance(args[0], TokenVal):
                 raise TypeMismatch("Say takes one sound token")
             self.emit("Said", args[0].token)
@@ -551,16 +595,14 @@ class _Machine:
         if isinstance(expr, ListExpr):
             return SeqVal([self._list_element(frame, name) for name in expr.names])
         if isinstance(expr, FieldExpr):
-            return self._field(frame, expr)[0]
+            return self.field_of(frame, self.eval(frame, expr.recv), expr.name)
         if isinstance(expr, CallExpr):
             return self._eval_call(frame, expr)
         if isinstance(expr, NotExpr):
-            operand = self.eval(frame, expr.operand)
-            if not isinstance(operand, BoolVal):
-                raise TypeMismatch("! needs a Boolean operand")
-            return BoolVal(not operand.value)
+            return _negate(self.eval(frame, expr.operand))
         if isinstance(expr, BinExpr):
-            return self._binop(frame, expr)
+            left = self.eval(frame, expr.left)
+            return _binop(expr.op, left, self.eval(frame, expr.right))
         raise TypeMismatch(f"cannot evaluate {expr!r}")
 
     def _list_element(self, frame: _Frame, name: str) -> Value:
@@ -571,40 +613,22 @@ class _Machine:
                 return EntityVal(name)
             return TokenVal(name)
 
-    def _field(self, frame: _Frame, expr: FieldExpr) -> tuple[Value, UnitVal]:
-        recv = self.eval(frame, expr.recv)
+    def field_of(self, frame: _Frame, recv: Value, name: str, site: list | None = None) -> Value:
         if not isinstance(recv, UnitVal):
-            raise TypeMismatch(f"field {expr.name!r} needs a unit value receiver")
+            raise TypeMismatch(f"field {name!r} needs a unit value receiver")
         cls = self.units.get(recv.cls)
         if cls is not None:
-            self._require_access(frame.unit, cls, expr.name)
-        if expr.name not in recv.fields:
-            raise UnboundName(f"{recv.cls} has no field {expr.name!r}")
-        return recv.fields[expr.name], recv
+            self._require_access(frame.unit, cls, name, site)
+        if name not in recv.fields:
+            raise UnboundName(f"{recv.cls} has no field {name!r}")
+        return recv.fields[name]
 
-    def _binop(self, frame: _Frame, expr: BinExpr) -> Value:
-        left = self.eval(frame, expr.left)
-        right = self.eval(frame, expr.right)
-        op = expr.op
-        if op == "==":
-            return BoolVal(values_equal(left, right))
-        if op == "!=":
-            return BoolVal(not values_equal(left, right))
-        if not (isinstance(left, IntVal) and isinstance(right, IntVal)):
-            raise TypeMismatch(f"{op} needs integer operands")
-        if op == "+":
-            return IntVal(left.value + right.value)
-        if op == "-":
-            return IntVal(left.value - right.value)
-        if op == "<":
-            return BoolVal(left.value < right.value)
-        if op == ">":
-            return BoolVal(left.value > right.value)
-        if op == "<=":
-            return BoolVal(left.value <= right.value)
-        if op == ">=":
-            return BoolVal(left.value >= right.value)
-        raise TypeMismatch(f"unknown operator {op!r}")
+    def assign_field(self, frame: _Frame, recv: Value, name: str, value: Value) -> None:
+        self.field_of(frame, recv, name)
+        cls = self.units.get(recv.cls)
+        if cls is not None and cls.attribute(name).is_const:
+            raise TypeMismatch(f"{recv.cls}.{name} is constant")
+        recv.fields[name] = value
 
     def _eval_call(self, frame: _Frame, expr: CallExpr) -> Value:
         if expr.op in ir.PRIMITIVE_VERBS:
@@ -624,7 +648,7 @@ class _Machine:
 
     def _names_unit(self, frame: _Frame, name: str) -> bool:
         # A local binding shadows a unit name.
-        if name in frame.locals or name in self.unit_frame(frame.unit):
+        if name in frame.locals or name in frame.attrs:
             return False
         return name in self.units
 
@@ -632,10 +656,11 @@ class _Machine:
 
     def exec_block(self, frame: _Frame, body: Sequence[Stmt]) -> None:
         for stmt in body:
+            self.tick()
             self.exec_stmt(frame, stmt)
 
     def exec_stmt(self, frame: _Frame, stmt: Stmt) -> None:
-        self.tick()
+        """Run one statement; its step was counted by the enclosing block."""
         if isinstance(stmt, SetupStmt):
             self.check_setup(stmt, frame)
         elif isinstance(stmt, ActionStmt):
@@ -647,33 +672,23 @@ class _Machine:
             if isinstance(stmt.target, NameExpr):
                 self.assign(frame, stmt.target.name, value)
             else:
-                _, recv = self._field(frame, stmt.target)
-                cls = self.units.get(recv.cls)
-                if cls is not None and cls.attribute(stmt.target.name).is_const:
-                    raise TypeMismatch(f"{recv.cls}.{stmt.target.name} is constant")
-                recv.fields[stmt.target.name] = value
+                recv = self.eval(frame, stmt.target.recv)
+                self.assign_field(frame, recv, stmt.target.name, value)
         elif isinstance(stmt, LocalDecl):
             frame.locals[stmt.name] = self._default_local(stmt.type_ref)
         elif isinstance(stmt, WhileStmt):
             while True:
                 self.tick()
-                cond = self.eval(frame, stmt.cond)
-                if not isinstance(cond, BoolVal):
-                    raise TypeMismatch("while needs a Boolean condition")
-                if not cond.value:
+                if not _truth(self.eval(frame, stmt.cond), "while needs a Boolean condition"):
                     break
                 self.exec_block(frame, stmt.body)
         elif isinstance(stmt, IfStmt):
-            cond = self.eval(frame, stmt.cond)
-            if not isinstance(cond, BoolVal):
-                raise TypeMismatch("if needs a Boolean condition")
-            self.exec_block(frame, stmt.then if cond.value else stmt.orelse)
+            cond = _truth(self.eval(frame, stmt.cond), "if needs a Boolean condition")
+            self.exec_block(frame, stmt.then if cond else stmt.orelse)
         elif isinstance(stmt, CallStmt):
             if stmt.recv is None:
                 target = frame.unit
-            elif stmt.recv in self.units and not (
-                stmt.recv in frame.locals or stmt.recv in self.unit_frame(frame.unit)
-            ):
+            elif self._names_unit(frame, stmt.recv):
                 target = self.units[stmt.recv]
             else:
                 raise UnboundName(f"unknown unit {stmt.recv!r}")
@@ -706,20 +721,28 @@ class _Machine:
         op_name: str,
         args: list[Value],
     ) -> Value:
+        return self.invoke(target, self.resolve_call(caller, target, op_name), args)
+
+    def resolve_call(
+        self, caller: ConceptUnit | None, target: ConceptUnit, op_name: str
+    ) -> ir.Operation:
         if caller is not None:
             self._require_access(caller, target, op_name)
         try:
-            op = target.operation(op_name)
+            return target.operation(op_name)
         except ir.UnknownMember as exc:
             raise UnboundName(str(exc)) from exc
+
+    def invoke(self, target: ConceptUnit, op: ir.Operation, args: list[Value]) -> Value:
+        """Bind args and run op's body on whichever tier it has reached."""
         if len(args) != len(op.params):
             raise TypeMismatch(
-                f"{target.name}.{op_name} takes {len(op.params)} arguments, got {len(args)}"
+                f"{target.name}.{op.name} takes {len(op.params)} arguments, got {len(args)}"
             )
-        self.unit_frame(target)
+        attrs = self.unit_frame(target)
         locals_map: dict = {}
         for param, value in zip(op.params, args):
-            self._check_param(target, op_name, param, value)
+            self._check_param(target, op.name, param, value)
             if isinstance(value, SeqVal):
                 value = value.copy()
             elif isinstance(value, UnitVal):
@@ -727,13 +750,18 @@ class _Machine:
                     if isinstance(fval, SeqVal):
                         fval.pos = 0
             locals_map[param.name] = value
+        code = _tier(op)
         self.call_depth += 1
         if self.call_depth > _CALL_DEPTH_LIMIT:
             self.call_depth -= 1
             raise StepLimitExceeded("operation call depth exceeded")
+        frame = _Frame(target, locals_map, attrs)
         try:
-            self.exec_block(_Frame(target, locals_map), op.body)
-            return NOTHING
+            if code is None:
+                self.exec_block(frame, op.body)
+                return NOTHING
+            value = code(self, frame)
+            return NOTHING if value is None else value
         except _Return as ret:
             return ret.value
         finally:
@@ -783,6 +811,512 @@ class _Machine:
                 reject(type(value).__name__)
         else:
             raise TypeMismatch(f"{where}: unknown parameter type")
+
+
+def _truth(value: Value, complaint: str) -> bool:
+    if not isinstance(value, BoolVal):
+        raise TypeMismatch(complaint)
+    return value.value
+
+
+def _negate(value: Value) -> BoolVal:
+    return BoolVal(not _truth(value, "! needs a Boolean operand"))
+
+
+def _binop(op: str, left: Value, right: Value) -> Value:
+    if op == "==":
+        return BoolVal(values_equal(left, right))
+    if op == "!=":
+        return BoolVal(not values_equal(left, right))
+    if not (isinstance(left, IntVal) and isinstance(right, IntVal)):
+        raise TypeMismatch(f"{op} needs integer operands")
+    if op == "+":
+        return IntVal(left.value + right.value)
+    if op == "-":
+        return IntVal(left.value - right.value)
+    if op == "<":
+        return BoolVal(left.value < right.value)
+    if op == ">":
+        return BoolVal(left.value > right.value)
+    if op == "<=":
+        return BoolVal(left.value <= right.value)
+    if op == ">=":
+        return BoolVal(left.value >= right.value)
+    raise TypeMismatch(f"unknown operator {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# Closure tier
+#
+# An operation's body is compiled into nested Python closures the second
+# time that Operation object is called; the first call walks it. Every
+# closure takes (machine, frame). A statement closure returns None to
+# fall through and a Value to return from the operation, so `return`
+# needs no exception. Node kinds are dispatched once, at compile time.
+# Fast paths cover the well-typed common case; anything else goes to the
+# walker's own helpers, which raise the same errors after the same steps.
+
+_TRUE = BoolVal(True)
+_FALSE = BoolVal(False)
+_TIER_ATTR = "_compiled_body"
+_WALKED = "walked once"
+
+
+def _tier(op: ir.Operation):
+    """None while op should be walked, else its compiled body.
+
+    The first call walks, since a body run only once (a replayed
+    recording) costs more to compile than to walk. The second call
+    compiles, and the closure is kept on the Operation itself, so it
+    lives and dies with the operation.
+    """
+    code = op.__dict__.get(_TIER_ATTR)
+    if code is None:
+        object.__setattr__(op, _TIER_ATTR, _WALKED)
+        return None
+    if code is _WALKED:
+        code = _compile_block(op.body, _Scope(op))
+        object.__setattr__(op, _TIER_ATTR, code)
+    return code
+
+
+def compiled_body(op: ir.Operation):
+    """The closure tier of op, or None until its second call."""
+    code = op.__dict__.get(_TIER_ATTR)
+    return None if code is None or code is _WALKED else code
+
+
+class _Scope:
+    """Which names of one body are parameters, always bound locally,
+    and which are declared locals, bound only once their declaration
+    has run."""
+
+    def __init__(self, op: ir.Operation):
+        self.params = frozenset(p.name for p in op.params)
+        self.declared = frozenset(
+            s.name for s in ir.walk(op.body) if isinstance(s, LocalDecl)
+        ) - self.params
+
+
+def _compile_block(body: Sequence[Stmt], scope: _Scope):
+    stmts = tuple(_compile_stmt(s, scope) for s in body)
+
+    def block(m, f):
+        for stmt in stmts:
+            if m.steps < m.step_limit:
+                m.steps += 1
+            else:
+                m.tick()
+            out = stmt(m, f)
+            if out is not None:
+                return out
+        return None
+
+    return block
+
+
+def _compile_stmt(stmt: Stmt, scope: _Scope):
+    kind = type(stmt)
+    if kind is ActionStmt:
+        return _compile_primitive(stmt.verb, stmt.recv, stmt.args, scope, None)
+    if kind is AssignStmt:
+        return _compile_assign(stmt, scope)
+    if kind is CallStmt:
+        return _compile_call(stmt.recv, stmt.op, stmt.args, scope, stmt, None)
+    if kind is WhileStmt:
+        return _compile_while(stmt, scope)
+    if kind is IfStmt:
+        cond = _compile_expr(stmt.cond, scope)
+        then = _compile_block(stmt.then, scope)
+        orelse = _compile_block(stmt.orelse, scope)
+
+        def if_(m, f):
+            c = cond(m, f)
+            if c.__class__ is not BoolVal:
+                _truth(c, "if needs a Boolean condition")
+            return then(m, f) if c.value else orelse(m, f)
+
+        return if_
+    if kind is LocalDecl:
+        name = stmt.name
+        if ir.is_collection_type(stmt.type_ref):
+            def declare_seq(m, f):
+                f.locals[name] = SeqVal([])
+
+            return declare_seq
+        initial = _Machine._default_local(stmt.type_ref)
+
+        def declare(m, f):
+            f.locals[name] = initial
+
+        return declare
+    if kind is ReturnStmt:
+        if stmt.value is None:
+            return lambda m, f: NOTHING
+        return _compile_expr(stmt.value, scope)  # a Value is never None
+    if kind is BlockStmt:
+        return _compile_block(stmt.body, scope)
+    if kind is SetupStmt:
+        def setup(m, f):
+            m.check_setup(stmt, f)
+
+        return setup
+
+    def delegate(m, f):
+        m.exec_stmt(f, stmt)
+
+    return delegate
+
+
+def _compile_while(stmt: WhileStmt, scope: _Scope):
+    cond = _compile_expr(stmt.cond, scope)
+    body = tuple(_compile_stmt(s, scope) for s in stmt.body)
+
+    def while_(m, f):
+        while True:
+            if m.steps < m.step_limit:
+                m.steps += 1
+            else:
+                m.tick()
+            c = cond(m, f)
+            if c.__class__ is not BoolVal:
+                _truth(c, "while needs a Boolean condition")
+            if not c.value:
+                return None
+            for s in body:
+                if m.steps < m.step_limit:
+                    m.steps += 1
+                else:
+                    m.tick()
+                out = s(m, f)
+                if out is not None:
+                    return out
+
+    return while_
+
+
+def _compile_assign(stmt: AssignStmt, scope: _Scope):
+    value = _compile_expr(stmt.value, scope)
+    target = stmt.target
+    if type(target) is not NameExpr:
+        recv = _compile_expr(target.recv, scope)
+        field = target.name
+
+        def set_field(m, f):
+            v = value(m, f)
+            m.assign_field(f, recv(m, f), field, v)
+
+        return set_field
+    name = target.name
+    if name in scope.params:
+        def set_param(m, f):
+            f.locals[name] = value(m, f)
+
+        return set_param
+    site = [None]  # the unit last seen to own a writable `name`
+    if name in scope.declared:
+        def set_local(m, f):
+            v = value(m, f)
+            if name in f.locals:
+                f.locals[name] = v
+            elif name in f.attrs and site[0] is f.unit:
+                f.attrs[name] = v
+            else:
+                m.assign(f, name, v, site)
+
+        return set_local
+
+    def set_attr(m, f):
+        v = value(m, f)
+        attrs = f.attrs
+        if name in attrs and site[0] is f.unit:
+            attrs[name] = v
+        else:
+            m.assign(f, name, v, site)
+
+    return set_attr
+
+
+def _compile_expr(expr: Expr, scope: _Scope):
+    kind = type(expr)
+    if kind is NameExpr:
+        return _compile_name(expr.name, scope)
+    if kind is CallExpr:
+        if expr.op in ir.PRIMITIVE_VERBS and expr.recv is not None:
+            return _compile_primitive(expr.op, expr.recv, expr.args, scope, NOTHING)
+        if expr.op not in ir.PRIMITIVE_VERBS and (
+            expr.recv is None or type(expr.recv) is NameExpr
+        ):
+            recv = None if expr.recv is None else expr.recv.name
+            return _compile_call(recv, expr.op, expr.args, scope, expr, NOTHING)
+    elif kind is FieldExpr:
+        return _compile_field(expr, scope)
+    elif kind is BinExpr:
+        return _compile_binop(expr, scope)
+    elif kind is IntExpr:
+        constant = IntVal(expr.value)
+        return lambda m, f: constant
+    elif kind is BoolExpr:
+        constant = _TRUE if expr.value else _FALSE
+        return lambda m, f: constant
+    elif kind is NullExpr:
+        return lambda m, f: NOTHING
+    elif kind is NotExpr:
+        operand = _compile_expr(expr.operand, scope)
+
+        def not_(m, f):
+            v = operand(m, f)
+            if v.__class__ is BoolVal:
+                return _FALSE if v.value else _TRUE
+            return _negate(v)
+
+        return not_
+    elif kind is ListExpr:
+        names = expr.names
+        return lambda m, f: SeqVal([m._list_element(f, name) for name in names])
+    return lambda m, f: m.eval(f, expr)
+
+
+def _compile_name(name: str, scope: _Scope):
+    if name in scope.params:
+        return lambda m, f: f.locals[name]
+    site = [(None, None)]
+    declared = name in scope.declared
+
+    def load(m, f):
+        if declared and name in f.locals:
+            return f.locals[name]
+        attrs = f.attrs
+        if name in attrs:
+            return attrs[name]
+        shared = m.frames.get(ir.GLOBALS_UNIT)
+        if shared is not None and name in shared:
+            k = site[0]
+            if k[0] is f.unit and k[1] is m.units.get(ir.GLOBALS_UNIT):
+                return shared[name]
+        return m.shared_value(f, name, site)
+
+    return load
+
+
+def _compile_field(expr: FieldExpr, scope: _Scope):
+    recv = _compile_expr(expr.recv, scope)
+    name = expr.name
+    site = [(None, None)]
+
+    def field(m, f):
+        r = recv(m, f)
+        if r.__class__ is UnitVal:
+            k = site[0]
+            if k[0] is f.unit and k[1] is m.units.get(r.cls):
+                fields = r.fields
+                if name in fields:
+                    return fields[name]
+        return m.field_of(f, r, name, site)
+
+    return field
+
+
+def _compile_binop(expr: BinExpr, scope: _Scope):
+    op = expr.op
+    left = _compile_expr(expr.left, scope)
+    if op in ("==", "!=") and type(expr.right) is NullExpr:
+        # x == NULL holds exactly when x is Nothing (see values_equal)
+        hit, miss = (_TRUE, _FALSE) if op == "==" else (_FALSE, _TRUE)
+        return lambda m, f: hit if left(m, f) is NOTHING else miss
+    right = _compile_expr(expr.right, scope)
+    if op == "==":
+        return lambda m, f: _TRUE if values_equal(left(m, f), right(m, f)) else _FALSE
+    if op == "!=":
+        return lambda m, f: _FALSE if values_equal(left(m, f), right(m, f)) else _TRUE
+    compute = _INT_OPS.get(op)
+    if compute is None:
+        return lambda m, f: _binop(op, left(m, f), right(m, f))
+
+    def arith(m, f):
+        a = left(m, f)
+        b = right(m, f)
+        if a.__class__ is IntVal and b.__class__ is IntVal:
+            return compute(a.value, b.value)
+        return _binop(op, a, b)
+
+    return arith
+
+
+_INT_OPS = {
+    "+": lambda a, b: IntVal(a + b),
+    "-": lambda a, b: IntVal(a - b),
+    "<": lambda a, b: _TRUE if a < b else _FALSE,
+    ">": lambda a, b: _TRUE if a > b else _FALSE,
+    "<=": lambda a, b: _TRUE if a <= b else _FALSE,
+    ">=": lambda a, b: _TRUE if a >= b else _FALSE,
+}
+
+
+def _compile_primitive(verb: str, recv_expr: Expr, arg_exprs, scope: _Scope, done):
+    """A primitive call; done is what it yields when used as a statement
+    (None) or for verbs without a result (NOTHING) in an expression."""
+    recv = _compile_expr(recv_expr, scope)
+    args = tuple(_compile_expr(a, scope) for a in arg_exprs)
+    fast = _FAST_PRIMITIVES.get((verb, len(args), done is None))
+    if fast is not None:
+        return fast(verb, recv, *args, done)
+
+    def primitive(m, f):
+        r = recv(m, f)
+        value = m.eval_primitive(verb, r, [a(m, f) for a in args])
+        return value if done is NOTHING else None
+
+    return primitive
+
+
+def _point_to(verb, recv, arg, done):
+    def point_to(m, f):
+        r = recv(m, f)
+        a = arg(m, f)
+        if a.__class__ is EntityVal and a.entity in m.entities:
+            trace = m.trace
+            trace.append(TraceEvent(len(trace) + 1, "PointedTo", a.entity))
+        else:
+            m.eval_primitive(verb, r, [a])
+        return done
+
+    return point_to
+
+
+def _say(verb, recv, arg, done):
+    def say(m, f):
+        r = recv(m, f)
+        a = arg(m, f)
+        if a.__class__ is TokenVal:
+            trace = m.trace
+            trace.append(TraceEvent(len(trace) + 1, "Said", a.token))
+        else:
+            m.eval_primitive(verb, r, [a])
+        return done
+
+    return say
+
+
+def _append(verb, recv, arg, done):
+    def append(m, f):
+        r = recv(m, f)
+        a = arg(m, f)
+        if r.__class__ is SeqVal:
+            r.items.append(a)
+        else:
+            m.eval_primitive(verb, r, [a])
+        return done
+
+    return append
+
+
+def _delete(verb, recv, arg, done):
+    def delete(m, f):
+        r = recv(m, f)
+        a = arg(m, f)
+        if r.__class__ is SeqVal:
+            r.delete(a)
+        else:
+            m.eval_primitive(verb, r, [a])
+        return done
+
+    return delete
+
+
+def _next(verb, recv, done):
+    def next_(m, f):
+        r = recv(m, f)
+        if r.__class__ is not SeqVal:
+            return m.eval_primitive(verb, r, [])
+        pos = r.pos
+        items = r.items
+        if pos < len(items):
+            r.pos = pos + 1
+            return items[pos]
+        return NOTHING
+
+    return next_
+
+
+def _first(verb, recv, done):
+    def first(m, f):
+        r = recv(m, f)
+        if r.__class__ is SeqVal and r.items:
+            r.pos = 1
+            return r.items[0]
+        return m.eval_primitive(verb, r, [])
+
+    return first
+
+
+def _empty(verb, recv, done):
+    def empty(m, f):
+        r = recv(m, f)
+        if r.__class__ is SeqVal:
+            return _FALSE if r.items else _TRUE
+        return m.eval_primitive(verb, r, [])
+
+    return empty
+
+
+def _select_one_random(verb, recv, done):
+    def select(m, f):
+        r = recv(m, f)
+        if r.__class__ is SeqVal and r.items:
+            return m.rng.choice(r.items)
+        return m.eval_primitive(verb, r, [])
+
+    return select
+
+
+# (verb, argument count, in statement position) -> maker of its fast closure
+_FAST_PRIMITIVES = {
+    **{
+        (verb, 1, as_stmt): build
+        for verb, build in (
+            ("PointTo", _point_to), ("Say", _say), ("Append", _append), ("Delete", _delete),
+        )
+        for as_stmt in (True, False)
+    },
+    ("Next", 0, False): _next,
+    ("First", 0, False): _first,
+    ("Empty", 0, False): _empty,
+    ("SelectOneRandom", 0, False): _select_one_random,
+}
+
+
+def _compile_call(recv_name: str | None, op_name: str, arg_exprs, scope: _Scope, node, done):
+    """An operation call by a statement or expression node; a name that
+    is bound as a local or attribute, or names no unit, is handed to
+    the walker, which reports it."""
+    args = tuple(_compile_expr(a, scope) for a in arg_exprs)
+    may_be_local = recv_name is not None and (
+        recv_name in scope.params or recv_name in scope.declared
+    )
+    site = [(None, None, None)]  # (caller, target, operation) last resolved here
+
+    def call(m, f):
+        caller = f.unit
+        if recv_name is None:
+            target = caller
+        else:
+            target = m.units.get(recv_name)
+            if target is None or recv_name in f.attrs or (may_be_local and recv_name in f.locals):
+                if done is None:
+                    return m.exec_stmt(f, node)
+                return m.eval(f, node)
+        values = [a(m, f) for a in args]
+        k = site[0]
+        if k[0] is caller and k[1] is target:
+            op = k[2]
+        else:
+            op = m.resolve_call(caller, target, op_name)
+            site[0] = (caller, target, op)
+        value = m.invoke(target, op, values)
+        return value if done is NOTHING else None
+
+    return call
 
 
 # ---------------------------------------------------------------------------

@@ -367,21 +367,22 @@ class Diagnostic:
         return f"[{self.rule}] {where}: {self.message}"
 
 
-def _walk(body: Iterable[Stmt]):
+def walk(body: Iterable[Stmt]):
+    """Every statement of body, nested bodies included, in source order."""
     for stmt in body:
         yield stmt
         if isinstance(stmt, WhileStmt):
-            yield from _walk(stmt.body)
+            yield from walk(stmt.body)
         elif isinstance(stmt, IfStmt):
-            yield from _walk(stmt.then)
-            yield from _walk(stmt.orelse)
+            yield from walk(stmt.then)
+            yield from walk(stmt.orelse)
         elif isinstance(stmt, BlockStmt):
-            yield from _walk(stmt.body)
+            yield from walk(stmt.body)
 
 
 def iter_statements(unit: ConceptUnit):
     for op in unit.operations:
-        yield from _walk(op.body)
+        yield from walk(op.body)
 
 
 def loop_count(unit: ConceptUnit) -> int:
@@ -412,7 +413,7 @@ def validate(unit: ConceptUnit) -> list[Diagnostic]:
         params = [p.name for p in op.params]
         if len(params) != len(set(params)):
             bad("duplicate-param", "parameter names must be distinct", op.name)
-        for stmt in _walk(op.body):
+        for stmt in walk(op.body):
             if isinstance(stmt, ReturnStmt) and stmt.value is not None:
                 if op.returns is None:
                     bad("return-in-void", "returns a value from a void operation", op.name)
@@ -449,7 +450,7 @@ def validate(unit: ConceptUnit) -> list[Diagnostic]:
                 bad("i-private", "level I members are private", op.name)
             if op.params or op.returns is not None:
                 bad("i-script", "a recording takes no parameters and returns nothing", op.name)
-            for stmt in _walk(op.body):
+            for stmt in walk(op.body):
                 if not isinstance(stmt, (SetupStmt, ActionStmt)):
                     bad(
                         "i-straight-line",
@@ -670,7 +671,7 @@ def call_graph(units: Sequence[ConceptUnit]) -> set[tuple[str, str, str, str]]:
     edges: set[tuple[str, str, str, str]] = set()
     for unit in units:
         for op in unit.operations:
-            for stmt in _walk(op.body):
+            for stmt in walk(op.body):
                 if isinstance(stmt, CallStmt):
                     callee_unit = stmt.recv if stmt.recv is not None else unit.name
                     if callee_unit in unit_names or stmt.recv is None:

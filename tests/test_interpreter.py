@@ -1,8 +1,10 @@
 """Execution semantics: replay, leveled counting, errands, failure modes."""
 
+import dataclasses
+
 import pytest
 
-from rrlang import dsl, interpreter as itp, ir
+from rrlang import dsl, interpreter as itp, ir, tasks
 
 NUMERALS = ir.NUMERALS
 
@@ -352,6 +354,45 @@ class TestLimits:
     def test_steps_are_reported(self, e1):
         res = itp.execute([e1], e1, "Counting", [], apples_world(3), caller_domain="apples")
         assert 0 < res.steps < 200
+
+
+class TestNumerals:
+    """The numeral list ends at TWENTY; a count past it fails by name."""
+
+    @staticmethod
+    def _counting(level, e1, e2_kb, e3_kb):
+        if level == "E1":
+            return [e1], e1, "apples"
+        units = e2_kb if level == "E2" else e3_kb
+        return units, next(u for u in units if u.name == "Counting"), "numbers"
+
+    @pytest.mark.parametrize("level", ("E1", "E2", "E3"))
+    def test_twenty_objects_still_count(self, level, e1, e2_kb, e3_kb):
+        units, target, domain = self._counting(level, e1, e2_kb, e3_kb)
+        for _ in range(2):  # walked, then compiled
+            r = itp.execute(units, target, "Counting", [], apples_world(20), domain)
+            assert r.value == itp.IntVal(20)
+            assert verbs(r.trace, "Said") == list(NUMERALS)
+
+    @pytest.mark.parametrize("level", ("E1", "E2", "E3"))
+    def test_twenty_one_objects_run_out_of_numerals(self, level, e1, e2_kb, e3_kb):
+        units, target, domain = self._counting(level, e1, e2_kb, e3_kb)
+        for _ in range(2):
+            with pytest.raises(itp.NumeralsExhausted, match="numerals ran out"):
+                itp.execute(units, target, "Counting", [], apples_world(21), domain)
+
+    def test_saying_nothing_is_judged_failed(self, kb_by_level):
+        task = dataclasses.replace(
+            tasks.build_task("T3", 16), world=apples_world(21, seed=16)
+        )
+        outcome = tasks.run_task(task, kb_by_level[ir.Level.E3])
+        assert outcome.kind == "Failed"
+        assert "numerals ran out" in outcome.reason
+
+    def test_a_token_other_than_nothing_is_still_a_type_error(self):
+        w = banana_world(1)
+        with pytest.raises(itp.TypeMismatch, match="one sound token"):
+            itp.eval_primitive("Say", itp.NOTHING, [itp.EntityVal("BANANA1")], w)
 
 
 class TestTraceFormat:

@@ -1,0 +1,327 @@
+"""Both execution tiers reproduce the frozen tree-walker results.
+
+interpreter_parity.tsv holds, for every (task, level) at seeds 0-16,
+the outcome kind, the reason, the sha256 of the trace and the steps of
+each `execute` the run made. It was generated by the tree-walking
+interpreter before tiered execution existed, so it is the reference
+both tiers are held to. Regenerate it only for an intended change of
+behaviour:
+
+    PYTHONPATH=src python tests/test_interpreter_parity.py
+
+Every cell runs twice on the same fresh copies of the canonical units:
+the first run takes the walker for each operation's first call, the
+second takes the compiled bodies the first run left behind.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from rrlang import interpreter as itp, ir, kb as kbmod, tasks
+
+DATA = Path(__file__).with_name("interpreter_parity.tsv")
+TASK_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9")
+LEVELS = ("I", "E1", "E2", "E3")
+SEEDS = range(17)
+HEADER = (
+    "# Frozen tree-walker results: one line per (task, level, seed).\n"
+    "# Generated by the tree-walking interpreter at commit 9004fef, before\n"
+    "# tiered execution, with: PYTHONPATH=src python tests/test_interpreter_parity.py\n"
+    "# Columns: task, level, seed, outcome kind, sha256 of the TSV trace,\n"
+    "# steps of each execute in call order (!Error for a raising call), reason.\n"
+)
+
+
+def fresh(units):
+    """Copies of units whose Operation objects have never run."""
+    return [
+        dataclasses.replace(
+            u, operations=tuple(dataclasses.replace(op) for op in u.operations)
+        )
+        for u in units
+    ]
+
+
+def record(task_id, seed, units):
+    """Run one cell, noting the steps (or error) of every execute."""
+    steps = []
+    real = itp.execute
+
+    def counting_execute(*args, **kwargs):
+        try:
+            result = real(*args, **kwargs)
+        except itp.ExecError as exc:
+            steps.append("!" + type(exc).__name__)
+            raise
+        steps.append(str(result.steps))
+        return result
+
+    itp.execute = counting_execute  # replay_instance calls it through the module too
+    try:
+        outcome, trace = tasks._run(tasks.build_task(task_id, seed), units)
+    finally:
+        itp.execute = real
+    digest = hashlib.sha256(itp.format_trace(trace).encode()).hexdigest()
+    return outcome.kind, digest, ",".join(steps) or "-", outcome.reason
+
+
+def load_frozen():
+    rows = {}
+    for line in DATA.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            continue
+        task, level, seed, kind, digest, steps, reason = line.split("\t")
+        rows[task, level, int(seed)] = (kind, digest, steps, reason)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def slices(kb_by_level):
+    return {level.name: units for level, units in kb_by_level.items()}
+
+
+def test_frozen_data_covers_every_cell():
+    frozen = load_frozen()
+    assert len(frozen) == len(TASK_IDS) * len(LEVELS) * len(SEEDS)
+    assert {kind for kind, *_ in frozen.values()} == {"Solved", "Failed", "Inaccessible"}
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_both_tiers_match_frozen_walker(task_id, level, slices):
+    frozen = load_frozen()
+    for seed in SEEDS:
+        units = fresh(slices[level])
+        walked = record(task_id, seed, units)
+        compiled = record(task_id, seed, units)
+        expected = frozen[task_id, level, seed]
+        assert walked == expected, (task_id, level, seed, "first run")
+        assert compiled == expected, (task_id, level, seed, "second run")
+
+
+def _counting_case(slices, level, size):
+    units = slices[level]
+    target = next(
+        u for u in units
+        if u.kind is ir.UnitKind.CLASS and any(op.name == "Counting" for op in u.operations)
+    )
+    domain = "apples" if level == "E1" else "pencils"
+    kind, prefix = ("Apple", "APPLE") if level == "E1" else ("Pencil", "PENCIL")
+    entities = {"ME": ("Person", None), "HAND": ("Hand", None)}
+    ids = tuple(f"{prefix}{i}" for i in range(1, size + 1))
+    for eid in ids:
+        entities[eid] = (kind, "objects")
+    world = itp.World(entities, {"objects": "Line"}, {"objects": ids}, size)
+    return units, target.name, world, domain
+
+
+def _run_counting(units, target_name, world, domain, **kwargs):
+    target = next(u for u in units if u.name == target_name)
+    return itp.execute(units, target, "Counting", [], world, domain, **kwargs)
+
+
+@pytest.mark.parametrize("level", ("E1", "E2", "E3"))
+def test_step_limit_boundary_on_both_tiers(level, slices):
+    for size in range(2, 21):
+        units, name, world, domain = _counting_case(slices, level, size)
+        steps = _run_counting(fresh(units), name, world, domain).steps
+
+        # walked: every check on operations that have never run
+        assert _run_counting(fresh(units), name, world, domain, step_limit=steps).steps == steps
+        with pytest.raises(itp.StepLimitExceeded):
+            _run_counting(fresh(units), name, world, domain, step_limit=steps - 1)
+
+        # compiled: the same operations, already run once
+        warm = fresh(units)
+        _run_counting(warm, name, world, domain)
+        counting = next(u for u in warm if u.name == name).operation("Counting")
+        result = _run_counting(warm, name, world, domain, step_limit=steps)
+        assert itp.compiled_body(counting) is not None
+        assert result.steps == steps
+        with pytest.raises(itp.StepLimitExceeded):
+            _run_counting(warm, name, world, domain, step_limit=steps - 1)
+
+
+def _probe(raises, body, *, attrs=(), extra_ops=(), others=()):
+    """A unit Probe whose Run executes body, and the name of the error
+    Run raises (None when it returns)."""
+    run = ir.Operation("Run", (), None, ir.Visibility.PUBLIC, tuple(body))
+    probe = ir.ConceptUnit(
+        "Probe", ir.UnitKind.CLASS, ir.Level.E3, "numbers",
+        attributes=tuple(attrs), operations=(run, *extra_ops),
+    )
+    return raises, [probe, *others]
+
+
+def _attr(name, type_ref, const=None):
+    literal = None if const is None else ir.Literal(const)
+    return ir.Attribute(name, type_ref, ir.Visibility.PUBLIC, literal)
+
+
+def _op(name, *body, params=(), visibility=ir.Visibility.PUBLIC):
+    return ir.Operation(name, tuple(params), None, visibility, tuple(body))
+
+
+_I, _B, _N = ir.IntExpr, ir.BoolExpr, ir.NameExpr
+_SECRET = ir.ConceptUnit(
+    "Other", ir.UnitKind.CLASS, ir.Level.E3, "elsewhere",
+    operations=(_op("Secret", visibility=ir.Visibility.PRIVATE),),
+)
+_X = _attr("x", "int")
+_HIDING_GLOBALS = ir.ConceptUnit(
+    ir.GLOBALS_UNIT, ir.UnitKind.CLASS, ir.Level.E3, "elsewhere",
+    attributes=(ir.Attribute("secret", "int", ir.Visibility.PRIVATE),),
+)
+PROBES = {
+    "if-not-boolean": _probe("TypeMismatch", [ir.IfStmt(_I(1), (), ())]),
+    "while-not-boolean": _probe("TypeMismatch", [ir.WhileStmt(_I(1), ())]),
+    "not-not-boolean": _probe("TypeMismatch", [ir.ReturnStmt(ir.NotExpr(_I(1)))]),
+    "plus-not-integer": _probe(
+        "TypeMismatch", [ir.ReturnStmt(ir.BinExpr("+", _I(1), _B(True)))]
+    ),
+    "less-than-nothing": _probe(
+        "TypeMismatch", [ir.ReturnStmt(ir.BinExpr("<", ir.NullExpr(), _I(1)))]
+    ),
+    "unknown-operator": _probe("TypeMismatch", [ir.ReturnStmt(ir.BinExpr("*", _I(2), _I(3)))]),
+    "assign-constant": _probe(
+        "TypeMismatch", [ir.AssignStmt(_N("K"), _I(2))], attrs=[_attr("K", "int", 1)]
+    ),
+    "assign-unbound": _probe("UnboundName", [ir.AssignStmt(_N("nowhere"), _I(2))]),
+    "read-unbound": _probe("UnboundName", [ir.ReturnStmt(_N("nowhere"))]),
+    "field-of-int": _probe("TypeMismatch", [ir.ReturnStmt(ir.FieldExpr(_I(1), "x"))]),
+    "set-field-of-int": _probe("TypeMismatch", [ir.AssignStmt(ir.FieldExpr(_I(1), "x"), _I(2))]),
+    "call-unknown-unit": _probe("UnboundName", [ir.CallStmt("Nobody", "Op", ())]),
+    "call-on-int": _probe("UnboundName", [ir.ReturnStmt(ir.CallExpr(_I(1), "Op", ()))]),
+    "call-shadowed-unit": _probe(
+        "UnboundName",
+        [ir.CallStmt("Other", "Secret", ())], attrs=[_attr("Other", "int")], others=[_SECRET]
+    ),
+    "call-missing-operation": _probe("UnknownMember", [ir.CallStmt(None, "Missing", ())]),
+    "call-private": _probe(
+        "AccessViolation", [ir.CallStmt("Other", "Secret", ())], others=[_SECRET]
+    ),
+    "call-arity": _probe(
+        "TypeMismatch",
+        [ir.ReturnStmt(ir.CallExpr(None, "Takes", (_I(1),)))], extra_ops=[_op("Takes")]
+    ),
+    "call-param-type": _probe(
+        "TypeMismatch",
+        [ir.CallStmt(None, "Takes", (_B(True),))],
+        extra_ops=[_op("Takes", params=[ir.Param("n", "int")])],
+    ),
+    "primitive-without-receiver": _probe(
+        "TypeMismatch", [ir.ReturnStmt(ir.CallExpr(None, "Next", ()))]
+    ),
+    "point-to-int": _probe("TypeMismatch", [ir.ActionStmt("PointTo", _I(0), (_I(1),))]),
+    "point-to-ghost": _probe(
+        "UnboundName",
+        [ir.ActionStmt("PointTo", _I(0), (_N("G"),))], attrs=[_attr("G", "APPLE", "GHOST")]
+    ),
+    "read-private-global": _probe(
+        "AccessViolation", [ir.ReturnStmt(_N("secret"))], others=[_HIDING_GLOBALS]
+    ),
+    "read-private-field": _probe(
+        "AccessViolation",
+        [ir.ReturnStmt(ir.FieldExpr(_N("o"), "secret"))],
+        attrs=[_attr("o", "Hiding")],
+        others=[dataclasses.replace(_HIDING_GLOBALS, name="Hiding")],
+    ),
+    "say-int": _probe("TypeMismatch", [ir.ActionStmt("Say", _I(0), (_I(1),))]),
+    "say-nothing": _probe("NumeralsExhausted", [ir.ActionStmt("Say", _I(0), (ir.NullExpr(),))]),
+    "next-of-int": _probe("TypeMismatch", [ir.ReturnStmt(ir.CallExpr(_I(0), "Next", ()))]),
+    "append-to-int": _probe("TypeMismatch", [ir.ActionStmt("Append", _I(0), (_I(1),))]),
+    "first-of-empty": _probe(
+        "EmptyCollection", [ir.ReturnStmt(ir.CallExpr(ir.ListExpr(()), "First", ()))]
+    ),
+    "select-from-empty": _probe(
+        "EmptyCollection",
+        [ir.ReturnStmt(ir.CallExpr(ir.ListExpr(()), "SelectOneRandom", ()))]
+    ),
+    "unknown-primitive-statement": _probe(
+        "TypeMismatch", [ir.ActionStmt("Juggle", ir.ListExpr(()), ())]
+    ),
+    "endless-loop": _probe("StepLimitExceeded", [ir.WhileStmt(_B(True), ())]),
+    # a name assigned as an attribute, then declared and assigned as a local
+    "late-local-shadows-attribute": _probe(
+        None,
+        [
+            ir.AssignStmt(_N("x"), _I(5)),
+            ir.CallStmt(None, "Bump", ()),
+            ir.LocalDecl("x", "int"),
+            ir.AssignStmt(_N("x"), ir.BinExpr("+", _N("x"), _I(7))),
+            ir.ReturnStmt(ir.BinExpr("-", ir.CallExpr(None, "Read", ()), _N("x"))),
+        ],
+        attrs=[_X],
+        extra_ops=[
+            _op("Bump", ir.AssignStmt(_N("x"), ir.BinExpr("+", _N("x"), _I(1)))),
+            _op("Read", ir.ReturnStmt(_N("x"))),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_probe_outcomes_match_between_tiers(name):
+    """Odd and ill-typed bodies: the compiled second run reports what
+    the walked first run did, to the message and the step."""
+    raises, units = PROBES[name]
+    units = fresh(units)
+    probe = units[0]
+    world = itp.World({"ME": ("Person", None), "APPLE1": ("Apple", "a")}, {"a": "Line"},
+                      {"a": ("APPLE1",)}, 0)
+    outcomes = []
+    for _ in range(2):
+        try:
+            r = itp.execute(units, probe, "Run", [], world, "numbers", step_limit=50)
+        except (itp.ExecError, ir.UnknownMember) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+        else:
+            outcomes.append((None, r.value, r.steps, r.trace))
+    assert itp.compiled_body(probe.operation("Run")) is not None
+    assert outcomes[0][0] == raises
+    assert outcomes[0] == outcomes[1]
+
+
+def test_shared_operation_rechecks_access_for_a_new_caller():
+    """Two units share one Operation object. The access decision its
+    compiled body remembers for one caller is not reused for the other."""
+    shared = ir.ConceptUnit(
+        ir.GLOBALS_UNIT, ir.UnitKind.CLASS, ir.Level.E3, "numbers",
+        attributes=(ir.Attribute("guarded", "int", ir.Visibility.PROTECTED),),
+    )
+    peek = _op("Peek", ir.ReturnStmt(_N("guarded")))
+    outsider = ir.ConceptUnit(
+        "Outsider", ir.UnitKind.CLASS, ir.Level.E3, "elsewhere", operations=(peek,)
+    )
+    calls = [ir.CallStmt(None, "Peek", ()), ir.CallStmt(None, "Peek", ())]
+    _, (insider,) = _probe(None, [*calls, ir.CallStmt("Outsider", "Peek", ())], extra_ops=[peek])
+    world = itp.World({"ME": ("Person", None)}, {}, {}, 0)
+    with pytest.raises(itp.AccessViolation, match="hidden from Outsider"):
+        itp.execute([insider, outsider, shared], insider, "Run", [], world, "numbers")
+    assert itp.compiled_body(peek) is not None
+    _, (insider,) = _probe(None, calls, extra_ops=[peek])
+    assert itp.execute([insider, shared], insider, "Run", [], world, "numbers").steps == 4
+
+
+def _regenerate() -> None:
+    by_level = kbmod.KnowledgeBase.canonical().kb_by_level()
+    slices = {level.name: units for level, units in by_level.items()}
+
+    lines = []
+    for task_id in TASK_IDS:
+        for level in LEVELS:
+            for seed in SEEDS:
+                kind, digest, steps, reason = record(task_id, seed, fresh(slices[level]))
+                lines.append("\t".join((task_id, level, str(seed), kind, digest, steps, reason)))
+    DATA.write_text(HEADER + "\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {len(lines)} cells to {DATA}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _regenerate()
