@@ -16,10 +16,10 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import capability, dsl, interpreter as itp, ir, kb as kbmod, redescription, tasks
+from .ir import record
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -27,7 +27,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-@dataclass(frozen=True)
+@record
 class CliConfig:
     kb_path: Path | None
     seed: int

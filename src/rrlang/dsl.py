@@ -23,7 +23,6 @@ in; parsing its output reproduces the input units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -57,16 +56,18 @@ from .ir import (
     UnitKind,
     Visibility,
     WhileStmt,
+    record,
+    set_field,
 )
 
 
-@dataclass(frozen=True)
+@record
 class SourceText:
     text: str
     origin: str = "<memory>"
 
 
-@dataclass(frozen=True)
+@record
 class ParseError:
     line: int
     column: int
@@ -89,12 +90,18 @@ class ParseFailure(Exception):
 # ---------------------------------------------------------------------------
 # Lexer
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str  # "ident", "int", "eof", or the punctuation lexeme itself
     text: str
     line: int
     column: int
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        set_field(self, "kind", kind)
+        set_field(self, "text", text)
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
 
 _PUNCT2 = ("++", "==", "!=", "<=", ">=")

@@ -41,7 +41,6 @@ and errors:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import ir
@@ -67,6 +66,8 @@ from .ir import (
     SetupStmt,
     Stmt,
     WhileStmt,
+    record,
+    set_field,
 )
 
 ARRANGEMENTS = ("Line", "Square", "Circle", "Scattered")
@@ -78,7 +79,7 @@ _CALL_DEPTH_LIMIT = 128
 # ---------------------------------------------------------------------------
 # World
 
-@dataclass(frozen=True)
+@record
 class World:
     """Immutable scene snapshot.
 
@@ -92,6 +93,18 @@ class World:
     arrangements: Mapping[str, str]
     containers: Mapping[str, tuple[str, ...]]
     rng_seed: int = 0
+
+    def __init__(
+        self,
+        entities: Mapping[str, tuple[str, str | None]],
+        arrangements: Mapping[str, str],
+        containers: Mapping[str, tuple[str, ...]],
+        rng_seed: int = 0,
+    ):
+        set_field(self, "entities", entities)
+        set_field(self, "arrangements", arrangements)
+        set_field(self, "containers", containers)
+        set_field(self, "rng_seed", rng_seed)
 
 
 def validate_world(world: World) -> list[str]:
@@ -112,24 +125,36 @@ def validate_world(world: World) -> list[str]:
 # ---------------------------------------------------------------------------
 # Values
 
-@dataclass(frozen=True)
+@record
 class IntVal:
     value: int
 
+    def __init__(self, value: int):
+        set_field(self, "value", value)
 
-@dataclass(frozen=True)
+
+@record
 class BoolVal:
     value: bool
 
+    def __init__(self, value: bool):
+        set_field(self, "value", value)
 
-@dataclass(frozen=True)
+
+@record
 class TokenVal:
     token: str
 
+    def __init__(self, token: str):
+        set_field(self, "token", token)
 
-@dataclass(frozen=True)
+
+@record
 class EntityVal:
     entity: str
+
+    def __init__(self, entity: str):
+        set_field(self, "entity", entity)
 
 
 class SeqVal:
@@ -208,25 +233,34 @@ def values_equal(a: Value, b: Value) -> bool:
     """Equality used by == and Delete: same kind and same payload.
 
     Cross-kind comparison is False, not an error; `item != NULL` relies
-    on an entity never equalling Nothing.
+    on an entity never equalling Nothing. Collections and unit values
+    compare by identity, and Nothing is a singleton.
     """
-    if isinstance(a, Nothing) or isinstance(b, Nothing):
-        return isinstance(a, Nothing) and isinstance(b, Nothing)
-    if type(a) is not type(b):
+    kind = type(a)
+    if kind is not type(b):
         return False
-    if isinstance(a, (IntVal, BoolVal, TokenVal, EntityVal)):
-        return a == b
+    if kind is EntityVal:
+        return a.entity == b.entity
+    if kind is TokenVal:
+        return a.token == b.token
+    if kind is IntVal or kind is BoolVal:
+        return a.value == b.value
     return a is b
 
 
 # ---------------------------------------------------------------------------
 # Trace and results
 
-@dataclass(frozen=True)
+@record
 class TraceEvent:
     seq: int
     verb: str  # PointedTo | Said | Moved | TookAway
     arg: str | None = None
+
+    def __init__(self, seq: int, verb: str, arg: str | None = None):
+        set_field(self, "seq", seq)
+        set_field(self, "verb", verb)
+        set_field(self, "arg", arg)
 
 
 def format_trace(trace: Sequence[TraceEvent]) -> str:
@@ -234,12 +268,18 @@ def format_trace(trace: Sequence[TraceEvent]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass(frozen=True)
+@record
 class ExecResult:
     trace: tuple[TraceEvent, ...]
     value: Value
     steps: int
     world: World  # post-execution snapshot; the input world is untouched
+
+    def __init__(self, trace: tuple[TraceEvent, ...], value: Value, steps: int, world: World):
+        set_field(self, "trace", trace)
+        set_field(self, "value", value)
+        set_field(self, "steps", steps)
+        set_field(self, "world", world)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +522,10 @@ class _Machine:
         member: str,
         site: list | None = None,
     ) -> None:
-        access = ir.check_access(caller.domain, caller.name, target, member)
+        try:
+            access = ir.check_access(caller.domain, caller.name, target, member)
+        except ir.UnknownMember as exc:
+            raise UnboundName(str(exc)) from exc
         if not access:
             raise AccessViolation(access.reason)
         if site is not None:

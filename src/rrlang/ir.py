@@ -5,15 +5,120 @@ friend declarations. Units sit on a four-step representational ladder
 (I, E1, E2, E3); each level carries a structural discipline that
 ``validate`` checks. ``check_access`` decides member visibility between
 units, and ``level_metrics`` summarizes a unit set for the growth
-invariants.
+invariants. Syntax nodes and the package's other value types are
+frozen slotted records built by ``record``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+# Hand-written record __init__s set their fields with this.
+set_field = object.__setattr__
+
+
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """Rebuild cls as a frozen, slotted record of its annotated fields.
+
+    The record acts as ``dataclass(frozen=True)`` would: fields in
+    annotation order, class-level values as defaults, assignment and
+    deletion refused with ``FrozenInstanceError``, equality and hashing
+    by type plus fields, the same repr, and ``__match_args__``. The
+    generic ``__init__`` takes the fields positionally or by keyword and
+    then calls ``__post_init__`` if the class has one. A class that
+    writes its own ``__init__`` keeps it and sets its fields with
+    ``set_field``; values built in hot loops do, since the generic one
+    costs more per call. Nothing is generated or compiled,
+    which keeps importing the package cheap.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    ns = dict(cls.__dict__)
+    defaults = {name: ns.pop(name) for name in names if name in ns}
+    ns.pop("__dict__", None)
+    ns.pop("__weakref__", None)
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        key = lambda self: (get(self),)
+    elif names:
+        key = attrgetter(*names)
+    else:
+        key = lambda self: ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, key(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    ns.update(
+        __slots__=names,
+        __match_args__=names,
+        __setattr__=_refuse_assignment,
+        __delattr__=_refuse_deletion,
+        __eq__=__eq__,
+        __hash__=lambda self: hash(key(self)),
+        __repr__=__repr__,
+    )
+    built = type(cls)(cls.__name__, cls.__bases__, ns)
+    if "__init__" not in ns:
+        built.__init__ = _generic_init(built, names, defaults)
+    return built
+
+
+def _generic_init(cls, names: tuple[str, ...], defaults: dict):
+    """An ``__init__`` for record cls that sets each field through its
+    slot and then runs ``__post_init__``, if cls has one."""
+    setters = tuple(cls.__dict__[name].__set__ for name in names)
+    post_init = hasattr(cls, "__post_init__")
+    count = len(names)
+    title = f"{cls.__qualname__}()"
+
+    def bind(args: tuple, kwargs: dict) -> list:
+        if len(args) > count:
+            raise TypeError(f"{title} takes {count} arguments but {len(args)} were given")
+        for name in names[: len(args)]:
+            if name in kwargs:
+                raise TypeError(f"{title} got multiple values for argument {name!r}")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in defaults:
+                values.append(defaults[name])
+            else:
+                raise TypeError(f"{title} missing required argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{title} got an unexpected keyword argument {next(iter(kwargs))!r}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = bind(args, kwargs)
+        for setter, value in zip(setters, args):
+            setter(self, value)
+        if post_init:
+            self.__post_init__()
+
+    return __init__
 
 
 class Level(Enum):
@@ -52,7 +157,7 @@ class UnitKind(Enum):
 # ---------------------------------------------------------------------------
 # Literals and types
 
-@dataclass(frozen=True)
+@record
 class Literal:
     """A bound constant value: an int, a symbol, or an ordered symbol list."""
 
@@ -134,38 +239,41 @@ def widen_type(type_ref: TypeRef) -> TypeRef:
 # ---------------------------------------------------------------------------
 # Expressions
 
-@dataclass(frozen=True)
+@record
 class IntExpr:
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class BoolExpr:
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class NullExpr:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class NameExpr:
     name: str
 
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
-@dataclass(frozen=True)
+
+@record
 class ListExpr:
     names: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class FieldExpr:
     recv: "Expr"
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class CallExpr:
     """Method-style call in expression position; recv None means self."""
 
@@ -174,12 +282,12 @@ class CallExpr:
     args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
+@record
 class NotExpr:
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class BinExpr:
     op: str  # one of == != < > <= >= + -
     left: "Expr"
@@ -202,15 +310,19 @@ Expr = (
 # ---------------------------------------------------------------------------
 # Statements
 
-@dataclass(frozen=True)
+@record
 class SetupStmt:
     """Scene fact recorded in a level-I body, checked against the world."""
 
     pred: str
     args: tuple[str, ...]
 
+    def __init__(self, pred: str, args: tuple[str, ...]):
+        set_field(self, "pred", pred)
+        set_field(self, "args", args)
 
-@dataclass(frozen=True)
+
+@record
 class ActionStmt:
     """Primitive action or collection manipulation in statement position."""
 
@@ -218,33 +330,38 @@ class ActionStmt:
     recv: Expr
     args: tuple[Expr, ...]
 
+    def __init__(self, verb: str, recv: Expr, args: tuple[Expr, ...]):
+        set_field(self, "verb", verb)
+        set_field(self, "recv", recv)
+        set_field(self, "args", args)
 
-@dataclass(frozen=True)
+
+@record
 class AssignStmt:
     target: NameExpr | FieldExpr
     value: Expr
 
 
-@dataclass(frozen=True)
+@record
 class LocalDecl:
     name: str
     type_ref: TypeRef
 
 
-@dataclass(frozen=True)
+@record
 class WhileStmt:
     cond: Expr
     body: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
+@record
 class IfStmt:
     cond: Expr
     then: tuple["Stmt", ...]
     orelse: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
+@record
 class CallStmt:
     """Operation call in statement position; recv None means self."""
 
@@ -253,12 +370,12 @@ class CallStmt:
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ReturnStmt:
     value: Expr | None
 
 
-@dataclass(frozen=True)
+@record
 class BlockStmt:
     """Inline labeled block, the E1 shape of a not-yet-split operation."""
 
@@ -282,6 +399,10 @@ Stmt = (
 
 # ---------------------------------------------------------------------------
 # Members and units
+#
+# Attribute, Operation and ConceptUnit stay dataclasses: callers copy
+# them with dataclasses.replace, and an Operation keeps its compiled
+# body in its __dict__ (see interpreter._tier).
 
 @dataclass(frozen=True)
 class Attribute:
@@ -297,7 +418,7 @@ class Attribute:
         return self.const is not None
 
 
-@dataclass(frozen=True)
+@record
 class Param:
     name: str
     type_ref: TypeRef
@@ -355,7 +476,7 @@ class UnknownMember(KeyError):
 # ---------------------------------------------------------------------------
 # Validation
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     rule: str
     message: str
@@ -524,7 +645,7 @@ def validate_set(units: Sequence[ConceptUnit]) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # Metrics
 
-@dataclass(frozen=True)
+@record
 class LevelMetrics:
     unit_count: int
     operation_count: int
@@ -587,7 +708,7 @@ def entity_const_count(units: Sequence[ConceptUnit]) -> int:
 # ---------------------------------------------------------------------------
 # Access control
 
-@dataclass(frozen=True)
+@record
 class Access:
     allowed: bool
     reason: str

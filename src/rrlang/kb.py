@@ -13,11 +13,11 @@ unit and a manifest.tsv index whose rows are either
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import dsl, interpreter as itp, ir, redescription
+from .ir import record
 from .redescription import PhaseReport
 
 MANIFEST = "manifest.tsv"
@@ -52,7 +52,7 @@ class ManifestError(dsl.ParseFailure):
         super().__init__([dsl.ParseError(0, 0, "a consistent manifest", message)], origin)
 
 
-@dataclass(frozen=True)
+@record
 class LogEntry:
     unit: str
     task: str
@@ -76,6 +76,7 @@ class KnowledgeBase:
 
     def __init__(self) -> None:
         self._units: dict[tuple[str, ir.Level], ir.ConceptUnit] = {}
+        self._instance_counts: dict[str, int] = {}  # instances per domain; names recordings
         self.log: list[LogEntry] = []
 
     # -- access ------------------------------------------------------
@@ -133,6 +134,8 @@ class KnowledgeBase:
         if key in self._units:
             raise DuplicateUnit(f"{unit.name} at {unit.level.name} already stored")
         self._units[key] = unit
+        if unit.kind is ir.UnitKind.INSTANCE:
+            self._instance_counts[unit.domain] = self._instance_counts.get(unit.domain, 0) + 1
         return unit
 
     def record_outcome(self, unit_name: str, task_id: str, outcome: object) -> LogEntry:
@@ -213,11 +216,7 @@ class KnowledgeBase:
             arg = event.arg if event.arg is not None else hand
             body.append(ir.ActionStmt(verb, me, (ir.NameExpr(arg),)))
 
-        ordinal = 1 + sum(
-            1
-            for u in self._units.values()
-            if u.kind is ir.UnitKind.INSTANCE and u.domain == domain
-        )
+        ordinal = 1 + self._instance_counts.get(domain, 0)
         unit = ir.ConceptUnit(
             name=f"{concept}_{domain}_{ordinal}",
             kind=ir.UnitKind.INSTANCE,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import ir
@@ -51,6 +50,7 @@ from .ir import (
     UnitKind,
     Visibility,
     WhileStmt,
+    record,
 )
 
 # Name normalizations applied when apple-specific vocabulary widens.
@@ -84,7 +84,7 @@ class TooFewInstances(RedescriptionError):
         self.have = have
 
 
-@dataclass(frozen=True)
+@record
 class PhaseReport:
     phase: int
     inputs: tuple[str, ...]
@@ -105,7 +105,7 @@ def format_report(report: PhaseReport) -> str:
 # ---------------------------------------------------------------------------
 # Loop rolling
 
-@dataclass(frozen=True)
+@record
 class Roll:
     start: int
     period: int
@@ -317,7 +317,7 @@ def antiunify_instances(
     return unit, report
 
 
-@dataclass(frozen=True)
+@record
 class _Script:
     setup: tuple[SetupStmt, ...]
     actions: tuple[ActionStmt, ...]
@@ -359,7 +359,7 @@ def _action_shape(unit: ConceptUnit, action: ActionStmt) -> tuple:
     return (action.verb, types[0], types[1:])
 
 
-@dataclass(frozen=True)
+@record
 class _Roles:
     template: tuple[tuple[str, tuple[tuple, ...]], ...]  # verb, per-arg role
     agent: str
@@ -561,7 +561,7 @@ def generalize_to_e2(
     return (e2_unit, globals_unit), report
 
 
-@dataclass(frozen=True)
+@record
 class _CountingRoles:
     numlist: Attribute
     agent: Attribute

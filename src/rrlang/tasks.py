@@ -30,6 +30,7 @@ from .interpreter import (
     TraceEvent,
     World,
 )
+from .ir import record, set_field
 
 TASK_IDS: tuple[str, ...] = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9")
 
@@ -42,10 +43,14 @@ class UnknownTaskId(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Outcome:
     kind: str  # Solved | Failed | Inaccessible
     reason: str = ""
+
+    def __init__(self, kind: str, reason: str = ""):
+        set_field(self, "kind", kind)
+        set_field(self, "reason", reason)
 
     @staticmethod
     def solved() -> "Outcome":
@@ -60,7 +65,7 @@ class Outcome:
         return Outcome("Inaccessible", reason)
 
 
-@dataclass(frozen=True)
+@record
 class PrincipleReport:
     one_to_one: bool
     stable_order: bool

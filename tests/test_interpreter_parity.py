@@ -202,7 +202,7 @@ PROBES = {
         "UnboundName",
         [ir.CallStmt("Other", "Secret", ())], attrs=[_attr("Other", "int")], others=[_SECRET]
     ),
-    "call-missing-operation": _probe("UnknownMember", [ir.CallStmt(None, "Missing", ())]),
+    "call-missing-operation": _probe("UnboundName", [ir.CallStmt(None, "Missing", ())]),
     "call-private": _probe(
         "AccessViolation", [ir.CallStmt("Other", "Secret", ())], others=[_SECRET]
     ),
@@ -229,6 +229,12 @@ PROBES = {
     "read-private-field": _probe(
         "AccessViolation",
         [ir.ReturnStmt(ir.FieldExpr(_N("o"), "secret"))],
+        attrs=[_attr("o", "Hiding")],
+        others=[dataclasses.replace(_HIDING_GLOBALS, name="Hiding")],
+    ),
+    "read-missing-field": _probe(
+        "UnboundName",
+        [ir.ReturnStmt(ir.FieldExpr(_N("o"), "nowhere"))],
         attrs=[_attr("o", "Hiding")],
         others=[dataclasses.replace(_HIDING_GLOBALS, name="Hiding")],
     ),
@@ -279,7 +285,7 @@ def test_probe_outcomes_match_between_tiers(name):
     for _ in range(2):
         try:
             r = itp.execute(units, probe, "Run", [], world, "numbers", step_limit=50)
-        except (itp.ExecError, ir.UnknownMember) as exc:
+        except itp.ExecError as exc:
             outcomes.append((type(exc).__name__, str(exc)))
         else:
             outcomes.append((None, r.value, r.steps, r.trace))

@@ -105,6 +105,28 @@ class TestRecording:
         recorded = kb.record_instance(res.trace, world, "apples")
         assert recorded.name == "Counting_apples_2"
 
+    def test_ordinals_survive_interleaving_and_a_reload(self, tmp_path):
+        kb = kbmod.KnowledgeBase.canonical()  # holds one apples recording
+
+        def record(domain):
+            kind = {"apples": "Apple", "pencils": "Pencil", "cups": "Cup"}[domain]
+            ids = tuple(f"{kind.upper()}{i}" for i in range(1, 4))
+            entities = {"ME": ("Person", None), "HAND": ("Hand", None)}
+            entities.update((eid, (kind, domain)) for eid in ids)
+            world = itp.World(entities, {domain: "Line"}, {domain: ids}, 0)
+            events = [("PointedTo", eid) for eid in ids] + [("Said", "THREE")]
+            trace = tuple(itp.TraceEvent(i, v, a) for i, (v, a) in enumerate(events, 1))
+            return kb.record_instance(trace, world, domain).name
+
+        names = [record(d) for d in ("apples", "pencils", "apples", "cups", "pencils")]
+        kb = kbmod.KnowledgeBase.load(kb.save(tmp_path / "kb"))
+        names += [record(d) for d in ("cups", "apples", "pencils")]
+        assert names == [
+            "Counting_apples_2", "Counting_pencils_1", "Counting_apples_3",
+            "Counting_cups_1", "Counting_pencils_2",
+            "Counting_cups_2", "Counting_apples_4", "Counting_pencils_3",
+        ]
+
     def test_recording_then_replaying_is_a_fixpoint(self):
         kb = kbmod.KnowledgeBase()
         instance = dsl.load_fixture("counting_apples_i")[0]

@@ -1,0 +1,123 @@
+"""Frozen slotted records (ir.record) behave as frozen dataclasses do."""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from rrlang import capability, cli, dsl, interpreter as itp, ir, kb as kbmod, redescription, tasks
+
+MODULES = (ir, itp, dsl, tasks, redescription, kbmod, cli, capability)
+KEPT_DATACLASSES = {
+    ir.Attribute, ir.Operation, ir.ConceptUnit, capability.CapabilityMatrix, tasks.Task,
+}
+
+SAMPLES = [
+    itp.IntVal(3),
+    itp.TraceEvent(1, "Said", "ONE"),
+    itp.World({"ME": ("Person", None)}, {}, {}, 7),
+    ir.BinExpr("+", ir.IntExpr(1), ir.NameExpr("x")),
+    ir.ActionStmt("Say", ir.NameExpr("ME"), (ir.NameExpr("ONE"),)),
+    ir.NullExpr(),
+    ir.Diagnostic("rule", "message", "Unit"),
+    tasks.Outcome("Failed", "why"),
+    kbmod.LogEntry("Unit", "T1", "Solved", 1),
+]
+
+
+def _fields(record):
+    return record.__match_args__
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=lambda r: type(r).__name__)
+class TestFrozen:
+    def test_fields_cannot_be_assigned_or_deleted(self, record):
+        for name in (*_fields(record), "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+
+    def test_no_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
+
+    def test_repr_matches_a_frozen_dataclass(self, record):
+        cls = type(record)
+        twin = dataclasses.make_dataclass(cls.__qualname__, _fields(record), frozen=True)
+        values = [getattr(record, name) for name in _fields(record)]
+        assert repr(record) == repr(twin(*values))
+
+    def test_equal_copies_hash_alike(self, record):
+        copy = type(record)(*(getattr(record, name) for name in _fields(record)))
+        assert copy == record and copy is not record
+        if not isinstance(record, itp.World):  # its mappings are unhashable
+            assert hash(copy) == hash(record)
+
+
+class TestEquality:
+    def test_type_is_part_of_identity(self):
+        assert itp.IntVal(1) != itp.BoolVal(True)
+        assert ir.NameExpr("x") != itp.TokenVal("x")
+        assert ir.IntExpr(1) != itp.IntVal(1)
+        assert len({itp.IntVal(1), itp.BoolVal(True), itp.IntVal(1)}) == 2
+
+    def test_fields_are_compared(self):
+        assert itp.TraceEvent(1, "Said", "ONE") != itp.TraceEvent(1, "Said", "TWO")
+        assert ir.NullExpr() == ir.NullExpr()
+        assert hash(ir.Param("n", "int")) == hash(ir.Param("n", "int"))
+
+    def test_match_args(self):
+        match ir.FieldExpr(ir.NameExpr("o"), "x"):
+            case ir.FieldExpr(ir.NameExpr(name), field):
+                assert (name, field) == ("o", "x")
+            case _:
+                pytest.fail("no match")
+
+
+class TestConstruction:
+    def test_keywords_and_defaults(self):
+        assert ir.Diagnostic(rule="r", message="m", unit="U").member is None
+        assert itp.TraceEvent(seq=2, verb="Moved").arg is None
+        assert itp.World({}, {}, {}).rng_seed == 0
+        assert ir.Param("n", type_ref="int") == ir.Param("n", "int")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ir.Param("n"),  # missing
+            lambda: ir.Param("n", "int", "extra"),  # extra positional
+            lambda: ir.Param("n", "int", shape="?"),  # unknown keyword
+            lambda: ir.Param("n", "int", name="m"),  # repeated
+            lambda: ir.Diagnostic("r", "m"),
+            lambda: itp.IntVal(),  # hand-written __init__s behave alike
+            lambda: itp.IntVal(1, 2),
+            lambda: itp.TraceEvent(1, "Said", seq=2),
+        ],
+    )
+    def test_bad_arguments_raise_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_post_init_checks_run(self):
+        good = dict(kb_path=None, seed=0, step_limit=1, threshold=1, output="text")
+        assert cli.CliConfig(**good).step_limit == 1
+        with pytest.raises(ValueError, match="step limit"):
+            cli.CliConfig(**{**good, "step_limit": 0})
+        with pytest.raises(ValueError, match="threshold"):
+            cli.CliConfig(**{**good, "threshold": 0})
+
+
+def test_only_the_kept_classes_are_dataclasses():
+    defined = {
+        obj
+        for module in MODULES
+        for obj in vars(module).values()
+        if inspect.isclass(obj) and obj.__module__ == module.__name__
+    }
+    assert {cls for cls in defined if dataclasses.is_dataclass(cls)} == KEPT_DATACLASSES
+    records = {
+        cls for cls in defined
+        if hasattr(cls, "__match_args__") and not dataclasses.is_dataclass(cls)
+    }
+    assert len(records) == 42
+    assert all("__dict__" not in vars(cls) for cls in records)

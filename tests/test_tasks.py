@@ -1,5 +1,7 @@
 """Task battery: worlds, principle checks, success judgments, routing."""
 
+import dataclasses
+
 import pytest
 
 from rrlang import dsl, interpreter as itp, ir, tasks
@@ -246,6 +248,22 @@ class TestRouting:
         )
         assert outcome.kind == "Inaccessible"
         assert "decomposed" in outcome.reason
+
+    def test_a_call_to_an_undeclared_operation_fails_the_cell(self, kb_by_level):
+        def broken(unit):
+            if unit.name != "Counting":
+                return unit
+            ops = tuple(
+                dataclasses.replace(op, body=(ir.CallStmt(None, "Missing", ()),))
+                if op.name == "Counting" else op
+                for op in unit.operations
+            )
+            return dataclasses.replace(unit, operations=ops)
+
+        units = [broken(u) for u in kb_by_level[ir.Level.E3]]
+        outcome = tasks.run_task(tasks.build_task("T1", 0), units, ir.Level.E3)
+        assert outcome.kind == "Failed"
+        assert "Counting has no member 'Missing'" in outcome.reason
 
     def test_level_filter_matches_hand_built_slice(self, canonical_kb, kb_by_level):
         task = tasks.build_task("T3", 1)
