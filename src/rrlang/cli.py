@@ -78,7 +78,7 @@ def _load_kb(config: CliConfig) -> kbmod.KnowledgeBase:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_parse(args: argparse.Namespace) -> int:
+def _cmd_parse(args: argparse.Namespace, config: CliConfig) -> int:
     path = Path(args.file)
     try:
         text = path.read_text(encoding="utf-8")
@@ -103,74 +103,55 @@ def _print_phase(report, units) -> None:
 
 
 def _cmd_redescribe(args: argparse.Namespace, config: CliConfig) -> int:
-    try:
-        kb = _load_kb(config)
-    except kbmod.IoFailure as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_IO
-    except dsl.ParseFailure as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-
+    kb = _load_kb(config)
     produced: list[ir.ConceptUnit] = []
-    try:
-        if args.auto:
-            reports = kb.advance(threshold=config.threshold)
-            if not reports:
-                print("nothing to redescribe: mastery not reached or chain complete")
-            for report in reports:
-                sys.stdout.write(redescription.format_report(report))
-        elif args.phase == 1:
-            by_domain: dict[str, list[ir.ConceptUnit]] = {}
-            for unit in kb:
-                if unit.kind is ir.UnitKind.INSTANCE:
-                    by_domain.setdefault(unit.domain, []).append(unit)
-            pool = max(by_domain.values(), key=len, default=[])
-            unit, report = redescription.antiunify_instances(pool)
-            produced = [unit]
-            _print_phase(report, produced)
-        elif args.phase == 2:
-            sources = [
-                u for u in kb
-                if u.level is ir.Level.E1 and u.kind is ir.UnitKind.CLASS
-            ]
-            if not sources:
-                print("no E1 class to generalize", file=sys.stderr)
-                return EXIT_DIAGNOSTICS
-            (unit, shared), report = redescription.generalize_to_e2(sources[0])
-            produced = [unit, shared]
-            _print_phase(report, produced)
-        else:
-            sources = [
-                u for u in kb
-                if u.level is ir.Level.E2
-                and u.kind is ir.UnitKind.CLASS
-                and u.name != ir.GLOBALS_UNIT
-            ]
-            if not sources:
-                print("no E2 class to decompose", file=sys.stderr)
-                return EXIT_DIAGNOSTICS
-            units, report = redescription.decompose_to_e3(
-                sources[0], shared=kb.globals_unit
-            )
-            produced = list(units)
-            _print_phase(report, produced)
-    except redescription.RedescriptionError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_DIAGNOSTICS
+    if args.auto:
+        reports = kb.advance(threshold=config.threshold)
+        if not reports:
+            print("nothing to redescribe: mastery not reached or chain complete")
+        for report in reports:
+            sys.stdout.write(redescription.format_report(report))
+    elif args.phase == 1:
+        by_domain: dict[str, list[ir.ConceptUnit]] = {}
+        for unit in kb:
+            if unit.kind is ir.UnitKind.INSTANCE:
+                by_domain.setdefault(unit.domain, []).append(unit)
+        pool = max(by_domain.values(), key=len, default=[])
+        unit, report = redescription.antiunify_instances(pool)
+        produced = [unit]
+        _print_phase(report, produced)
+    elif args.phase == 2:
+        sources = [
+            u for u in kb
+            if u.level is ir.Level.E1 and u.kind is ir.UnitKind.CLASS
+        ]
+        if not sources:
+            print("no E1 class to generalize", file=sys.stderr)
+            return EXIT_DIAGNOSTICS
+        (unit, shared), report = redescription.generalize_to_e2(sources[0])
+        produced = [unit, shared]
+        _print_phase(report, produced)
+    else:
+        sources = [
+            u for u in kb
+            if u.level is ir.Level.E2
+            and u.kind is ir.UnitKind.CLASS
+            and u.name != ir.GLOBALS_UNIT
+        ]
+        if not sources:
+            print("no E2 class to decompose", file=sys.stderr)
+            return EXIT_DIAGNOSTICS
+        units, report = redescription.decompose_to_e3(
+            sources[0], shared=kb.globals_unit
+        )
+        produced = list(units)
+        _print_phase(report, produced)
 
     if args.out is not None:
-        try:
-            for unit in produced:
-                if kb.unit(unit.name, unit.level) is None:
-                    kb.add_unit(unit)
-            kb.save(args.out)
-        except kbmod.IoFailure as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_IO
-        except kbmod.KbError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_DIAGNOSTICS
+        for unit in produced:
+            if kb.unit(unit.name, unit.level) is None:
+                kb.add_unit(unit)
+        kb.save(args.out)
     return EXIT_OK
 
 
@@ -183,14 +164,7 @@ def _resolve_run(args: argparse.Namespace, config: CliConfig):
 
 
 def _cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
-    try:
-        task, level, outcome, trace = _resolve_run(args, config)
-    except kbmod.IoFailure as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_IO
-    except (tasks.UnknownTaskId, dsl.ParseFailure) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_DIAGNOSTICS
+    task, level, outcome, trace = _resolve_run(args, config)
     suffix = f" ({outcome.reason})" if outcome.reason else ""
     print(f"{task.id} at {level.name} (seed {config.seed}): {outcome.kind}{suffix}")
     try:
@@ -207,28 +181,13 @@ def _cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace, config: CliConfig) -> int:
-    try:
-        _, _, _, trace = _resolve_run(args, config)
-    except kbmod.IoFailure as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_IO
-    except (tasks.UnknownTaskId, dsl.ParseFailure) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_DIAGNOSTICS
+    _, _, _, trace = _resolve_run(args, config)
     sys.stdout.write(itp.format_trace(trace))
     return EXIT_OK
 
 
 def _cmd_matrix(args: argparse.Namespace, config: CliConfig) -> int:
-    try:
-        kb = _load_kb(config)
-        matrix = capability.build_matrix(kb.kb_by_level())
-    except kbmod.IoFailure as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_IO
-    except (capability.MissingLevel, dsl.ParseFailure) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_DIAGNOSTICS
+    matrix = capability.build_matrix(_load_kb(config).kb_by_level())
     if args.diff:
         diffs = capability.compare_expected(matrix)
         if diffs:
@@ -246,25 +205,33 @@ def _cmd_matrix(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def _cmd_verbalize(args: argparse.Namespace, config: CliConfig) -> int:
-    try:
-        kb = _load_kb(config)
-    except kbmod.IoFailure as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_IO
-    except dsl.ParseFailure as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    unit = kb.unit(args.unit)
+    unit = _load_kb(config).unit(args.unit)
     if unit is None:
         print(f"no unit named {args.unit!r} in the knowledge base", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    try:
-        text = capability.verbalize(unit)
-    except capability.NotE3 as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    sys.stdout.write(text)
+    sys.stdout.write(capability.verbalize(unit))
     return EXIT_OK
+
+
+_COMMANDS = {
+    "parse": _cmd_parse,
+    "redescribe": _cmd_redescribe,
+    "run": _cmd_run,
+    "matrix": _cmd_matrix,
+    "trace": _cmd_trace,
+    "verbalize": _cmd_verbalize,
+}
+
+# Failures a command reports by printing the exception and exiting with
+# EXIT_DIAGNOSTICS; main catches kbmod.IoFailure, a KbError, first.
+_DIAGNOSED = (
+    dsl.ParseFailure,
+    kbmod.KbError,
+    tasks.UnknownTaskId,
+    capability.MissingLevel,
+    capability.NotE3,
+    redescription.RedescriptionError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +290,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     config = _config(args)
-    if args.command == "parse":
-        return _cmd_parse(args)
-    if args.command == "redescribe":
-        return _cmd_redescribe(args, config)
-    if args.command == "run":
-        return _cmd_run(args, config)
-    if args.command == "matrix":
-        return _cmd_matrix(args, config)
-    if args.command == "trace":
-        return _cmd_trace(args, config)
-    return _cmd_verbalize(args, config)
+    try:
+        return _COMMANDS[args.command](args, config)
+    except kbmod.IoFailure as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_IO
+    except _DIAGNOSED as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_DIAGNOSTICS
 
 
 if __name__ == "__main__":

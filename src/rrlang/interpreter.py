@@ -525,7 +525,7 @@ class _Machine:
         try:
             access = ir.check_access(caller.domain, caller.name, target, member)
         except ir.UnknownMember as exc:
-            raise UnboundName(str(exc)) from exc
+            raise UnboundName(exc.args[0]) from exc
         if not access:
             raise AccessViolation(access.reason)
         if site is not None:
@@ -774,7 +774,7 @@ class _Machine:
         try:
             return target.operation(op_name)
         except ir.UnknownMember as exc:
-            raise UnboundName(str(exc)) from exc
+            raise UnboundName(exc.args[0]) from exc
 
     def invoke(self, target: ConceptUnit, op: ir.Operation, args: list[Value]) -> Value:
         """Bind args and run op's body on whichever tier it has reached."""
@@ -1391,7 +1391,7 @@ def execute(
     try:
         visibility_probe = ir.check_access(caller_domain, caller_name, target, op)
     except ir.UnknownMember as exc:
-        raise UnboundName(str(exc)) from exc
+        raise UnboundName(exc.args[0]) from exc
     if not visibility_probe:
         raise AccessViolation(visibility_probe.reason)
     value = machine.call_operation(None, target, op, list(args))

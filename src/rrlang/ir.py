@@ -839,11 +839,3 @@ def units_equal(a: ConceptUnit, b: ConceptUnit, *, ignore_names: bool = False) -
         same_ops = tuple(op.body for op in a.operations) == tuple(op.body for op in b.operations)
         return sa == sb and same_ops
     return a == b
-
-
-def set_signature(units: Sequence[ConceptUnit]):
-    """Order-insensitive structural fingerprint of a unit set plus call graph."""
-    return (
-        tuple(sorted(unit_signature(u) for u in units)),
-        tuple(sorted(call_graph(units))),
-    )

@@ -72,8 +72,6 @@ _VERB_FOR_EVENT = {
 class KnowledgeBase:
     """Mutable store of concept units plus the mastery log."""
 
-    type_registry = ir.WIDENINGS
-
     def __init__(self) -> None:
         self._units: dict[tuple[str, ir.Level], ir.ConceptUnit] = {}
         self._instance_counts: dict[str, int] = {}  # instances per domain; names recordings
@@ -412,7 +410,3 @@ class KnowledgeBase:
                 if kb.unit(unit.name, unit.level) is None:
                     kb.add_unit(unit)
         return kb
-
-
-def canonical_kb_by_level() -> dict[ir.Level, list[ir.ConceptUnit]]:
-    return KnowledgeBase.canonical().kb_by_level()

@@ -5,45 +5,44 @@ Three passes, each consuming the previous stage's output:
 * antiunify_instances folds several recorded episodes of the same
   routine into one class with a loop, replacing object constants by an
   iterated collection and sound constants by a numeral succession;
-* generalize_to_e2 widens the object vocabulary, hoists the numeral
-  list into the shared Globals unit, splits the routine into callable
-  parts, and opens the operations to other domains;
-* decompose_to_e3 factors the knowledge into cooperating concepts:
-  ordinal succession, the set as a thing with a cardinal sum, and a
-  counting unit that works on any two sets.
+  this is the only pass that derives its output from its input;
+* generalize_to_e2 checks that its input is a counting class, then
+  emits the fixed listing in fixtures/counting_e2.rr under the input's
+  base name, together with a Globals unit holding the input's numerals;
+* decompose_to_e3 checks that its input is a counting class, then
+  emits the three classes of fixtures/counting_e3.rr with the counting
+  class under the input's name and the numeral list taken from the
+  shared Globals unit when one is given.
 
-Passes return the new units plus a PhaseReport naming every rewrite
-rule that fired and everything that was dropped along the way.
+Passes return the new units plus a PhaseReport of the rewrite rules
+and of everything dropped along the way. Phase 1's rules describe what
+it did; phases 2 and 3 report the same list of rules for every input,
+naming the rewrites that their listings embody.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 from typing import Callable, Iterable, Sequence
 
-from . import ir
+from . import dsl, ir
 from .ir import (
     ActionStmt,
     AssignStmt,
     Attribute,
     BinExpr,
-    BoolExpr,
     CallExpr,
-    CallStmt,
     ConceptUnit,
     Expr,
-    FieldExpr,
-    IfStmt,
     IntExpr,
     Level,
     LocalDecl,
     Literal,
     NameExpr,
-    NotExpr,
     NullExpr,
     Operation,
-    Param,
     ReturnStmt,
     SetupStmt,
     Stmt,
@@ -52,17 +51,6 @@ from .ir import (
     WhileStmt,
     record,
 )
-
-# Name normalizations applied when apple-specific vocabulary widens.
-RENAMES: dict[str, str] = {
-    "app_set": "object_set",
-    "app_list": "object_list",
-    "an_apple": "an_object",
-    "APP_Set": "objectSet",
-    "APP_List": "objectList",
-    "APPLE": "OBJECT",
-}
-
 
 class RedescriptionError(Exception):
     """A pass could not apply to its input."""
@@ -152,10 +140,6 @@ def _n(name: str) -> NameExpr:
     return NameExpr(name)
 
 
-def _fld(recv: str, name: str) -> FieldExpr:
-    return FieldExpr(_n(recv), name)
-
-
 def _call(recv: Expr | None, op: str, *args: Expr) -> CallExpr:
     return CallExpr(recv, op, tuple(args))
 
@@ -176,20 +160,8 @@ def _while(cond: Expr, *body: Stmt) -> WhileStmt:
     return WhileStmt(cond, tuple(body))
 
 
-def _if(cond: Expr, then: Sequence[Stmt], orelse: Sequence[Stmt] = ()) -> IfStmt:
-    return IfStmt(cond, tuple(then), tuple(orelse))
-
-
 def _ne_null(name: str) -> BinExpr:
     return BinExpr("!=", _n(name), NullExpr())
-
-
-def _eq_null(name: str) -> BinExpr:
-    return BinExpr("==", _n(name), NullExpr())
-
-
-def _numlist_literal() -> Literal:
-    return Literal(ir.NUMERALS)
 
 
 def _title(domain: str) -> str:
@@ -239,7 +211,7 @@ def antiunify_instances(
     elem_type = _elem_type_for(roles.item_kind)
     set_name = _set_attr_name(set_type)
 
-    attributes = [Attribute("numlist", "intList", Visibility.PRIVATE, _numlist_literal())]
+    attributes = [Attribute("numlist", "intList", Visibility.PRIVATE, Literal(ir.NUMERALS))]
     for cname, ctype in roles.carried:
         attributes.append(Attribute(cname, ctype, Visibility.PRIVATE, Literal(cname)))
     attributes += [
@@ -498,10 +470,10 @@ def _generalized_name(instances: Sequence[ConceptUnit], domain: str) -> str:
 def generalize_to_e2(
     unit: ConceptUnit,
 ) -> tuple[tuple[ConceptUnit, ConceptUnit], PhaseReport]:
-    """Widen a counting class beyond its home domain.
+    """Emit the E2 counting listing for a counting class.
 
-    Returns the reworked class plus the Globals unit that now owns the
-    numeral list."""
+    Returns the counting_e2.rr class under the input's base name plus
+    the Globals unit that now owns the input's numeral list."""
     if unit.level is not Level.E1 or unit.kind is not UnitKind.CLASS:
         raise ValueError(f"{unit.name} is not a level-E1 class")
     roles = _counting_roles(unit)
@@ -526,7 +498,7 @@ def generalize_to_e2(
             Attribute("numlist", "intList", Visibility.PUBLIC, roles.numlist.const),
         ),
     )
-    e2_unit = _canonical_e2(base)
+    e2_unit = _renamed(dsl.load_fixture("counting_e2")[0], base)
     diags = ir.validate(e2_unit) + ir.validate(globals_unit)
     if diags:
         raise RedescriptionError(
@@ -638,99 +610,13 @@ def _op_locals(unit: ConceptUnit) -> list[LocalDecl]:
     return [s for s in ir.iter_statements(unit) if isinstance(s, LocalDecl)]
 
 
-def _canonical_e2(name: str) -> ConceptUnit:
-    index_op = Operation(
-        "Index",
-        (Param("object_set", "objectSet"),),
-        None,
-        Visibility.PUBLIC,
-        (
-            _while(
-                NotExpr(_call(_n("object_set"), "Empty")),
-                LocalDecl("an_object", "OBJECT"),
-                _asgn(_n("an_object"), _call(_n("object_set"), "SelectOneRandom")),
-                _act(_n("object_list"), "Append", _n("an_object")),
-                _act(_n("object_set"), "Delete", _n("an_object")),
-            ),
-        ),
+def _renamed(template: ConceptUnit, name: str) -> ConceptUnit:
+    """A template class under `name`, its same-named operation renamed too."""
+    ops = tuple(
+        dataclasses.replace(op, name=name) if op.name == template.name else op
+        for op in template.operations
     )
-    map_op = Operation(
-        "OneToOneMap",
-        (Param("object_list", "objectList"),),
-        None,
-        Visibility.PUBLIC,
-        (
-            _asgn(_n("result"), IntExpr(0)),
-            LocalDecl("item", "OBJECT"),
-            _asgn(_n("item"), _call(_n("object_list"), "First")),
-            _while(
-                _ne_null("item"),
-                _act(_n("p"), "PointTo", _n("item")),
-                _act(_n("p"), "Say", _call(_n("numlist"), "Next")),
-                _inc("result"),
-                _asgn(_n("item"), _call(_n("object_list"), "Next")),
-            ),
-        ),
-    )
-    get_result = Operation(
-        "GetResult",
-        (),
-        "int",
-        Visibility.PUBLIC,
-        (ReturnStmt(_n("result")),),
-    )
-    driver = Operation(
-        name,
-        (),
-        "int",
-        Visibility.PUBLIC,
-        (
-            CallStmt(None, "Index", (_n("object_set"),)),
-            CallStmt(None, "OneToOneMap", (_n("object_list"),)),
-            ReturnStmt(_call(None, "GetResult")),
-        ),
-    )
-    fetch = Operation(
-        "FetchObjects",
-        (Param("from_set", "objectSet"), Param("k", "int")),
-        None,
-        Visibility.PUBLIC,
-        (
-            CallStmt(None, "Index", (_n("from_set"),)),
-            CallStmt(None, "OneToOneMap", (_n("object_list"),)),
-            _if(
-                BinExpr("<", _call(None, "GetResult"), _n("k")),
-                (_act(_n("p"), "Say", _n("ERROR")),),
-                (
-                    LocalDecl("i", "int"),
-                    _asgn(_n("i"), IntExpr(0)),
-                    _while(
-                        BinExpr("<", _n("i"), _n("k")),
-                        LocalDecl("one", "OBJECT"),
-                        _asgn(_n("one"), _call(_n("from_set"), "SelectOneRandom")),
-                        _act(_n("from_set"), "Delete", _n("one")),
-                        _act(_n("p"), "TakeAway", _n("one")),
-                        _inc("i"),
-                    ),
-                ),
-            ),
-        ),
-    )
-    return ConceptUnit(
-        name=name,
-        kind=UnitKind.CLASS,
-        level=Level.E2,
-        domain="numbers",
-        attributes=(
-            Attribute("p", "Person", Visibility.PROTECTED),
-            Attribute("object_set", "objectSet", Visibility.PROTECTED),
-            Attribute("object_list", "objectList", Visibility.PROTECTED),
-            Attribute("result", "int", Visibility.PROTECTED),
-            Attribute("ERROR", "Sound", Visibility.PROTECTED, Literal("ERROR")),
-        ),
-        operations=(index_op, map_op, get_result, driver, fetch),
-        friends=(ir.GLOBALS_UNIT,),
-    )
+    return dataclasses.replace(template, name=name, operations=ops)
 
 
 # ---------------------------------------------------------------------------
@@ -740,9 +626,11 @@ def decompose_to_e3(
     unit: ConceptUnit,
     shared: ConceptUnit | None = None,
 ) -> tuple[tuple[ConceptUnit, ConceptUnit, ConceptUnit], PhaseReport]:
-    """Factor a generalized counting class into ordinal, set, and
-    counting concepts. `shared` supplies the numeral list (normally the
-    Globals unit); without it the standard succession is used."""
+    """Emit the E3 ordinal, set, and counting classes for a counting class.
+
+    The counting class takes the input's name. `shared` supplies the
+    numeral list (normally the Globals unit); without it the listing's
+    standard succession is kept."""
     if unit.level is not Level.E2 or unit.kind is not UnitKind.CLASS:
         raise ValueError(f"{unit.name} is not a level-E2 class")
     has_collection = any(
@@ -751,19 +639,18 @@ def decompose_to_e3(
     if not has_collection or not _says_successive_numerals(unit, "numlist"):
         raise RedescriptionError(f"{unit.name} is not a counting class")
 
-    numlist = _numlist_literal()
+    ordinal, set_cls, counting = dsl.load_fixture("counting_e3")
     if shared is not None:
         try:
             attr = shared.attribute("numlist")
         except ir.UnknownMember:
             attr = None
         if attr is not None and attr.is_const and attr.const.is_symbols:
-            numlist = attr.const
-
-    ordinal = _canonical_ordinal(numlist)
-    set_cls = _canonical_set()
-    counting = _canonical_e3_counting(unit.name)
-    units = (ordinal, set_cls, counting)
+            ordinal = dataclasses.replace(ordinal, attributes=tuple(
+                dataclasses.replace(a, const=attr.const) if a.name == "numlist" else a
+                for a in ordinal.attributes
+            ))
+    units = (ordinal, set_cls, _renamed(counting, unit.name))
     diags = [d for u in units for d in ir.validate(u)] + ir.validate_set(list(units))
     if diags:
         raise RedescriptionError(
@@ -790,224 +677,6 @@ def decompose_to_e3(
         ),
     )
     return units, report
-
-
-def _canonical_ordinal(numlist: Literal) -> ConceptUnit:
-    get_pre = Operation(
-        "GetPre",
-        (),
-        "int",
-        Visibility.PUBLIC,
-        (
-            _asgn(_n("pre"), BinExpr("-", _n("current"), IntExpr(1))),
-            ReturnStmt(_n("pre")),
-        ),
-    )
-    get_next = Operation(
-        "GetNext",
-        (),
-        "Sound",
-        Visibility.PUBLIC,
-        (
-            _asgn(_n("pre"), _n("current")),
-            _inc("current"),
-            _asgn(_n("succ"), BinExpr("+", _n("current"), IntExpr(1))),
-            ReturnStmt(_call(_n("numlist"), "Next")),
-        ),
-    )
-    get_current = Operation(
-        "GetCurrent",
-        (),
-        "int",
-        Visibility.PUBLIC,
-        (ReturnStmt(_n("current")),),
-    )
-    return ConceptUnit(
-        name="OrdinalNumber",
-        kind=UnitKind.CLASS,
-        level=Level.E3,
-        domain="numbers",
-        attributes=(
-            Attribute("numlist", "intList", Visibility.PUBLIC, numlist),
-            Attribute("current", "int", Visibility.PUBLIC),
-            Attribute("pre", "int", Visibility.PUBLIC),
-            Attribute("succ", "int", Visibility.PUBLIC),
-        ),
-        operations=(get_pre, get_next, get_current),
-    )
-
-
-def _canonical_set() -> ConceptUnit:
-    return ConceptUnit(
-        name="Set",
-        kind=UnitKind.CLASS,
-        level=Level.E3,
-        domain="numbers",
-        attributes=(
-            Attribute("objlist", "objectList", Visibility.PUBLIC),
-            Attribute(
-                "item_type_be_similar",
-                "Boolean",
-                Visibility.PUBLIC,
-                Literal("NO_OBLIGATORY"),
-            ),
-            Attribute(
-                "item_sequence", "Boolean", Visibility.PUBLIC, Literal("NO_IMPORTANT")
-            ),
-            Attribute(
-                "item_arrangement",
-                "Boolean",
-                Visibility.PUBLIC,
-                Literal("NO_IMPORTANT"),
-            ),
-            Attribute("cardinalSum", "int", Visibility.PUBLIC),
-        ),
-    )
-
-
-def _canonical_e3_counting(name: str) -> ConceptUnit:
-    def next_of(set_name: str) -> CallExpr:
-        return _call(FieldExpr(_n(set_name), "objlist"), "Next")
-
-    counting_op = Operation(
-        name,
-        (),
-        "int",
-        Visibility.PUBLIC,
-        (
-            LocalDecl("result", "int"),
-            _asgn(_n("result"), IntExpr(0)),
-            LocalDecl("item", "OBJECT"),
-            _asgn(_n("item"), _call(FieldExpr(_n("set1"), "objlist"), "First")),
-            _while(
-                _ne_null("item"),
-                _act(_n("p"), "PointTo", _n("item")),
-                _act(_n("p"), "Say", _call(_n("OrdinalNumber"), "GetNext")),
-                _inc("result"),
-                _asgn(_n("item"), next_of("set1")),
-            ),
-            _asgn(_fld("set1", "cardinalSum"), _n("result")),
-            ReturnStmt(_n("result")),
-        ),
-    )
-    can_match = Operation(
-        "Can_Match_Discretely",
-        (Param("set1", "Set"), Param("set2", "Set")),
-        "Boolean",
-        Visibility.PUBLIC,
-        (
-            LocalDecl("a", "OBJECT"),
-            LocalDecl("b", "OBJECT"),
-            _asgn(_n("a"), next_of("set1")),
-            _asgn(_n("b"), next_of("set2")),
-            _while(
-                _ne_null("a"),
-                _if(_eq_null("b"), (ReturnStmt(BoolExpr(False)),)),
-                _asgn(_n("a"), next_of("set1")),
-                _asgn(_n("b"), next_of("set2")),
-            ),
-            _if(
-                _eq_null("b"),
-                (ReturnStmt(BoolExpr(True)),),
-                (ReturnStmt(BoolExpr(False)),),
-            ),
-        ),
-    )
-    map_op = Operation(
-        "OneToOneMap",
-        (Param("set1", "Set"), Param("set2", "Set")),
-        "int",
-        Visibility.PUBLIC,
-        (
-            LocalDecl("paired", "int"),
-            LocalDecl("surplus", "int"),
-            _asgn(_n("paired"), IntExpr(0)),
-            _asgn(_n("surplus"), IntExpr(0)),
-            LocalDecl("a", "OBJECT"),
-            LocalDecl("b", "OBJECT"),
-            _asgn(_n("a"), next_of("set1")),
-            _asgn(_n("b"), next_of("set2")),
-            _while(
-                _ne_null("a"),
-                _if(
-                    _eq_null("b"),
-                    (
-                        _act(_n("p"), "PointTo", _n("a")),
-                        _inc("surplus"),
-                        _asgn(_n("a"), next_of("set1")),
-                    ),
-                    (
-                        _inc("paired"),
-                        _asgn(_n("a"), next_of("set1")),
-                        _asgn(_n("b"), next_of("set2")),
-                    ),
-                ),
-            ),
-            _while(
-                _ne_null("b"),
-                _act(_n("p"), "PointTo", _n("b")),
-                _inc("surplus"),
-                _asgn(_n("b"), next_of("set2")),
-            ),
-            _if(
-                BinExpr("==", _n("surplus"), IntExpr(0)),
-                (_asgn(_fld("set2", "cardinalSum"), _fld("set1", "cardinalSum")),),
-            ),
-            ReturnStmt(_n("paired")),
-        ),
-    )
-    fetch = Operation(
-        "FetchObjects",
-        (Param("from_set", "Set"), Param("k", "int")),
-        None,
-        Visibility.PUBLIC,
-        (
-            LocalDecl("have", "int"),
-            _asgn(_n("have"), IntExpr(0)),
-            LocalDecl("item", "OBJECT"),
-            _asgn(_n("item"), next_of("from_set")),
-            _while(
-                _ne_null("item"),
-                _act(_n("p"), "PointTo", _n("item")),
-                _act(_n("p"), "Say", _call(_n("OrdinalNumber"), "GetNext")),
-                _inc("have"),
-                _asgn(_n("item"), next_of("from_set")),
-            ),
-            _asgn(_fld("from_set", "cardinalSum"), _n("have")),
-            _if(
-                BinExpr("<", _n("have"), _n("k")),
-                (_act(_n("p"), "Say", _n("ERROR")),),
-                (
-                    LocalDecl("i", "int"),
-                    _asgn(_n("i"), IntExpr(0)),
-                    _while(
-                        BinExpr("<", _n("i"), _n("k")),
-                        LocalDecl("one", "OBJECT"),
-                        _asgn(
-                            _n("one"),
-                            _call(FieldExpr(_n("from_set"), "objlist"), "SelectOneRandom"),
-                        ),
-                        _act(FieldExpr(_n("from_set"), "objlist"), "Delete", _n("one")),
-                        _act(_n("p"), "TakeAway", _n("one")),
-                        _inc("i"),
-                    ),
-                ),
-            ),
-        ),
-    )
-    return ConceptUnit(
-        name=name,
-        kind=UnitKind.CLASS,
-        level=Level.E3,
-        domain="numbers",
-        attributes=(
-            Attribute("p", "Person", Visibility.PUBLIC),
-            Attribute("set1", "Set", Visibility.PUBLIC),
-            Attribute("set2", "Set", Visibility.PUBLIC),
-            Attribute("ERROR", "Sound", Visibility.PUBLIC, Literal("ERROR")),
-        ),
-        operations=(counting_op, can_match, map_op, fetch),
-    )
 
 
 # ---------------------------------------------------------------------------

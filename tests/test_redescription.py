@@ -164,6 +164,13 @@ class TestGeneralize:
             "synthesize_fetch_objects",
         ]
 
+    def test_class_and_its_entry_operation_take_the_input_base_name(self):
+        e1 = dataclasses.replace(dsl.load_fixture("counting_apples_e1")[0], name="TallyApples")
+        (e2, _), report = rd.generalize_to_e2(e1)
+        want = dsl.fixture_source("counting_e2").text.replace("Counting", "Tally")
+        assert dsl.print_canonical([e2]).text == want
+        assert report.outputs == ("Tally", ir.GLOBALS_UNIT)
+
 
 class TestDecompose:
     def test_e3_matches_reference_listing_byte_for_byte(self):
@@ -178,6 +185,36 @@ class TestDecompose:
         (e2, globals_unit), _ = rd.generalize_to_e2(e1)
         units, _ = rd.decompose_to_e3(e2, globals_unit)
         assert ir.validate_set(list(units)) == []
+
+    def test_counting_class_takes_the_input_name(self):
+        e1 = dataclasses.replace(dsl.load_fixture("counting_apples_e1")[0], name="TallyApples")
+        (e2, globals_unit), _ = rd.generalize_to_e2(e1)
+        units, report = rd.decompose_to_e3(e2, globals_unit)
+        want = dsl.fixture_source("counting_e3").text.replace("Counting", "Tally")
+        assert dsl.print_canonical(list(units)).text == want
+        assert report.outputs == ("OrdinalNumber", "Set", "Tally")
+
+    def test_shared_numerals_replace_the_ordinal_list(self):
+        e1 = dsl.load_fixture("counting_apples_e1")[0]
+        (e2, globals_unit), _ = rd.generalize_to_e2(e1)
+        ten = ir.Literal(ir.NUMERALS[:10])
+        shared = dataclasses.replace(
+            globals_unit,
+            attributes=(dataclasses.replace(globals_unit.attribute("numlist"), const=ten),),
+        )
+        units, _ = rd.decompose_to_e3(e2, shared)
+        assert units[0].name == "OrdinalNumber"
+        assert units[0].attribute("numlist").const == ten
+        assert ir.validate_set(list(units)) == []
+
+    def test_without_shared_numerals_the_listing_keeps_twenty(self):
+        e1 = dsl.load_fixture("counting_apples_e1")[0]
+        (e2, _), _ = rd.generalize_to_e2(e1)
+        units, report = rd.decompose_to_e3(e2)
+        numlist = units[0].attribute("numlist").const
+        assert numlist == ir.Literal(ir.NUMERALS)
+        assert len(numlist.value) == 20
+        assert report.inputs == (e2.name,)
 
 
 def brute_force_roll(items, max_period=5):

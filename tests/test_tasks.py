@@ -263,7 +263,7 @@ class TestRouting:
         units = [broken(u) for u in kb_by_level[ir.Level.E3]]
         outcome = tasks.run_task(tasks.build_task("T1", 0), units, ir.Level.E3)
         assert outcome.kind == "Failed"
-        assert "Counting has no member 'Missing'" in outcome.reason
+        assert outcome.reason == "Counting has no member 'Missing'"
 
     def test_level_filter_matches_hand_built_slice(self, canonical_kb, kb_by_level):
         task = tasks.build_task("T3", 1)
