@@ -159,7 +159,7 @@ def _resolve_run(args: argparse.Namespace, config: CliConfig):
     kb = _load_kb(config)
     level = ir.Level[args.level]
     task = tasks.build_task(args.task, config.seed)
-    outcome, trace = tasks._run(task, list(kb), level)
+    outcome, trace = tasks.run(task, list(kb), level)
     return task, level, outcome, trace
 
 

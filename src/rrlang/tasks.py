@@ -1,14 +1,16 @@
 """Nine benchmark scenes probing what a knowledge base can count,
 fetch, compare, and conserve.
 
-Each task builds a world from a seed, names the domain the request
-comes from, carries a total success predicate over (trace, value,
-world after), and is judged by the runner. The runner resolves the
-best available route for the knowledge it is given: a class operation
-when one is accessible, otherwise a recorded episode that fits the
-scene. Driver units for the errand, bus, and conservation scenarios
-are task apparatus; they are injected at run time and never stored in
-a knowledge base.
+Each task is one row of the table `_TASKS`, keyed by task id: its
+description, a seed -> world builder, the domain the request comes
+from, the query, the check that judges a run, and the runner. The
+runner resolves the best available route for the knowledge it is
+given: a class operation when one is accessible, otherwise a recorded
+episode that fits the scene. It stops early with an Outcome or hands
+the trace, value and world after to the row's check, which
+`Task.success` applies to the same world. Driver units for the errand,
+bus, and conservation scenarios are task apparatus; they are injected
+at run time and never stored in a knowledge base.
 
 Outcome separates two failure modes. Inaccessible means the knowledge
 base could not even be applied: the needed operation is missing,
@@ -18,8 +20,8 @@ binding. Failed means the attempt ran and went wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from . import dsl, interpreter as itp, ir
 from .interpreter import (
@@ -31,8 +33,6 @@ from .interpreter import (
     World,
 )
 from .ir import record, set_field
-
-TASK_IDS: tuple[str, ...] = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9")
 
 # Sizes for the candy-heap comparison; the scenario only fixes that
 # they differ slightly.
@@ -70,11 +70,6 @@ class PrincipleReport:
     one_to_one: bool
     stable_order: bool
     cardinality: bool
-    order_irrelevance: bool
-    object_irrelevance: bool
-
-
-SuccessFn = Callable[[Sequence[TraceEvent], object, World | None], bool]
 
 
 @dataclass(frozen=True)
@@ -85,13 +80,26 @@ class Task:
     world: World
     caller_domain: str
     query: tuple[str, str, tuple[str, ...]]  # target unit, operation, argument hints
-    success: SuccessFn = field(compare=False, default=lambda t, v, w: False)
+
+    def success(
+        self, trace: Sequence[TraceEvent], value: object, world_after: World | None
+    ) -> bool:
+        """Whether a run that left (trace, value, world after) solves
+        this task in its own world; the runner judges by the same check."""
+        return _TASKS[self.id].check(self.world, trace, value, world_after)[0]
 
 
 # ---------------------------------------------------------------------------
 # Worlds
 
-def _scene(*, room: bool = True) -> dict[str, tuple[str, str | None]]:
+def _world(
+    seed: int,
+    arrangement: str,
+    *groups: tuple[str, str, int],
+    room: bool = True,
+) -> World:
+    """A scene holding each (kind, container, count) group in turn, all
+    in one arrangement. Ids number on across groups of the same kind."""
     entities: dict[str, tuple[str, str | None]] = {
         "ME": ("Person", None),
         "HAND": ("Hand", None),
@@ -99,179 +107,31 @@ def _scene(*, room: bool = True) -> dict[str, tuple[str, str | None]]:
     if room:
         entities["ROOM1"] = ("Room", None)
         entities["TABLE1"] = ("Table", None)
-    return entities
-
-
-def _grouped(
-    entities: dict,
-    prefix: str,
-    kind: str,
-    group: str,
-    count: int,
-    start: int = 1,
-) -> tuple[str, ...]:
-    ids = tuple(f"{prefix}{i}" for i in range(start, start + count))
-    for eid in ids:
-        entities[eid] = (kind, group)
-    return ids
+    containers: dict[str, tuple[str, ...]] = {}
+    numbered: dict[str, int] = {}
+    for kind, container, count in groups:
+        start = numbered.get(kind, 0) + 1
+        ids = tuple(f"{kind.upper()}{i}" for i in range(start, start + count))
+        for eid in ids:
+            entities[eid] = (kind, container)
+        containers[container] = ids
+        numbered[kind] = start + count - 1
+    return World(entities, dict.fromkeys(containers, arrangement), containers, seed)
 
 
 def training_world() -> World:
     """The fixed scene every counting episode was recorded in."""
-    entities = _scene()
-    apples = _grouped(entities, "APPLE", "Apple", "apples", 3)
-    return World(entities, {"apples": "Line"}, {"apples": apples}, rng_seed=0)
+    return _world(0, "Line", ("Apple", "apples", 3))
 
 
-def _checked(task: Task) -> Task:
-    problems = itp.validate_world(task.world)
-    if problems:
-        raise UnknownTaskId(f"{task.id}: malformed world: {problems[0]}")
-    return task
+def _not_apples(seed: int) -> World:
+    kind, container = ("Pencil", "pencils") if seed % 2 == 0 else ("Cup", "cups")
+    return _world(seed, "Line", (kind, container, 2 + seed % 15))
 
 
-def build_task(task_id: str, seed: int = 0) -> Task:
-    """Deterministic task from (id, seed); T1 ignores the seed so its
-    world stays bit for bit the training scene."""
-    if task_id == "T1":
-        world = training_world()
-        return _checked(Task(
-            id="T1",
-            seed=seed,
-            description="count the three apples from training, lined up as always",
-            world=world,
-            caller_domain="apples",
-            query=("Counting", "Counting", ()),
-            success=lambda t, v, w: _count_check(world, t, v)[0],
-        ))
-    if task_id == "T2":
-        entities = _scene()
-        apples = _grouped(entities, "APPLE", "Apple", "apples", 3)
-        world = World(entities, {"apples": "Scattered"}, {"apples": apples}, seed)
-        return _checked(Task(
-            id="T2",
-            seed=seed,
-            description="count the same three apples after they are scattered",
-            world=world,
-            caller_domain="apples",
-            query=("Counting", "Counting", ()),
-            success=lambda t, v, w: _count_check(world, t, v)[0],
-        ))
-    if task_id == "T3":
-        count = 4 + seed % 17
-        entities = _scene()
-        apples = _grouped(entities, "APPLE", "Apple", "apples", count)
-        world = World(entities, {"apples": "Line"}, {"apples": apples}, seed)
-        return _checked(Task(
-            id="T3",
-            seed=seed,
-            description="count a line of apples of unfamiliar size",
-            world=world,
-            caller_domain="apples",
-            query=("Counting", "Counting", ()),
-            success=lambda t, v, w: _count_check(world, t, v)[0],
-        ))
-    if task_id == "T4":
-        kind, group = ("Pencil", "pencils") if seed % 2 == 0 else ("Cup", "cups")
-        count = 2 + seed % 15
-        entities = _scene()
-        ids = _grouped(entities, kind.upper(), kind, group, count)
-        world = World(entities, {group: "Line"}, {group: ids}, seed)
-        return _checked(Task(
-            id="T4",
-            seed=seed,
-            description="count objects that are not apples",
-            world=world,
-            caller_domain=group,
-            query=("Counting", "Counting", ()),
-            success=lambda t, v, w: _count_check(world, t, v)[0],
-        ))
-    if task_id == "T5":
-        count = (5, 7, 9, 11, 4, 6, 8, 10)[seed % 8]
-        entities = _scene(room=False)
-        bananas = _grouped(entities, "BANANA", "Banana", "Bananaset", count)
-        world = World(entities, {"Bananaset": "Scattered"}, {"Bananaset": bananas}, seed)
-        return _checked(Task(
-            id="T5",
-            seed=seed,
-            description="bring exactly five bananas",
-            world=world,
-            caller_domain="tasks",
-            query=("FetchErrand", "BringFive", ()),
-            success=lambda t, v, w: _fetch_check(world, 5, t, w)[0],
-        ))
-    if task_id == "T6":
-        entities = _scene(room=False)
-        group_a = _grouped(entities, "MARBLE", "Marble", "group_a", 8)
-        group_b = _grouped(entities, "MARBLE", "Marble", "group_b", 9, start=9)
-        world = World(
-            entities,
-            {"group_a": "Scattered", "group_b": "Scattered"},
-            {"group_a": group_a, "group_b": group_b},
-            seed,
-        )
-        return _checked(Task(
-            id="T6",
-            seed=seed,
-            description="say which is more, five or seven",
-            world=world,
-            caller_domain="tasks",
-            query=("OrdinalNumber", "numlist", ("FIVE", "SEVEN")),
-            success=lambda t, v, w: _figures_check(world, t)[0],
-        ))
-    if task_id == "T7":
-        entities = _scene(room=False)
-        seats = _grouped(entities, "SEAT", "Seat", "Seats_of_Car", 10)
-        kids = _grouped(entities, "CHILD", "Child", "Passengers", 10)
-        world = World(
-            entities,
-            {"Seats_of_Car": "Line", "Passengers": "Line"},
-            {"Seats_of_Car": seats, "Passengers": kids},
-            seed,
-        )
-        return _checked(Task(
-            id="T7",
-            seed=seed,
-            description="decide whether every passenger can get a seat",
-            world=world,
-            caller_domain="tasks",
-            query=("BusBoarding", "HowManyCanSit", ()),
-            success=lambda t, v, w: _seats_check(world, t, v)[0],
-        ))
-    if task_id == "T8":
-        entities = _scene()
-        apples = _grouped(entities, "APPLE", "Apple", "apples", 16)
-        world = World(entities, {"apples": "Square"}, {"apples": apples}, seed)
-        return _checked(Task(
-            id="T8",
-            seed=seed,
-            description="recognize that rearranging sixteen apples does not change their number",
-            world=world,
-            caller_domain="apples",
-            query=("NumberConservation", "SumAfterRearrange", ()),
-            success=lambda t, v, w: _conservation_check(len(apples), t, v)[0],
-        ))
-    if task_id == "T9":
-        size_a, size_b = T9_HEAP_SIZES
-        entities = _scene(room=False)
-        heap_a = _grouped(entities, "CANDY", "Candy", "heap_a", size_a)
-        heap_b = _grouped(entities, "CANDY", "Candy", "heap_b", size_b, start=size_a + 1)
-        world = World(
-            entities,
-            {"heap_a": "Scattered", "heap_b": "Scattered"},
-            {"heap_a": heap_a, "heap_b": heap_b},
-            seed,
-        )
-        return _checked(Task(
-            id="T9",
-            seed=seed,
-            description="judge which candy heap is bigger without counting aloud",
-            world=world,
-            caller_domain="tasks",
-            query=("Counting", "OneToOneMap", ("heap_a", "heap_b")),
-            success=lambda t, v, w: _heaps_check(world, t)[0],
-        ))
-    raise UnknownTaskId(f"unknown task id {task_id!r}")
+def _bananas(seed: int) -> World:
+    count = (5, 7, 9, 11, 4, 6, 8, 10)[seed % 8]
+    return _world(seed, "Scattered", ("Banana", "Bananaset", count), room=False)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +145,8 @@ def check_principles(
     """Read the counting principles off one trace.
 
     The targets are the world's first container. Order and object
-    irrelevance are judged across runs; per trace they reduce to the
-    flags a single run can witness."""
+    irrelevance have no flag of their own: principles_across reads
+    them off the three flags of many runs."""
     targets = next(iter(world.containers.values()), ())
     pointed = [e.arg for e in trace if e.verb == "PointedTo"]
     said = [e.arg for e in trace if e.verb == "Said"]
@@ -301,31 +161,29 @@ def check_principles(
         one_to_one=one_to_one,
         stable_order=stable_order,
         cardinality=cardinality,
-        order_irrelevance=one_to_one,
-        object_irrelevance=cardinality,
     )
 
 
 def principles_across(
     runs: Sequence[tuple[Sequence[TraceEvent], World]],
 ) -> PrincipleReport:
-    """Combine per-run reports; the irrelevance principles hold when
-    every run counted correctly regardless of order or object kind."""
+    """Combine per-run reports: a principle holds when it holds in every
+    run. Order irrelevance is `one_to_one and cardinality` over runs
+    that differ in order; object irrelevance is `cardinality` over runs
+    that differ in object kind."""
     reports = [check_principles(trace, world) for trace, world in runs]
     return PrincipleReport(
         one_to_one=all(r.one_to_one for r in reports),
         stable_order=all(r.stable_order for r in reports),
         cardinality=all(r.cardinality for r in reports),
-        order_irrelevance=all(r.one_to_one and r.cardinality for r in reports),
-        object_irrelevance=all(r.cardinality for r in reports),
     )
 
 
 # ---------------------------------------------------------------------------
-# Success checks. Each returns (ok, reason) and never raises; Task's
-# success field exposes the boolean half.
+# Checks. Each takes (world, trace, value, world after), returns
+# (ok, reason), and never raises; the world is the task's own.
 
-def _count_check(world: World, trace, value) -> tuple[bool, str]:
+def _count_check(world: World, trace, value, world_after) -> tuple[bool, str]:
     targets = next(iter(world.containers.values()), ())
     report = check_principles(trace, world)
     if not report.one_to_one:
@@ -343,24 +201,24 @@ def _count_check(world: World, trace, value) -> tuple[bool, str]:
     return True, ""
 
 
-def _fetch_check(world: World, k: int, trace, world_after) -> tuple[bool, str]:
+def _fetch_check(world: World, trace, value, world_after) -> tuple[bool, str]:
     if any(e.verb == "Said" and e.arg == "ERROR" for e in trace):
         return False, "announced an error instead of fetching"
     took = [e.arg for e in trace if e.verb == "TookAway"]
-    if len(took) != k or len(set(took)) != k:
-        return False, f"fetched {len(took)} bananas instead of {k}"
+    if len(took) != 5 or len(set(took)) != 5:
+        return False, f"fetched {len(took)} bananas instead of 5"
     before = len(world.containers["Bananaset"])
     after = (
         len(world_after.containers.get("Bananaset", ()))
         if world_after is not None
         else -1
     )
-    if after != before - k:
+    if after != before - 5:
         return False, "the heap does not reflect the fetch"
     return True, ""
 
 
-def _figures_check(world: World, trace) -> tuple[bool, str]:
+def _figures_check(world: World, trace, value, world_after) -> tuple[bool, str]:
     if not trace:
         return False, "nothing was fetched to compare"
     if any(e.verb == "Said" and e.arg == "ERROR" for e in trace):
@@ -374,7 +232,7 @@ def _figures_check(world: World, trace) -> tuple[bool, str]:
     return True, ""
 
 
-def _seats_check(world: World, trace, value) -> tuple[bool, str]:
+def _seats_check(world: World, trace, value, world_after) -> tuple[bool, str]:
     seats = world.containers["Seats_of_Car"]
     passengers = set(world.containers["Passengers"])
     if value != IntVal(len(seats)):
@@ -384,19 +242,19 @@ def _seats_check(world: World, trace, value) -> tuple[bool, str]:
     return True, ""
 
 
-def _conservation_check(total: int, trace, value) -> tuple[bool, str]:
+def _conservation_check(world: World, trace, value, world_after) -> tuple[bool, str]:
     moved = [e.seq for e in trace if e.verb == "Moved"]
     if not moved:
         return False, "never registered the rearrangement"
     last_move = moved[-1]
     if any(e.verb == "PointedTo" and e.seq > last_move for e in trace):
         return False, "recounted after the rearrangement"
-    if value != IntVal(total):
+    if value != IntVal(len(world.containers["apples"])):
         return False, "lost track of the total"
     return True, ""
 
 
-def _heaps_check(world: World, trace) -> tuple[bool, str]:
+def _heaps_check(world: World, trace, value, world_after) -> tuple[bool, str]:
     heap_a = world.containers["heap_a"]
     heap_b = world.containers["heap_b"]
     quiet_bound = min(len(heap_a), len(heap_b))
@@ -418,8 +276,11 @@ def _heaps_check(world: World, trace) -> tuple[bool, str]:
     return True, ""
 
 
-def _as_outcome(ok: bool, reason: str) -> Outcome:
-    return Outcome.solved() if ok else Outcome.failed(reason)
+def _judged(task: Task, trace, value=None, world_after=None):
+    """The task's check on what a run left behind, as an Outcome with
+    the trace it judged. The only place a check becomes an Outcome."""
+    ok, reason = _TASKS[task.id].check(task.world, trace, value, world_after)
+    return (Outcome.solved() if ok else Outcome.failed(reason)), trace
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +407,26 @@ def _shift_trace(
 
 
 # ---------------------------------------------------------------------------
-# Task runners
+# Runners. Each takes (task, units) and returns (Outcome, trace): early
+# when the knowledge does not apply or the attempt raised, otherwise
+# through _judged.
+
+def _run_driver(task: Task, kb: Sequence[ir.ConceptUnit]):
+    """Run the driver unit and operation the task's query names,
+    injected beside the knowledge base."""
+    name, op, _ = task.query
+    driver = _driver(name)
+    error, result = _attempt([*kb, driver], driver, op, [], task.world, task.caller_domain)
+    if error is not None:
+        return error, ()
+    return _judged(task, result.trace, result.value, result.world)
+
 
 def _run_count(task: Task, kb: Sequence[ir.ConceptUnit]):
     error, result = _count_once(task, kb, task.world)
     if error is not None:
         return error, ()
-    ok, reason = _count_check(task.world, result.trace, result.value)
-    return _as_outcome(ok, reason), result.trace
+    return _judged(task, result.trace, result.value, result.world)
 
 
 def _fetch_args(
@@ -584,19 +457,14 @@ def _run_fetch_five(task: Task, kb: Sequence[ir.ConceptUnit]):
         return Outcome.inaccessible(access.reason), ()
     op = cls.operation("FetchObjects")
     if op.params and op.params[0].type_ref == "Set" and _unit_named(kb, "Set"):
-        driver = _driver("FetchErrand")
-        error, result = _attempt(
-            [*kb, driver], driver, "BringFive", [], task.world, task.caller_domain
-        )
-    else:
-        args = _fetch_args(kb, cls, task.world, "Bananaset", 5)
-        if args is None:
-            return Outcome.inaccessible("the fetch routine takes foreign arguments"), ()
-        error, result = _attempt(kb, cls, "FetchObjects", args, task.world, task.caller_domain)
+        return _run_driver(task, kb)
+    args = _fetch_args(kb, cls, task.world, "Bananaset", 5)
+    if args is None:
+        return Outcome.inaccessible("the fetch routine takes foreign arguments"), ()
+    error, result = _attempt(kb, cls, "FetchObjects", args, task.world, task.caller_domain)
     if error is not None:
         return error, ()
-    ok, reason = _fetch_check(task.world, 5, result.trace, result.world)
-    return _as_outcome(ok, reason), result.trace
+    return _judged(task, result.trace, result.value, result.world)
 
 
 def _run_compare_figures(task: Task, kb: Sequence[ir.ConceptUnit]):
@@ -608,8 +476,7 @@ def _run_compare_figures(task: Task, kb: Sequence[ir.ConceptUnit]):
         if attr is not None and attr.is_const and attr.const.is_symbols:
             order = attr.const.value
             if "FIVE" in order and "SEVEN" in order:
-                answer = "SEVEN" if order.index("SEVEN") > order.index("FIVE") else "FIVE"
-                if answer == "SEVEN":
+                if order.index("SEVEN") > order.index("FIVE"):
                     return Outcome.solved(), ()
                 return Outcome.failed("picked the smaller figure"), ()
     cls = _class_with_op(kb, "FetchObjects")
@@ -629,8 +496,7 @@ def _run_compare_figures(task: Task, kb: Sequence[ir.ConceptUnit]):
     if error is not None:
         return error, _shift_trace(first.trace)
     trace = _shift_trace(first.trace, second.trace)
-    ok, reason = _figures_check(task.world, trace)
-    return _as_outcome(ok, reason), trace
+    return _judged(task, trace)
 
 
 def _run_seat_match(task: Task, kb: Sequence[ir.ConceptUnit]):
@@ -640,27 +506,12 @@ def _run_seat_match(task: Task, kb: Sequence[ir.ConceptUnit]):
             Outcome.inaccessible("discrete matching needs the decomposed concepts"),
             (),
         )
-    driver = _driver("BusBoarding")
-    error, result = _attempt(
-        [*kb, driver], driver, "HowManyCanSit", [], task.world, task.caller_domain
-    )
-    if error is not None:
-        return error, ()
-    ok, reason = _seats_check(task.world, result.trace, result.value)
-    return _as_outcome(ok, reason), result.trace
+    return _run_driver(task, kb)
 
 
 def _run_conservation(task: Task, kb: Sequence[ir.ConceptUnit]):
-    total = len(task.world.containers["apples"])
     if _unit_named(kb, "Set") is not None and _class_with_op(kb, "Counting") is not None:
-        driver = _driver("NumberConservation")
-        error, result = _attempt(
-            [*kb, driver], driver, "SumAfterRearrange", [], task.world, task.caller_domain
-        )
-        if error is not None:
-            return error, ()
-        ok, reason = _conservation_check(total, result.trace, result.value)
-        return _as_outcome(ok, reason), result.trace
+        return _run_driver(task, kb)
     # No conservation knowledge: count, watch the rearrangement, and see
     # whether the answer survives without a recount.
     error, first = _count_once(task, kb, task.world)
@@ -676,8 +527,7 @@ def _run_conservation(task: Task, kb: Sequence[ir.ConceptUnit]):
     if error is not None:
         return error, _shift_trace(first.trace, "Moved")
     trace = _shift_trace(first.trace, "Moved", second.trace)
-    ok, reason = _conservation_check(total, trace, second.value)
-    return _as_outcome(ok, reason), trace
+    return _judged(task, trace, second.value, second.world)
 
 
 def _with_primary(world: World, container: str) -> World:
@@ -726,21 +576,103 @@ def _run_heap_compare(task: Task, kb: Sequence[ir.ConceptUnit]):
         if error is not None:
             return error, _shift_trace(first.trace)
         trace = _shift_trace(first.trace, second.trace)
-    ok, reason = _heaps_check(task.world, trace)
-    return _as_outcome(ok, reason), trace
+    return _judged(task, trace)
 
 
-_RUNNERS = {
-    "T1": _run_count,
-    "T2": _run_count,
-    "T3": _run_count,
-    "T4": _run_count,
-    "T5": _run_fetch_five,
-    "T6": _run_compare_figures,
-    "T7": _run_seat_match,
-    "T8": _run_conservation,
-    "T9": _run_heap_compare,
+# ---------------------------------------------------------------------------
+# The battery
+
+class _Row:
+    """One task: its description, a seed -> world builder, the caller
+    domain (None: the name of the world's first container), the query,
+    the check (world, trace, value, world after) -> (ok, reason), and
+    the runner (task, units) -> (Outcome, trace)."""
+
+    def __init__(self, description, build_world, caller_domain, query, check, runner):
+        self.description = description
+        self.build_world = build_world
+        self.caller_domain = caller_domain
+        self.query = query
+        self.check = check
+        self.runner = runner
+
+
+_TASKS: dict[str, _Row] = {
+    "T1": _Row(
+        "count the three apples from training, lined up as always",
+        lambda seed: training_world(),
+        "apples", ("Counting", "Counting", ()), _count_check, _run_count,
+    ),
+    "T2": _Row(
+        "count the same three apples after they are scattered",
+        lambda seed: _world(seed, "Scattered", ("Apple", "apples", 3)),
+        "apples", ("Counting", "Counting", ()), _count_check, _run_count,
+    ),
+    "T3": _Row(
+        "count a line of apples of unfamiliar size",
+        lambda seed: _world(seed, "Line", ("Apple", "apples", 4 + seed % 17)),
+        "apples", ("Counting", "Counting", ()), _count_check, _run_count,
+    ),
+    "T4": _Row(
+        "count objects that are not apples",
+        _not_apples,
+        None, ("Counting", "Counting", ()), _count_check, _run_count,
+    ),
+    "T5": _Row(
+        "bring exactly five bananas",
+        _bananas,
+        "tasks", ("FetchErrand", "BringFive", ()), _fetch_check, _run_fetch_five,
+    ),
+    "T6": _Row(
+        "say which is more, five or seven",
+        lambda seed: _world(
+            seed, "Scattered", ("Marble", "group_a", 8), ("Marble", "group_b", 9),
+            room=False,
+        ),
+        "tasks", ("OrdinalNumber", "numlist", ("FIVE", "SEVEN")),
+        _figures_check, _run_compare_figures,
+    ),
+    "T7": _Row(
+        "decide whether every passenger can get a seat",
+        lambda seed: _world(
+            seed, "Line", ("Seat", "Seats_of_Car", 10), ("Child", "Passengers", 10),
+            room=False,
+        ),
+        "tasks", ("BusBoarding", "HowManyCanSit", ()), _seats_check, _run_seat_match,
+    ),
+    "T8": _Row(
+        "recognize that rearranging sixteen apples does not change their number",
+        lambda seed: _world(seed, "Square", ("Apple", "apples", 16)),
+        "apples", ("NumberConservation", "SumAfterRearrange", ()),
+        _conservation_check, _run_conservation,
+    ),
+    "T9": _Row(
+        "judge which candy heap is bigger without counting aloud",
+        lambda seed: _world(
+            seed, "Scattered",
+            ("Candy", "heap_a", T9_HEAP_SIZES[0]), ("Candy", "heap_b", T9_HEAP_SIZES[1]),
+            room=False,
+        ),
+        "tasks", ("Counting", "OneToOneMap", ("heap_a", "heap_b")),
+        _heaps_check, _run_heap_compare,
+    ),
 }
+
+TASK_IDS: tuple[str, ...] = tuple(_TASKS)
+
+
+def build_task(task_id: str, seed: int = 0) -> Task:
+    """Deterministic task from (id, seed); T1 ignores the seed so its
+    world stays bit for bit the training scene."""
+    row = _TASKS.get(task_id)
+    if row is None:
+        raise UnknownTaskId(f"unknown task id {task_id!r}")
+    world = row.build_world(seed)
+    problems = itp.validate_world(world)
+    if problems:
+        raise UnknownTaskId(f"{task_id}: malformed world: {problems[0]}")
+    caller_domain = row.caller_domain or next(iter(world.containers))
+    return Task(task_id, seed, row.description, world, caller_domain, row.query)
 
 
 def _level_slice(
@@ -755,13 +687,16 @@ def _level_slice(
     ]
 
 
-def _run(
+def run(
     task: Task,
     kb: Sequence[ir.ConceptUnit],
     level: ir.Level | None = None,
 ) -> tuple[Outcome, tuple[TraceEvent, ...]]:
+    """Attempt one task and judge the result, returning the outcome and
+    the trace it was judged on. With a level given, only that level's
+    units (plus Globals from E2 up) are consulted."""
     units = list(kb) if level is None else _level_slice(kb, level)
-    outcome, trace = _RUNNERS[task.id](task, units)
+    outcome, trace = _TASKS[task.id].runner(task, units)
     return outcome, tuple(trace)
 
 
@@ -770,6 +705,5 @@ def run_task(
     kb: Sequence[ir.ConceptUnit],
     level: ir.Level | None = None,
 ) -> Outcome:
-    """Attempt one task and judge the result. With a level given, only
-    that level's units (plus Globals from E2 up) are consulted."""
-    return _run(task, kb, level)[0]
+    """Attempt one task and judge the result; `run` without the trace."""
+    return run(task, kb, level)[0]

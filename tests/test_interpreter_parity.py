@@ -64,7 +64,7 @@ def record(task_id, seed, units):
 
     itp.execute = counting_execute  # replay_instance calls it through the module too
     try:
-        outcome, trace = tasks._run(tasks.build_task(task_id, seed), units)
+        outcome, trace = tasks.run(tasks.build_task(task_id, seed), units)
     finally:
         itp.execute = real
     digest = hashlib.sha256(itp.format_trace(trace).encode()).hexdigest()

@@ -1,6 +1,7 @@
 """Task battery: worlds, principle checks, success judgments, routing."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -8,6 +9,11 @@ from rrlang import dsl, interpreter as itp, ir, tasks
 
 IntVal = itp.IntVal
 TraceEvent = itp.TraceEvent
+
+# sha256 over repr((id, seed, description, caller_domain, query, world))
+# of every task for the seeds 0-16 of tests/interpreter_parity.tsv, one
+# line each, frozen from the nine-branch builder the task table replaced.
+BUILT_TASKS_SHA256 = "ad8b6954b83624a0e08d223e1f7863ee7ec5a6050f50a0a88fd0f43308f6dd05"
 
 
 def make_trace(*events):
@@ -53,6 +59,15 @@ class TestBuild:
             kinds = {kind for kind, _ in task.world.entities.values()}
             assert "Apple" not in kinds
             assert task.caller_domain in task.world.containers
+
+    def test_built_tasks_match_the_frozen_digest(self):
+        digest = hashlib.sha256()
+        for task_id in tasks.TASK_IDS:
+            for seed in range(17):
+                t = tasks.build_task(task_id, seed)
+                fields = (t.id, t.seed, t.description, t.caller_domain, t.query, t.world)
+                digest.update((repr(fields) + "\n").encode())
+        assert digest.hexdigest() == BUILT_TASKS_SHA256
 
     def test_t9_heaps_differ_slightly(self):
         task = tasks.build_task("T9", 0)
@@ -128,10 +143,10 @@ class TestPrinciples:
     def test_across_runs_all_must_hold(self):
         runs = [(self.good_trace(), self.world()), ((), self.world())]
         combined = tasks.principles_across(runs)
-        assert not combined.order_irrelevance
-        assert not combined.object_irrelevance
+        assert not (combined.one_to_one and combined.cardinality)
+        assert not combined.cardinality
         solo = tasks.principles_across([(self.good_trace(), self.world())])
-        assert solo.order_irrelevance and solo.object_irrelevance
+        assert solo.one_to_one and solo.cardinality
 
 
 class TestSuccessJudges:
@@ -151,6 +166,15 @@ class TestSuccessJudges:
             list(kb_by_level[ir.Level.E2]), e2, "Counting", [], task.world,
             caller_domain="apples",
         )
+        assert task.success(res.trace, res.value, res.world) is True
+
+    def test_success_agrees_with_the_runner_on_a_replaced_world(self, kb_by_level):
+        world = tasks.build_task("T3", 1).world  # five apples; seed 0 has four
+        task = dataclasses.replace(tasks.build_task("T3", 0), world=world)
+        e3 = kb_by_level[ir.Level.E3]
+        counting = next(u for u in e3 if u.name == "Counting")
+        res = itp.execute(list(e3), counting, "Counting", [], world, caller_domain="apples")
+        assert tasks.run_task(task, e3, ir.Level.E3) == tasks.Outcome.solved()
         assert task.success(res.trace, res.value, res.world) is True
 
     def test_t8_rejects_recounting_after_the_move(self):
