@@ -10,7 +10,6 @@ frozen; compare_expected reports any drift.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import ir, tasks
@@ -47,7 +46,7 @@ GOLDEN: dict[tuple[str, str], str] = _expand({
 })
 
 
-@dataclass(frozen=True)
+@ir.record
 class CapabilityMatrix:
     cells: dict[tuple[ir.Level, str], Outcome]
     seeds_used: tuple[int, ...]

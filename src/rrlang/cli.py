@@ -19,27 +19,11 @@ import tempfile
 from pathlib import Path
 
 from . import capability, dsl, interpreter as itp, ir, kb as kbmod, redescription, tasks
-from .ir import record
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-@record
-class CliConfig:
-    kb_path: Path | None
-    seed: int
-    step_limit: int
-    threshold: int
-    output: str
-
-    def __post_init__(self) -> None:
-        if self.step_limit <= 0:
-            raise ValueError("step limit must be positive")
-        if self.threshold < 1:
-            raise ValueError("threshold must be at least 1")
 
 
 def _positive_int(text: str) -> int:
@@ -58,27 +42,17 @@ def _add_kb_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
-    raw = getattr(args, "kb", None) or os.environ.get("RR_KB")
-    return CliConfig(
-        kb_path=Path(raw) if raw else None,
-        seed=getattr(args, "seed", 0),
-        step_limit=itp.DEFAULT_STEP_LIMIT,
-        threshold=getattr(args, "threshold", 3),
-        output=getattr(args, "output", "text"),
-    )
-
-
-def _load_kb(config: CliConfig) -> kbmod.KnowledgeBase:
-    if config.kb_path is None:
+def _load_kb(args: argparse.Namespace) -> kbmod.KnowledgeBase:
+    raw = args.kb or os.environ.get("RR_KB")
+    if not raw:
         return kbmod.KnowledgeBase.canonical()
-    return kbmod.KnowledgeBase.load(config.kb_path)
+    return kbmod.KnowledgeBase.load(Path(raw))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_parse(args: argparse.Namespace, config: CliConfig) -> int:
+def _cmd_parse(args: argparse.Namespace) -> int:
     path = Path(args.file)
     try:
         text = path.read_text(encoding="utf-8")
@@ -102,11 +76,11 @@ def _print_phase(report, units) -> None:
         sys.stdout.write(dsl.print_canonical([unit]).text)
 
 
-def _cmd_redescribe(args: argparse.Namespace, config: CliConfig) -> int:
-    kb = _load_kb(config)
+def _cmd_redescribe(args: argparse.Namespace) -> int:
+    kb = _load_kb(args)
     produced: list[ir.ConceptUnit] = []
     if args.auto:
-        reports = kb.advance(threshold=config.threshold)
+        reports = kb.advance(threshold=args.threshold)
         if not reports:
             print("nothing to redescribe: mastery not reached or chain complete")
         for report in reports:
@@ -155,18 +129,18 @@ def _cmd_redescribe(args: argparse.Namespace, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _resolve_run(args: argparse.Namespace, config: CliConfig):
-    kb = _load_kb(config)
+def _resolve_run(args: argparse.Namespace):
+    kb = _load_kb(args)
     level = ir.Level[args.level]
-    task = tasks.build_task(args.task, config.seed)
+    task = tasks.build_task(args.task, args.seed)
     outcome, trace = tasks.run(task, list(kb), level)
     return task, level, outcome, trace
 
 
-def _cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
-    task, level, outcome, trace = _resolve_run(args, config)
+def _cmd_run(args: argparse.Namespace) -> int:
+    task, level, outcome, trace = _resolve_run(args)
     suffix = f" ({outcome.reason})" if outcome.reason else ""
-    print(f"{task.id} at {level.name} (seed {config.seed}): {outcome.kind}{suffix}")
+    print(f"{task.id} at {level.name} (seed {args.seed}): {outcome.kind}{suffix}")
     try:
         fd, path = tempfile.mkstemp(
             prefix=f"rr-{task.id}-{level.name}-", suffix=".tsv"
@@ -180,14 +154,14 @@ def _cmd_run(args: argparse.Namespace, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_trace(args: argparse.Namespace, config: CliConfig) -> int:
-    _, _, _, trace = _resolve_run(args, config)
+def _cmd_trace(args: argparse.Namespace) -> int:
+    _, _, _, trace = _resolve_run(args)
     sys.stdout.write(itp.format_trace(trace))
     return EXIT_OK
 
 
-def _cmd_matrix(args: argparse.Namespace, config: CliConfig) -> int:
-    matrix = capability.build_matrix(_load_kb(config).kb_by_level())
+def _cmd_matrix(args: argparse.Namespace) -> int:
+    matrix = capability.build_matrix(_load_kb(args).kb_by_level())
     if args.diff:
         diffs = capability.compare_expected(matrix)
         if diffs:
@@ -197,15 +171,15 @@ def _cmd_matrix(args: argparse.Namespace, config: CliConfig) -> int:
         cells = len(matrix.cells)
         print(f"matrix matches golden ({cells} cells)")
         return EXIT_OK
-    if config.output == "tsv":
+    if args.output == "tsv":
         sys.stdout.write(capability.render_tsv(matrix))
     else:
         sys.stdout.write(capability.render_text(matrix))
     return EXIT_OK
 
 
-def _cmd_verbalize(args: argparse.Namespace, config: CliConfig) -> int:
-    unit = _load_kb(config).unit(args.unit)
+def _cmd_verbalize(args: argparse.Namespace) -> int:
+    unit = _load_kb(args).unit(args.unit)
     if unit is None:
         print(f"no unit named {args.unit!r} in the knowledge base", file=sys.stderr)
         return EXIT_DIAGNOSTICS
@@ -289,9 +263,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = _config(args)
     try:
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args)
     except kbmod.IoFailure as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO

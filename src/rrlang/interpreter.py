@@ -910,10 +910,10 @@ def _tier(op: ir.Operation):
 
     The first call walks, since a body run only once (a replayed
     recording) costs more to compile than to walk. The second call
-    compiles, and the closure is kept on the Operation itself, so it
-    lives and dies with the operation.
+    compiles, and the closure is kept in the Operation's own slot, so
+    it lives and dies with the operation.
     """
-    code = op.__dict__.get(_TIER_ATTR)
+    code = getattr(op, _TIER_ATTR, None)
     if code is None:
         object.__setattr__(op, _TIER_ATTR, _WALKED)
         return None
@@ -925,8 +925,8 @@ def _tier(op: ir.Operation):
 
 def compiled_body(op: ir.Operation):
     """The closure tier of op, or None until its second call."""
-    code = op.__dict__.get(_TIER_ATTR)
-    return None if code is None or code is _WALKED else code
+    code = getattr(op, _TIER_ATTR, _WALKED)
+    return None if code is _WALKED else code
 
 
 class _Scope:

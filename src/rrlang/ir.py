@@ -5,14 +5,14 @@ friend declarations. Units sit on a four-step representational ladder
 (I, E1, E2, E3); each level carries a structural discipline that
 ``validate`` checks. ``check_access`` decides member visibility between
 units, and ``level_metrics`` summarizes a unit set for the growth
-invariants. Syntax nodes and the package's other value types are
-frozen slotted records built by ``record``.
+invariants. Every value type of the package, from syntax nodes to
+the units themselves, is a frozen slotted record built by ``record``
+and copied with changes by ``replace``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
@@ -23,6 +23,10 @@ from typing import Iterable, Mapping, Sequence
 
 # Hand-written record __init__s set their fields with this.
 set_field = object.__setattr__
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a record."""
 
 
 def _refuse_assignment(self, name, value):
@@ -36,20 +40,25 @@ def _refuse_deletion(self, name):
 def record(cls):
     """Rebuild cls as a frozen, slotted record of its annotated fields.
 
-    The record acts as ``dataclass(frozen=True)`` would: fields in
-    annotation order, class-level values as defaults, assignment and
-    deletion refused with ``FrozenInstanceError``, equality and hashing
-    by type plus fields, the same repr, and ``__match_args__``. The
-    generic ``__init__`` takes the fields positionally or by keyword and
-    then calls ``__post_init__`` if the class has one. A class that
-    writes its own ``__init__`` keeps it and sets its fields with
-    ``set_field``; values built in hot loops do, since the generic one
-    costs more per call. Nothing is generated or compiled,
+    Fields are the annotated names, in order, with class-level values
+    as defaults. Assignment and deletion are refused with
+    ``FrozenInstanceError``; equality and hashing go by type plus
+    fields; the repr is ``Name(field=value, ...)``; ``__match_args__``
+    lists the fields. The generic ``__init__`` takes the fields
+    positionally or by keyword. A class that writes its own
+    ``__init__`` keeps it and sets its fields with ``set_field``; values
+    built in hot loops do, since the generic one costs more per call.
+    Names the class lists in ``__slots__`` become extra slots outside
+    the fields: no ``__init__``, equality, hash, repr or ``replace``
+    sees them, and they start unset. Nothing is generated or compiled,
     which keeps importing the package cheap.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
     ns = dict(cls.__dict__)
     defaults = {name: ns.pop(name) for name in names if name in ns}
+    extra = tuple(ns.pop("__slots__", ()))
+    for name in extra:
+        del ns[name]  # the original class's slot descriptor
     ns.pop("__dict__", None)
     ns.pop("__weakref__", None)
     if len(names) == 1:
@@ -70,7 +79,7 @@ def record(cls):
         return f"{self.__class__.__qualname__}({shown})"
 
     ns.update(
-        __slots__=names,
+        __slots__=names + extra,
         __match_args__=names,
         __setattr__=_refuse_assignment,
         __delattr__=_refuse_deletion,
@@ -84,11 +93,18 @@ def record(cls):
     return built
 
 
+def replace(obj, /, **changes):
+    """A copy of record obj with the named fields changed; naming a
+    field obj lacks raises TypeError. Extra slots are not copied."""
+    values = [changes.pop(name, getattr(obj, name)) for name in obj.__match_args__]
+    if changes:
+        raise TypeError(f"{type(obj).__qualname__} has no field {next(iter(changes))!r}")
+    return type(obj)(*values)
+
+
 def _generic_init(cls, names: tuple[str, ...], defaults: dict):
-    """An ``__init__`` for record cls that sets each field through its
-    slot and then runs ``__post_init__``, if cls has one."""
+    """An ``__init__`` for record cls that sets each field through its slot."""
     setters = tuple(cls.__dict__[name].__set__ for name in names)
-    post_init = hasattr(cls, "__post_init__")
     count = len(names)
     title = f"{cls.__qualname__}()"
 
@@ -115,8 +131,6 @@ def _generic_init(cls, names: tuple[str, ...], defaults: dict):
             args = bind(args, kwargs)
         for setter, value in zip(setters, args):
             setter(self, value)
-        if post_init:
-            self.__post_init__()
 
     return __init__
 
@@ -399,12 +413,8 @@ Stmt = (
 
 # ---------------------------------------------------------------------------
 # Members and units
-#
-# Attribute, Operation and ConceptUnit stay dataclasses: callers copy
-# them with dataclasses.replace, and an Operation keeps its compiled
-# body in its __dict__ (see interpreter._tier).
 
-@dataclass(frozen=True)
+@record
 class Attribute:
     """Named member datum. Consts carry exactly one literal, vars none."""
 
@@ -427,8 +437,12 @@ class Param:
 IMPLICIT_OP = "Replay"
 
 
-@dataclass(frozen=True)
+@record
 class Operation:
+    # The interpreter keeps the operation's execution tier here (see
+    # interpreter._tier), so a compiled body lives and dies with it.
+    __slots__ = ("_compiled_body",)
+
     name: str
     params: tuple[Param, ...]
     returns: TypeRef | None  # None prints as void
@@ -437,7 +451,7 @@ class Operation:
     implicit: bool = False  # bare recorded script of an instance
 
 
-@dataclass(frozen=True)
+@record
 class ConceptUnit:
     name: str
     kind: UnitKind

@@ -22,7 +22,6 @@ naming the rewrites that their listings embody.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 from typing import Callable, Iterable, Sequence
@@ -585,16 +584,16 @@ def _counting_roles(unit: ConceptUnit) -> _CountingRoles:
 
 
 def _says_successive_numerals(unit: ConceptUnit, numlist_name: str) -> bool:
+    """Whether unit points at things and says `numlist_name.Next()`."""
+    next_numeral = CallExpr(NameExpr(numlist_name), "Next", ())
     says = points = False
     for stmt in ir.iter_statements(unit):
         if not isinstance(stmt, ActionStmt):
             continue
         if stmt.verb == "PointTo":
             points = True
-        if stmt.verb == "Say" and len(stmt.args) == 1:
-            arg = stmt.args[0]
-            if isinstance(arg, CallExpr) and arg.op == "Next":
-                says = True
+        if stmt.verb == "Say" and stmt.args == (next_numeral,):
+            says = True
     return says and points
 
 
@@ -613,10 +612,10 @@ def _op_locals(unit: ConceptUnit) -> list[LocalDecl]:
 def _renamed(template: ConceptUnit, name: str) -> ConceptUnit:
     """A template class under `name`, its same-named operation renamed too."""
     ops = tuple(
-        dataclasses.replace(op, name=name) if op.name == template.name else op
+        ir.replace(op, name=name) if op.name == template.name else op
         for op in template.operations
     )
-    return dataclasses.replace(template, name=name, operations=ops)
+    return ir.replace(template, name=name, operations=ops)
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +645,8 @@ def decompose_to_e3(
         except ir.UnknownMember:
             attr = None
         if attr is not None and attr.is_const and attr.const.is_symbols:
-            ordinal = dataclasses.replace(ordinal, attributes=tuple(
-                dataclasses.replace(a, const=attr.const) if a.name == "numlist" else a
+            ordinal = ir.replace(ordinal, attributes=tuple(
+                ir.replace(a, const=attr.const) if a.name == "numlist" else a
                 for a in ordinal.attributes
             ))
     units = (ordinal, set_cls, _renamed(counting, unit.name))

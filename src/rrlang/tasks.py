@@ -20,8 +20,7 @@ binding. Failed means the attempt ran and went wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import dsl, interpreter as itp, ir
 from .interpreter import (
@@ -72,7 +71,7 @@ class PrincipleReport:
     cardinality: bool
 
 
-@dataclass(frozen=True)
+@record
 class Task:
     id: str
     seed: int
@@ -582,19 +581,19 @@ def _run_heap_compare(task: Task, kb: Sequence[ir.ConceptUnit]):
 # ---------------------------------------------------------------------------
 # The battery
 
+@record
 class _Row:
     """One task: its description, a seed -> world builder, the caller
     domain (None: the name of the world's first container), the query,
     the check (world, trace, value, world after) -> (ok, reason), and
     the runner (task, units) -> (Outcome, trace)."""
 
-    def __init__(self, description, build_world, caller_domain, query, check, runner):
-        self.description = description
-        self.build_world = build_world
-        self.caller_domain = caller_domain
-        self.query = query
-        self.check = check
-        self.runner = runner
+    description: str
+    build_world: Callable[[int], World]
+    caller_domain: str | None
+    query: tuple[str, str, tuple[str, ...]]
+    check: Callable
+    runner: Callable
 
 
 _TASKS: dict[str, _Row] = {

@@ -4,7 +4,6 @@ Each test covers one numbered criterion and prints a PASS marker so a
 teed log shows the tally at a glance.
 """
 
-import dataclasses
 import random
 import time
 
@@ -158,7 +157,7 @@ def test_4_capability_matrix_is_golden(capsys, kb_by_level):
     for key, outcome in matrix.cells.items():
         cells = dict(matrix.cells)
         cells[key] = tasks.Outcome(flips[outcome.kind], "flip")
-        flipped = dataclasses.replace(matrix, cells=cells)
+        flipped = ir.replace(matrix, cells=cells)
         assert cap.compare_expected(flipped), f"flip at {key} went unnoticed"
     print("[criterion 4] PASS")
 

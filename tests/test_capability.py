@@ -1,7 +1,5 @@
 """Capability matrix derivation, rendering, and concept verbalization."""
 
-import dataclasses
-
 import pytest
 
 from rrlang import capability as cap, dsl, ir, tasks
@@ -76,7 +74,7 @@ class TestCompareExpected:
     def test_missing_cell_is_reported(self, matrix):
         cells = dict(matrix.cells)
         del cells[(ir.Level.I, "T1")]
-        gappy = dataclasses.replace(matrix, cells=cells)
+        gappy = ir.replace(matrix, cells=cells)
         diffs = cap.compare_expected(gappy)
         assert any("missing cell" in d for d in diffs)
 

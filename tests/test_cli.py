@@ -201,9 +201,14 @@ class TestUsage:
     def test_run_requires_a_task(self, capsys):
         assert run_cli(capsys, "run", "--level", "I")[0] == 2
 
-    def test_bad_step_limit_is_usage(self, capsys):
+    def test_run_has_no_step_limit_option(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--task", "T1", "--level", "I", "--step-limit", "0"
         )
         assert code == 2
-        assert err
+        assert "unrecognized arguments: --step-limit 0" in err
+
+    def test_threshold_below_one_is_usage(self, capsys):
+        code, _, err = run_cli(capsys, "redescribe", "--auto", "--threshold", "0")
+        assert code == 2
+        assert "must be at least 1" in err

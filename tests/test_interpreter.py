@@ -1,7 +1,5 @@
 """Execution semantics: replay, leveled counting, errands, failure modes."""
 
-import dataclasses
-
 import pytest
 
 from rrlang import dsl, interpreter as itp, ir, tasks
@@ -382,7 +380,7 @@ class TestNumerals:
                 itp.execute(units, target, "Counting", [], apples_world(21), domain)
 
     def test_saying_nothing_is_judged_failed(self, kb_by_level):
-        task = dataclasses.replace(
+        task = ir.replace(
             tasks.build_task("T3", 16), world=apples_world(21, seed=16)
         )
         outcome = tasks.run_task(task, kb_by_level[ir.Level.E3])

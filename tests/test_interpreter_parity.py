@@ -16,7 +16,6 @@ second takes the compiled bodies the first run left behind.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -41,8 +40,8 @@ HEADER = (
 def fresh(units):
     """Copies of units whose Operation objects have never run."""
     return [
-        dataclasses.replace(
-            u, operations=tuple(dataclasses.replace(op) for op in u.operations)
+        ir.replace(
+            u, operations=tuple(ir.replace(op) for op in u.operations)
         )
         for u in units
     ]
@@ -230,13 +229,13 @@ PROBES = {
         "AccessViolation",
         [ir.ReturnStmt(ir.FieldExpr(_N("o"), "secret"))],
         attrs=[_attr("o", "Hiding")],
-        others=[dataclasses.replace(_HIDING_GLOBALS, name="Hiding")],
+        others=[ir.replace(_HIDING_GLOBALS, name="Hiding")],
     ),
     "read-missing-field": _probe(
         "UnboundName",
         [ir.ReturnStmt(ir.FieldExpr(_N("o"), "nowhere"))],
         attrs=[_attr("o", "Hiding")],
-        others=[dataclasses.replace(_HIDING_GLOBALS, name="Hiding")],
+        others=[ir.replace(_HIDING_GLOBALS, name="Hiding")],
     ),
     "say-int": _probe("TypeMismatch", [ir.ActionStmt("Say", _I(0), (_I(1),))]),
     "say-nothing": _probe("NumeralsExhausted", [ir.ActionStmt("Say", _I(0), (ir.NullExpr(),))]),

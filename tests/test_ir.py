@@ -1,7 +1,5 @@
 """Structure, level discipline, access control, and metrics."""
 
-import dataclasses
-
 import pytest
 
 from rrlang import dsl, ir
@@ -110,7 +108,7 @@ class TestLevelDiscipline:
 
     def test_e1_rejects_public_operations(self):
         bad = _unit(operations=(
-            dataclasses.replace(_unit().operations[0], visibility=ir.Visibility.PUBLIC),
+            ir.replace(_unit().operations[0], visibility=ir.Visibility.PUBLIC),
         ))
         assert ir.validate(bad)
 
@@ -133,10 +131,10 @@ class TestLevelDiscipline:
 
     def test_e2_attributes_at_most_protected(self, fixture_units):
         e2 = fixture_units["counting_e2"][0]
-        bad = dataclasses.replace(
+        bad = ir.replace(
             e2,
             attributes=tuple(
-                dataclasses.replace(a, visibility=ir.Visibility.PUBLIC)
+                ir.replace(a, visibility=ir.Visibility.PUBLIC)
                 for a in e2.attributes
             ),
         )
@@ -144,10 +142,10 @@ class TestLevelDiscipline:
 
     def test_e3_everything_public(self, e3_units):
         unit = e3_units["Set"]
-        bad = dataclasses.replace(
+        bad = ir.replace(
             unit,
             attributes=(
-                dataclasses.replace(
+                ir.replace(
                     unit.attributes[0], visibility=ir.Visibility.PROTECTED
                 ),
             ) + unit.attributes[1:],
@@ -244,16 +242,16 @@ class TestChainMetrics:
 class TestComparison:
     def test_units_equal_modulo_name(self, fixture_units):
         unit = fixture_units["counting_apples_i"][0]
-        renamed = dataclasses.replace(unit, name="Other")
+        renamed = ir.replace(unit, name="Other")
         assert not ir.units_equal(unit, renamed)
         assert ir.units_equal(unit, renamed, ignore_names=True)
 
     def test_member_changes_are_visible(self, fixture_units):
         unit = fixture_units["counting_apples_i"][0]
-        poked = dataclasses.replace(
+        poked = ir.replace(
             unit,
             attributes=unit.attributes[:-1]
-            + (dataclasses.replace(unit.attributes[-1], type_ref="Foot"),),
+            + (ir.replace(unit.attributes[-1], type_ref="Foot"),),
         )
         assert not ir.units_equal(unit, poked, ignore_names=True)
 

@@ -1,7 +1,5 @@
 """Knowledge base: storage, episodic recording, advancement, persistence."""
 
-import dataclasses
-
 import pytest
 
 from rrlang import dsl, interpreter as itp, ir, kb as kbmod, redescription as rd, tasks
@@ -80,10 +78,10 @@ class TestStore:
         kb = kbmod.KnowledgeBase()
         e1 = dsl.load_fixture("counting_apples_e1")[0]
         op = e1.operation("Counting")
-        loud = dataclasses.replace(op, visibility=ir.Visibility.PUBLIC)
+        loud = ir.replace(op, visibility=ir.Visibility.PUBLIC)
         ops = tuple(loud if o.name == op.name else o for o in e1.operations)
         with pytest.raises(kbmod.InvalidUnit):
-            kb.add_unit(dataclasses.replace(e1, operations=ops))
+            kb.add_unit(ir.replace(e1, operations=ops))
 
 
 class TestRecording:

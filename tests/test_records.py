@@ -2,15 +2,16 @@
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from rrlang import capability, cli, dsl, interpreter as itp, ir, kb as kbmod, redescription, tasks
 
 MODULES = (ir, itp, dsl, tasks, redescription, kbmod, cli, capability)
-KEPT_DATACLASSES = {
-    ir.Attribute, ir.Operation, ir.ConceptUnit, capability.CapabilityMatrix, tasks.Task,
-}
 
 SAMPLES = [
     itp.IntVal(3),
@@ -22,6 +23,14 @@ SAMPLES = [
     ir.Diagnostic("rule", "message", "Unit"),
     tasks.Outcome("Failed", "why"),
     kbmod.LogEntry("Unit", "T1", "Solved", 1),
+    ir.ConceptUnit(
+        "Counting", ir.UnitKind.CLASS, ir.Level.E1, "apples",
+        (ir.Attribute("p", "Person", ir.Visibility.PRIVATE),),
+    ),
+    ir.Operation(
+        "Count", (ir.Param("n", "int"),), "int", ir.Visibility.PUBLIC,
+        (ir.ReturnStmt(ir.NameExpr("n")),),
+    ),
 ]
 
 
@@ -33,9 +42,9 @@ def _fields(record):
 class TestFrozen:
     def test_fields_cannot_be_assigned_or_deleted(self, record):
         for name in (*_fields(record), "other"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(ir.FrozenInstanceError):
                 setattr(record, name, 1)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(ir.FrozenInstanceError):
                 delattr(record, name)
 
     def test_no_instance_dict(self, record):
@@ -98,26 +107,50 @@ class TestConstruction:
         with pytest.raises(TypeError):
             build()
 
-    def test_post_init_checks_run(self):
-        good = dict(kb_path=None, seed=0, step_limit=1, threshold=1, output="text")
-        assert cli.CliConfig(**good).step_limit == 1
-        with pytest.raises(ValueError, match="step limit"):
-            cli.CliConfig(**{**good, "step_limit": 0})
-        with pytest.raises(ValueError, match="threshold"):
-            cli.CliConfig(**{**good, "threshold": 0})
+
+class TestReplace:
+    def test_changes_the_named_fields_only(self):
+        attr = ir.Attribute("n", "int", ir.Visibility.PRIVATE)
+        assert ir.replace(attr, type_ref="Boolean") == ir.Attribute(
+            "n", "Boolean", ir.Visibility.PRIVATE
+        )
+        assert ir.replace(attr) == attr and ir.replace(attr) is not attr
+
+    def test_unknown_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match="shape"):
+            ir.replace(ir.Param("n", "int"), shape="?")
+
+    def test_a_copy_does_not_carry_the_compiled_body(self):
+        op = ir.Operation("Run", (), "int", ir.Visibility.PUBLIC, (ir.ReturnStmt(ir.IntExpr(1)),))
+        unit = ir.ConceptUnit(
+            "Probe", ir.UnitKind.CLASS, ir.Level.E3, "numbers", operations=(op,)
+        )
+        world = itp.World({"ME": ("Person", None)}, {}, {}, 0)
+        for _ in range(2):
+            assert itp.execute([unit], unit, "Run", [], world, "numbers").value == itp.IntVal(1)
+        assert itp.compiled_body(op) is not None
+        assert itp.compiled_body(ir.replace(op)) is None
 
 
-def test_only_the_kept_classes_are_dataclasses():
+def test_every_class_is_a_record():
     defined = {
         obj
         for module in MODULES
         for obj in vars(module).values()
         if inspect.isclass(obj) and obj.__module__ == module.__name__
     }
-    assert {cls for cls in defined if dataclasses.is_dataclass(cls)} == KEPT_DATACLASSES
-    records = {
-        cls for cls in defined
-        if hasattr(cls, "__match_args__") and not dataclasses.is_dataclass(cls)
-    }
-    assert len(records) == 42
+    assert not any(dataclasses.is_dataclass(cls) for cls in defined)
+    records = {cls for cls in defined if hasattr(cls, "__match_args__")}
+    assert len(records) == 47
     assert all("__dict__" not in vars(cls) for cls in records)
+
+
+def test_importing_the_cli_leaves_dataclasses_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, rrlang.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -1,7 +1,5 @@
 """Redescription passes: anti-unification, generalization, decomposition."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,7 +120,7 @@ class TestAntiUnify:
         assert "record more episodes" in str(exc.value)
 
     def test_rejects_mixed_domains(self, instances):
-        other = dataclasses.replace(instances[1], domain="pears")
+        other = ir.replace(instances[1], domain="pears")
         with pytest.raises(rd.DomainMismatch):
             rd.antiunify_instances([instances[0], other])
 
@@ -165,11 +163,19 @@ class TestGeneralize:
         ]
 
     def test_class_and_its_entry_operation_take_the_input_base_name(self):
-        e1 = dataclasses.replace(dsl.load_fixture("counting_apples_e1")[0], name="TallyApples")
+        e1 = ir.replace(dsl.load_fixture("counting_apples_e1")[0], name="TallyApples")
         (e2, _), report = rd.generalize_to_e2(e1)
         want = dsl.fixture_source("counting_e2").text.replace("Counting", "Tally")
         assert dsl.print_canonical([e2]).text == want
         assert report.outputs == ("Tally", ir.GLOBALS_UNIT)
+
+    def test_saying_another_list_is_not_counting(self):
+        said = "p.Say(numlist.Next());"
+        source = dsl.fixture_source("counting_apples_e1").text
+        assert said in source
+        (e1,) = dsl.parse(source.replace(said, "p.Say(app_list.Next());"))
+        with pytest.raises(rd.RedescriptionError, match="no loop says successive numerals"):
+            rd.generalize_to_e2(e1)
 
 
 class TestDecompose:
@@ -187,7 +193,7 @@ class TestDecompose:
         assert ir.validate_set(list(units)) == []
 
     def test_counting_class_takes_the_input_name(self):
-        e1 = dataclasses.replace(dsl.load_fixture("counting_apples_e1")[0], name="TallyApples")
+        e1 = ir.replace(dsl.load_fixture("counting_apples_e1")[0], name="TallyApples")
         (e2, globals_unit), _ = rd.generalize_to_e2(e1)
         units, report = rd.decompose_to_e3(e2, globals_unit)
         want = dsl.fixture_source("counting_e3").text.replace("Counting", "Tally")
@@ -198,9 +204,9 @@ class TestDecompose:
         e1 = dsl.load_fixture("counting_apples_e1")[0]
         (e2, globals_unit), _ = rd.generalize_to_e2(e1)
         ten = ir.Literal(ir.NUMERALS[:10])
-        shared = dataclasses.replace(
+        shared = ir.replace(
             globals_unit,
-            attributes=(dataclasses.replace(globals_unit.attribute("numlist"), const=ten),),
+            attributes=(ir.replace(globals_unit.attribute("numlist"), const=ten),),
         )
         units, _ = rd.decompose_to_e3(e2, shared)
         assert units[0].name == "OrdinalNumber"

@@ -1,6 +1,5 @@
 """Task battery: worlds, principle checks, success judgments, routing."""
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -170,7 +169,7 @@ class TestSuccessJudges:
 
     def test_success_agrees_with_the_runner_on_a_replaced_world(self, kb_by_level):
         world = tasks.build_task("T3", 1).world  # five apples; seed 0 has four
-        task = dataclasses.replace(tasks.build_task("T3", 0), world=world)
+        task = ir.replace(tasks.build_task("T3", 0), world=world)
         e3 = kb_by_level[ir.Level.E3]
         counting = next(u for u in e3 if u.name == "Counting")
         res = itp.execute(list(e3), counting, "Counting", [], world, caller_domain="apples")
@@ -278,11 +277,11 @@ class TestRouting:
             if unit.name != "Counting":
                 return unit
             ops = tuple(
-                dataclasses.replace(op, body=(ir.CallStmt(None, "Missing", ()),))
+                ir.replace(op, body=(ir.CallStmt(None, "Missing", ()),))
                 if op.name == "Counting" else op
                 for op in unit.operations
             )
-            return dataclasses.replace(unit, operations=ops)
+            return ir.replace(unit, operations=ops)
 
         units = [broken(u) for u in kb_by_level[ir.Level.E3]]
         outcome = tasks.run_task(tasks.build_task("T1", 0), units, ir.Level.E3)
