@@ -1,5 +1,7 @@
 """Parser and canonical printer: round trips, diagnostics, totality."""
 
+import hashlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -44,6 +46,70 @@ class TestFixtures:
     def test_unknown_fixture(self):
         with pytest.raises(KeyError):
             dsl.load_fixture("nope")
+
+# sha256 over one line per input of the error-position corpus below:
+# "line<TAB>column<TAB>expected<TAB>found" for each diagnostic of an
+# input that fails, "ok<TAB><unit count>" for one that parses. Frozen
+# from the character-loop lexer the single-pattern scanner replaced.
+ERROR_POSITIONS_SHA256 = "60b88f4fd5b03806e81bd64987064481ec331852cbc242e8009cf32eea9292b9"
+
+SUBSTITUTES = " ;{}()=+@/*#\t\r\n"
+SUBSTITUTION_STRIDE = 11
+
+HAND_CASES = (
+    "/* one\ntwo */ class /* three\nfour */ x /* never closed\n",  # unclosed after multi-line
+    "@level(E1) /",  # a lone slash
+    "@level(E1)\n@domain(apples)\nclass Tall\u00e9 { }",  # a Unicode letter in a name
+    "const int x = \u0663;",  # a Unicode digit
+    "@level(E1)\n\f@domain(apples)",  # a form feed
+    "@level(E1)\r\n@domain(apples)\r\nclass T {\r\n\tprivate:\r\n\t\tint ;\r\n}\r\n",
+    "class { } #",  # a bad character after an earlier syntax error
+    "\t\r @level(E1) @domain(a) class T { private: int x; int 9; }",
+)
+
+
+def error_position_corpus():
+    """Every fixture with one character replaced, at every
+    SUBSTITUTION_STRIDE-th offset, cycling through SUBSTITUTES; then
+    the hand cases."""
+    k = 0
+    for name in dsl.FIXTURE_NAMES:
+        text = dsl.fixture_source(name).text
+        for pos in range(0, len(text), SUBSTITUTION_STRIDE):
+            ch = SUBSTITUTES[k % len(SUBSTITUTES)]
+            k += 1
+            yield text[:pos] + ch + text[pos + 1:]
+    yield from HAND_CASES
+
+
+class TestErrorPositions:
+    def test_error_positions_are_frozen(self):
+        digest = hashlib.sha256()
+        for text in error_position_corpus():
+            try:
+                lines = [f"ok\t{len(dsl.parse(text))}"]
+            except dsl.ParseFailure as exc:
+                lines = [f"{e.line}\t{e.column}\t{e.expected}\t{e.found}" for e in exc.errors]
+            digest.update("".join(line + "\n" for line in lines).encode())
+        assert digest.hexdigest() == ERROR_POSITIONS_SHA256
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            (HAND_CASES[0], (3, 11, "closing */", "end of input")),
+            (HAND_CASES[1], (1, 12, "a token", "'/'")),
+            (HAND_CASES[2], (3, 11, "a token", "'\u00e9'")),
+            (HAND_CASES[3], (1, 15, "a token", "'\u0663'")),
+            (HAND_CASES[4], (2, 1, "a token", "'\\x0c'")),
+            (HAND_CASES[5], (5, 3, "a statement", "int")),
+            (HAND_CASES[6], (1, 11, "a token", "'#'")),
+        ],
+    )
+    def test_errors_point_at_the_offending_token(self, text, position):
+        with pytest.raises(dsl.ParseFailure) as exc:
+            dsl.parse(text)
+        error = exc.value.errors[0]
+        assert (error.line, error.column, error.expected, error.found) == position
 
 
 class TestRoundTrip:
