@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 from . import ir, tasks
 from .tasks import Outcome
 
-LEVELS: tuple[ir.Level, ...] = (ir.Level.I, ir.Level.E1, ir.Level.E2, ir.Level.E3)
 DEFAULT_SEEDS: tuple[int, ...] = (0, 1, 2)
 
 
@@ -58,7 +57,7 @@ class CapabilityMatrix:
     def is_complete(self) -> bool:
         return all(
             (level, task_id) in self.cells
-            for level in LEVELS
+            for level in ir.LEVELS
             for task_id in tasks.TASK_IDS
         )
 
@@ -73,12 +72,12 @@ def build_matrix(
     for key, units in kb_by_level.items():
         level = ir.Level[key] if isinstance(key, str) else key
         normalized[level] = units
-    for level in LEVELS:
+    for level in ir.LEVELS:
         if not normalized.get(level):
             raise MissingLevel(f"no units supplied for level {level.name}")
     ordered_seeds = tuple(sorted(set(seeds)))
     cells: dict[tuple[ir.Level, str], Outcome] = {}
-    for level in LEVELS:
+    for level in ir.LEVELS:
         units = normalized[level]
         for task_id in tasks.TASK_IDS:
             outcomes = [
@@ -93,7 +92,7 @@ def build_matrix(
 def compare_expected(matrix: CapabilityMatrix) -> list[str]:
     """Diff a matrix against the frozen expectation; empty means match."""
     diffs = []
-    for level in LEVELS:
+    for level in ir.LEVELS:
         for task_id in tasks.TASK_IDS:
             expected = GOLDEN[(level.name, task_id)]
             got = matrix.cells.get((level, task_id))
@@ -107,7 +106,7 @@ def compare_expected(matrix: CapabilityMatrix) -> list[str]:
 def render_tsv(matrix: CapabilityMatrix) -> str:
     lines = [
         f"{level.name}\t{task_id}\t{matrix.cells[(level, task_id)].kind}"
-        for level in LEVELS
+        for level in ir.LEVELS
         for task_id in tasks.TASK_IDS
         if (level, task_id) in matrix.cells
     ]
@@ -118,7 +117,7 @@ def render_text(matrix: CapabilityMatrix) -> str:
     width = max(len(k) for k in (_S, _F, _N)) + 2
     header = "level ".ljust(7) + "".join(t.ljust(width) for t in tasks.TASK_IDS)
     lines = [header.rstrip()]
-    for level in LEVELS:
+    for level in ir.LEVELS:
         row = level.name.ljust(7)
         for task_id in tasks.TASK_IDS:
             cell = matrix.cells.get((level, task_id))

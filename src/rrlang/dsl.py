@@ -16,13 +16,17 @@ to the symbol spelled like its own name.
 ``parse`` never returns partial results; malformed input raises
 ParseFailure carrying ParseError diagnostics, and units that parse but
 break their level discipline are rejected the same way. Comments
-(``/* ... */``) are discarded, so canonical fixtures carry none.
+(``/* ... */``) are discarded, so canonical fixtures carry none. One
+regular expression lexes the whole text into plain (kind, text, line,
+column) tuples before parsing starts, so a stray character is reported
+ahead of an earlier syntax error.
 ``print_canonical`` emits the single layout the fixtures are stored
 in; parsing its output reproduces the input units.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Sequence
 
@@ -57,7 +61,6 @@ from .ir import (
     Visibility,
     WhileStmt,
     record,
-    set_field,
 )
 
 
@@ -90,94 +93,56 @@ class ParseFailure(Exception):
 # ---------------------------------------------------------------------------
 # Lexer
 
-@record
-class _Token:
-    kind: str  # "ident", "int", "eof", or the punctuation lexeme itself
-    text: str
-    line: int
-    column: int
+# A token is a plain (kind, text, line, column) tuple. Its kind is
+# "ident", "int", "eof", or the punctuation lexeme itself.
+_Tok = tuple[str, str, int, int]
 
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        set_field(self, "kind", kind)
-        set_field(self, "text", text)
-        set_field(self, "line", line)
-        set_field(self, "column", column)
-
-
-_PUNCT2 = ("++", "==", "!=", "<=", ">=")
-_PUNCT1 = frozenset("{}()[],;:.=!<>+-@")
-
-
-def _is_ident_start(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z" or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return _is_ident_start(ch) or "0" <= ch <= "9"
+# The alternatives are tried in order, so a two-character operator wins
+# over its first character, and every character matches one of them.
+_TOKEN = re.compile(
+    r"""
+      (?P<newline> \n )
+    | (?P<space> [ \t\r]+ )  # skipped
+    | (?P<comment> /\*.*?\*/ )
+    | (?P<unclosed> /\* )
+    | (?P<ident> [A-Za-z_][A-Za-z0-9_]* )
+    | (?P<int> [0-9]+ )
+    | (?P<punct> \+\+ | == | != | <= | >= | [{}()\[\],;:.=!<>+\-@] )
+    | (?P<other> . )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
-def _lex(src: SourceText) -> list[_Token]:
-    text = src.text
-    tokens: list[_Token] = []
-    i = 0
+def _lex(src: SourceText) -> list[_Tok]:
+    """Tokens of the whole text, ending in three eof tokens so the
+    parser can look two tokens ahead of any position unchecked. Columns
+    count characters from the start of the line, a tab as one."""
+    tokens = []
     line = 1
-    column = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line_start = 0
+    for match in _TOKEN.finditer(src.text):
+        group = match.lastgroup
+        text = match.group()
+        column = match.start() - line_start + 1
+        if group == "ident" or group == "int":
+            tokens.append((group, text, line, column))
+        elif group == "punct":
+            tokens.append((text, text, line, column))
+        elif group == "newline":
             line += 1
-            column = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "/" and text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise ParseFailure(
-                    [ParseError(line, column, "closing */", "end of input")], src.origin
-                )
-            skipped = text[i : end + 2]
-            newlines = skipped.count("\n")
+            line_start = match.end()
+        elif group == "comment":
+            newlines = text.count("\n")
             if newlines:
                 line += newlines
-                column = len(skipped) - skipped.rfind("\n")
-            else:
-                column += len(skipped)
-            i = end + 2
-            continue
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(_Token(two, two, line, column))
-            i += 2
-            column += 2
-            continue
-        if ch in _PUNCT1:
-            tokens.append(_Token(ch, ch, line, column))
-            i += 1
-            column += 1
-            continue
-        raise ParseFailure([ParseError(line, column, "a token", repr(ch))], src.origin)
-    tokens.append(_Token("eof", "", line, column))
+                line_start = match.start() + text.rfind("\n") + 1
+        elif group == "unclosed":
+            raise ParseFailure([ParseError(line, column, "closing */", "end of input")], src.origin)
+        elif group == "other":
+            raise ParseFailure([ParseError(line, column, "a token", repr(text))], src.origin)
+    eof = ("eof", "", line, len(src.text) - line_start + 1)
+    tokens.extend((eof, eof, eof))
     return tokens
 
 
@@ -190,34 +155,38 @@ _LEVEL_NAMES = {lv.value for lv in ir.LEVELS}
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], origin: str):
+    """Recursive descent over the tokens of ``_lex``. The cursor never
+    moves past the first eof token, and two more follow it, so a
+    lookahead of up to two tokens needs no bounds check."""
+
+    def __init__(self, tokens: list[_Tok], origin: str):
         self.tokens = tokens
         self.pos = 0
         self.origin = origin
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> _Tok:
+        return self.tokens[self.pos + ahead]
 
     def at(self, kind: str, ahead: int = 0) -> bool:
-        return self.peek(ahead).kind == kind
+        return self.tokens[self.pos + ahead][0] == kind
 
     def at_word(self, word: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind == "ident" and tok.text == word
+        # Only an identifier's text spells a word.
+        return self.tokens[self.pos + ahead][1] == word
 
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "eof":
+    def take(self) -> _Tok:
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def fail(self, expected: str, tok: _Token | None = None) -> None:
-        tok = tok or self.peek()
-        found = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseFailure([ParseError(tok.line, tok.column, expected, found)], self.origin)
+    def fail(self, expected: str, tok: _Tok | None = None) -> None:
+        kind, text, line, column = tok or self.peek()
+        found = text if kind != "eof" else "end of input"
+        raise ParseFailure([ParseError(line, column, expected, found)], self.origin)
 
-    def expect(self, kind: str, expected: str | None = None) -> _Token:
+    def expect(self, kind: str, expected: str | None = None) -> _Tok:
         if not self.at(kind):
             self.fail(expected or f"'{kind}'")
         return self.take()
@@ -225,7 +194,19 @@ class _Parser:
     def ident(self, what: str = "an identifier") -> str:
         if not self.at("ident"):
             self.fail(what)
-        return self.take().text
+        return self.take()[1]
+
+    def names(self, open_: str, close: str, what: str) -> tuple[str, ...]:
+        """``open [ident ("," ident)*] close``, each ident named what."""
+        self.expect(open_)
+        out: list[str] = []
+        if not self.at(close):
+            out.append(self.ident(what))
+            while self.at(","):
+                self.take()
+                out.append(self.ident(what))
+        self.expect(close)
+        return tuple(out)
 
     def _enter(self) -> None:
         self.depth += 1
@@ -296,7 +277,7 @@ class _Parser:
                 self.fail("'}'")
             if not (self._at_section_header()):
                 self.fail("'private:', 'protected:', or 'public:'")
-            vis = Visibility(self.take().text)
+            vis = Visibility(self.take()[1])
             self.take()  # the colon
             while not self.at("}") and not self._at_section_header():
                 if self.at("eof"):
@@ -327,7 +308,7 @@ class _Parser:
             )
         return ConceptUnit(
             name=name,
-            kind=UnitKind.INSTANCE if head.text == "instance" else UnitKind.CLASS,
+            kind=UnitKind.INSTANCE if head[1] == "instance" else UnitKind.CLASS,
             level=Level(pending["level"]),
             domain=pending["domain"],
             attributes=tuple(attrs),
@@ -336,11 +317,7 @@ class _Parser:
         )
 
     def _at_section_header(self) -> bool:
-        return (
-            self.peek().kind == "ident"
-            and self.peek().text in ("private", "protected", "public")
-            and self.at(":", 1)
-        )
+        return self.peek()[1] in ("private", "protected", "public") and self.at(":", 1)
 
     def _at_attribute(self) -> bool:
         if self.at_word("const"):
@@ -386,19 +363,11 @@ class _Parser:
 
     def parse_literal(self) -> Literal:
         if self.at("int"):
-            return Literal(int(self.take().text))
+            return Literal(int(self.take()[1]))
         if self.at("["):
-            self.take()
-            symbols = []
-            if not self.at("]"):
-                symbols.append(self.ident("a symbol"))
-                while self.at(","):
-                    self.take()
-                    symbols.append(self.ident("a symbol"))
-            self.expect("]")
-            return Literal(tuple(symbols))
+            return Literal(self.names("[", "]", "a symbol"))
         if self.at("ident"):
-            return Literal(self.take().text)
+            return Literal(self.take()[1])
         self.fail("a literal")
         raise AssertionError("unreachable")
 
@@ -474,42 +443,23 @@ class _Parser:
             self.expect(";")
             return ReturnStmt(value)
         if self.at("ident") and self.at("ident", 1) and self.at(";", 2):
-            type_ref = self.take().text
-            name = self.take().text
+            type_ref = self.take()[1]
+            name = self.take()[1]
             self.take()
             return LocalDecl(name, type_ref)
         if self.at("ident") and self.at("++", 1):
-            name = self.take().text
+            name = self.take()[1]
             self.take()
             self.expect(";")
             return AssignStmt(NameExpr(name), BinExpr("+", NameExpr(name), IntExpr(1)))
-        if (
-            self.at("ident")
-            and self.peek().text in ir.SETUP_PREDICATES
-            and self.at("(", 1)
-        ):
-            pred = self.take().text
-            self.take()
-            args: list[str] = []
-            if not self.at(")"):
-                args.append(self.ident("an entity name"))
-                while self.at(","):
-                    self.take()
-                    args.append(self.ident("an entity name"))
-            self.expect(")")
+        if self.peek()[1] in ir.SETUP_PREDICATES and self.at("(", 1):
+            pred = self.take()[1]
+            args = self.names("(", ")", "an entity name")
             self.expect(";")
-            return SetupStmt(pred, tuple(args))
+            return SetupStmt(pred, args)
         if self.at("ident") and self.at("(", 1) and self._block_follows_call():
-            label = self.take().text
-            self.take()
-            block_args: list[str] = []
-            if not self.at(")"):
-                block_args.append(self.ident("a name"))
-                while self.at(","):
-                    self.take()
-                    block_args.append(self.ident("a name"))
-            self.expect(")")
-            return BlockStmt(label, tuple(block_args), self.parse_block())
+            label = self.take()[1]
+            return BlockStmt(label, self.names("(", ")", "a name"), self.parse_block())
         start = self.peek()
         expr = self.parse_expr()
         if self.at("="):
@@ -538,18 +488,17 @@ class _Parser:
         # labeled block rather than a call statement.
         k = self.pos + 1
         depth = 0
-        while k < len(self.tokens):
-            kind = self.tokens[k].kind
+        while True:
+            kind = self.tokens[k][0]
             if kind == "(":
                 depth += 1
             elif kind == ")":
                 depth -= 1
                 if depth == 0:
-                    return k + 1 < len(self.tokens) and self.tokens[k + 1].kind == "{"
+                    return self.tokens[k + 1][0] == "{"
             elif kind == "eof":
                 return False
             k += 1
-        return False
 
     # -- expressions
 
@@ -557,8 +506,8 @@ class _Parser:
         self._enter()
         try:
             left = self.parse_addsub()
-            if self.peek().kind in _COMPARE_OPS:
-                op = self.take().kind
+            if self.peek()[0] in _COMPARE_OPS:
+                op = self.take()[0]
                 right = self.parse_addsub()
                 return BinExpr(op, left, right)
             return left
@@ -567,8 +516,8 @@ class _Parser:
 
     def parse_addsub(self) -> Expr:
         left = self.parse_unary()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
             right = self.parse_unary()
             left = BinExpr(op, left, right)
         return left
@@ -606,39 +555,28 @@ class _Parser:
         return tuple(args)
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
+        kind, text = self.peek()[:2]
+        if kind == "int":
             self.take()
-            return IntExpr(int(tok.text))
-        if tok.kind == "ident":
-            if tok.text == "NULL":
-                self.take()
+            return IntExpr(int(text))
+        if kind == "ident":
+            self.take()
+            if text == "NULL":
                 return NullExpr()
-            if tok.text == "TRUE":
-                self.take()
+            if text == "TRUE":
                 return BoolExpr(True)
-            if tok.text == "FALSE":
-                self.take()
+            if text == "FALSE":
                 return BoolExpr(False)
-            self.take()
             if self.at("("):
-                return CallExpr(None, tok.text, self.parse_args())
-            return NameExpr(tok.text)
-        if tok.kind == "(":
+                return CallExpr(None, text, self.parse_args())
+            return NameExpr(text)
+        if kind == "(":
             self.take()
             expr = self.parse_expr()
             self.expect(")")
             return expr
-        if tok.kind == "[":
-            self.take()
-            names: list[str] = []
-            if not self.at("]"):
-                names.append(self.ident("a symbol"))
-                while self.at(","):
-                    self.take()
-                    names.append(self.ident("a symbol"))
-            self.expect("]")
-            return ListExpr(tuple(names))
+        if kind == "[":
+            return ListExpr(self.names("[", "]", "a symbol"))
         self.fail("an expression")
         raise AssertionError("unreachable")
 

@@ -44,14 +44,15 @@ def record(cls):
     as defaults. Assignment and deletion are refused with
     ``FrozenInstanceError``; equality and hashing go by type plus
     fields; the repr is ``Name(field=value, ...)``; ``__match_args__``
-    lists the fields. The generic ``__init__`` takes the fields
-    positionally or by keyword. A class that writes its own
+    lists the fields; ``copy``, ``deepcopy`` and ``pickle`` rebuild a
+    record from its fields positionally. The generic ``__init__`` takes
+    the fields positionally or by keyword. A class that writes its own
     ``__init__`` keeps it and sets its fields with ``set_field``; values
     built in hot loops do, since the generic one costs more per call.
     Names the class lists in ``__slots__`` become extra slots outside
-    the fields: no ``__init__``, equality, hash, repr or ``replace``
-    sees them, and they start unset. Nothing is generated or compiled,
-    which keeps importing the package cheap.
+    the fields: no ``__init__``, equality, hash, repr, copy or
+    ``replace`` sees them, and they start unset. Nothing is generated
+    or compiled, which keeps importing the package cheap.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
     ns = dict(cls.__dict__)
@@ -86,6 +87,7 @@ def record(cls):
         __eq__=__eq__,
         __hash__=lambda self: hash(key(self)),
         __repr__=__repr__,
+        __reduce__=lambda self: (self.__class__, key(self)),
     )
     built = type(cls)(cls.__name__, cls.__bases__, ns)
     if "__init__" not in ns:
@@ -654,6 +656,24 @@ def validate_set(units: Sequence[ConceptUnit]) -> list[Diagnostic]:
                 )
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Level slices
+
+def kb_by_level(units: Iterable[ConceptUnit]) -> dict[Level, list[ConceptUnit]]:
+    """The units of each level, in their given order. From E2 up, a
+    level with no Globals unit of its own gets the most redescribed
+    one appended."""
+    units = list(units)
+    slices = {level: [u for u in units if u.level is level] for level in LEVELS}
+    found = [u for u in units if u.name == GLOBALS_UNIT]
+    if found:
+        shared = max(found, key=lambda u: u.level.rank)
+        for level, members in slices.items():
+            if level.rank >= Level.E2.rank and all(u.name != GLOBALS_UNIT for u in members):
+                members.append(shared)
+    return slices
 
 
 # ---------------------------------------------------------------------------

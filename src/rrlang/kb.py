@@ -107,20 +107,8 @@ class KnowledgeBase:
         }))
 
     def kb_by_level(self) -> dict[ir.Level, list[ir.ConceptUnit]]:
-        """Level slices for the matrix. Shared Globals data joins every
-        slice from E2 up."""
-        slices: dict[ir.Level, list[ir.ConceptUnit]] = {}
-        shared = self.globals_unit
-        for level in ir.Level:
-            units = list(self.units_at(level))
-            if (
-                shared is not None
-                and level.rank >= ir.Level.E2.rank
-                and all(u.name != ir.GLOBALS_UNIT for u in units)
-            ):
-                units.append(shared)
-            slices[level] = units
-        return slices
+        """Level slices for the matrix (see ``ir.kb_by_level``)."""
+        return ir.kb_by_level(self)
 
     # -- mutation ----------------------------------------------------
 

@@ -674,18 +674,6 @@ def build_task(task_id: str, seed: int = 0) -> Task:
     return Task(task_id, seed, row.description, world, caller_domain, row.query)
 
 
-def _level_slice(
-    kb: Sequence[ir.ConceptUnit], level: ir.Level
-) -> list[ir.ConceptUnit]:
-    """Units of the level under test; shared Globals data rides along
-    from E2 up."""
-    return [
-        u for u in kb
-        if u.level is level
-        or (u.name == ir.GLOBALS_UNIT and level.rank >= ir.Level.E2.rank)
-    ]
-
-
 def run(
     task: Task,
     kb: Sequence[ir.ConceptUnit],
@@ -693,8 +681,8 @@ def run(
 ) -> tuple[Outcome, tuple[TraceEvent, ...]]:
     """Attempt one task and judge the result, returning the outcome and
     the trace it was judged on. With a level given, only that level's
-    units (plus Globals from E2 up) are consulted."""
-    units = list(kb) if level is None else _level_slice(kb, level)
+    slice of kb (``ir.kb_by_level``) is consulted."""
+    units = list(kb) if level is None else ir.kb_by_level(kb)[level]
     outcome, trace = _TASKS[task.id].runner(task, units)
     return outcome, tuple(trace)
 

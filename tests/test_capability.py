@@ -13,7 +13,7 @@ def matrix(kb_by_level):
 class TestBuildMatrix:
     def test_covers_every_level_and_task(self, matrix):
         assert matrix.is_complete
-        assert len(matrix.cells) == len(cap.LEVELS) * len(tasks.TASK_IDS)
+        assert len(matrix.cells) == len(ir.LEVELS) * len(tasks.TASK_IDS)
 
     def test_matches_the_frozen_expectation(self, matrix):
         assert cap.compare_expected(matrix) == []
@@ -24,7 +24,7 @@ class TestBuildMatrix:
                 assert outcome.reason, (level, task_id)
 
     def test_solved_set_grows_with_level(self, matrix):
-        by_rank = sorted(cap.LEVELS, key=lambda lv: lv.rank)
+        by_rank = sorted(ir.LEVELS, key=lambda lv: lv.rank)
         for lo, hi in zip(by_rank, by_rank[1:]):
             solved_lo = {
                 t for t in tasks.TASK_IDS if matrix.outcome(lo, t).kind == "Solved"
@@ -105,7 +105,7 @@ class TestRendering:
         header = text.splitlines()[0]
         for task_id in tasks.TASK_IDS:
             assert task_id in header
-        for level in cap.LEVELS:
+        for level in ir.LEVELS:
             assert any(line.startswith(level.name) for line in text.splitlines())
 
     def test_text_table_has_no_trailing_blanks(self, matrix):

@@ -70,6 +70,13 @@ class TestStore:
         for level in (Level.E2, Level.E3):
             assert any(u.name == ir.GLOBALS_UNIT for u in slices[level])
 
+    def test_the_most_redescribed_globals_fills_a_slice_without_one(self, globals_unit):
+        at_e3 = ir.replace(globals_unit, level=Level.E3)
+        slices = ir.kb_by_level([at_e3, globals_unit])
+        assert slices[Level.E2] == [globals_unit]
+        assert slices[Level.E3] == [at_e3]
+        assert ir.kb_by_level([globals_unit])[Level.E3] == [globals_unit]
+
     def test_duplicate_units_are_rejected(self, canonical_kb):
         with pytest.raises(kbmod.DuplicateUnit):
             canonical_kb.add_unit(dsl.load_fixture("counting_e2")[0])

@@ -1,8 +1,10 @@
 """Frozen slotted records (ir.record) behave as frozen dataclasses do."""
 
+import copy
 import dataclasses
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +57,16 @@ class TestFrozen:
         twin = dataclasses.make_dataclass(cls.__qualname__, _fields(record), frozen=True)
         values = [getattr(record, name) for name in _fields(record)]
         assert repr(record) == repr(twin(*values))
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_and_pickle_rebuild_an_equal_record(self, record, duplicate):
+        twin = duplicate(record)
+        assert type(twin) is type(record)
+        assert twin == record
 
     def test_equal_copies_hash_alike(self, record):
         copy = type(record)(*(getattr(record, name) for name in _fields(record)))
@@ -130,6 +142,8 @@ class TestReplace:
             assert itp.execute([unit], unit, "Run", [], world, "numbers").value == itp.IntVal(1)
         assert itp.compiled_body(op) is not None
         assert itp.compiled_body(ir.replace(op)) is None
+        for duplicate in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            assert itp.compiled_body(duplicate(op)) is None
 
 
 def test_every_class_is_a_record():
@@ -141,7 +155,7 @@ def test_every_class_is_a_record():
     }
     assert not any(dataclasses.is_dataclass(cls) for cls in defined)
     records = {cls for cls in defined if hasattr(cls, "__match_args__")}
-    assert len(records) == 47
+    assert len(records) == 46
     assert all("__dict__" not in vars(cls) for cls in records)
 
 

@@ -288,11 +288,13 @@ class TestRouting:
         assert outcome.kind == "Failed"
         assert outcome.reason == "Counting has no member 'Missing'"
 
-    def test_level_filter_matches_hand_built_slice(self, canonical_kb, kb_by_level):
-        task = tasks.build_task("T3", 1)
-        via_filter = tasks.run_task(task, list(canonical_kb), ir.Level.E1)
-        via_slice = tasks.run_task(task, kb_by_level[ir.Level.E1], ir.Level.E1)
-        assert via_filter == via_slice
+    @pytest.mark.parametrize("level", ir.LEVELS, ids=lambda lv: lv.name)
+    @pytest.mark.parametrize("task_id", tasks.TASK_IDS)
+    def test_level_filter_is_the_matrix_slice(self, canonical_kb, kb_by_level, task_id, level):
+        for seed in range(3):
+            task = tasks.build_task(task_id, seed)
+            via_filter = tasks.run(task, list(canonical_kb), level)
+            assert via_filter == tasks.run(task, kb_by_level[level])
 
     def test_unfiltered_run_uses_everything(self, canonical_kb):
         outcome = tasks.run_task(tasks.build_task("T8", 0), list(canonical_kb))
