@@ -3,7 +3,7 @@
 Subcommands: parse a source file, run redescription passes, run one
 task, print the capability matrix, dump a task trace, and verbalize a
 fully public unit. Exit codes: 0 success, 1 diagnostics or diffs
-present, 2 usage error, 3 I/O error.
+present, 2 usage error, 3 I/O error (a closed stdout included).
 
 The knowledge base defaults to the built-in fixture chain; point --kb
 (or the RR_KB environment variable) at a saved directory to use your
@@ -264,7 +264,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so a reader that went away shows up here
+        return code
+    except BrokenPipeError:
+        # Nobody reads stdout any more. Point it at devnull so the flush
+        # at exit cannot fail again (the "Note on SIGPIPE" in the Python
+        # signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except kbmod.IoFailure as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO

@@ -3,7 +3,9 @@ reached, plus the experience log that drives advancement.
 
 Redescription appends; it never replaces. A knowledge base therefore
 keeps an instance recording alongside the class that grew out of it,
-keyed by (name, level).
+keyed by (name, level). Recordings in one knowledge base share their
+immutable nodes (constants, names and statements) and never their
+operations, which hold their execution tier.
 
 On disk a knowledge base is a directory: one canonical .rr file per
 unit and a manifest.tsv index whose rows are either
@@ -75,6 +77,7 @@ class KnowledgeBase:
     def __init__(self) -> None:
         self._units: dict[tuple[str, ir.Level], ir.ConceptUnit] = {}
         self._instance_counts: dict[str, int] = {}  # instances per domain; names recordings
+        self._nodes: dict[str | tuple, object] = {}  # shared recording nodes; see _const
         self.log: list[LogEntry] = []
 
     # -- access ------------------------------------------------------
@@ -130,6 +133,46 @@ class KnowledgeBase:
         self.log.append(entry)
         return entry
 
+    # Recordings repeat the same few constants and statements, so each
+    # is built once per knowledge base and shared by every recording
+    # that uses it. The table is keyed by plain strings: a NameExpr by
+    # its name, a const Attribute by (name, type), a SetupStmt by
+    # (pred, args) and an ActionStmt by (verb, agent, arg); a record's
+    # own hash would recurse through its fields. It grows with the
+    # names and verbs seen, not with the episodes. Operations and units
+    # are never shared, since an Operation holds its execution tier.
+
+    def _const(self, name: str, type_ref: str) -> ir.Attribute:
+        key = (name, type_ref)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = ir.Attribute(
+                name, type_ref, ir.Visibility.PRIVATE, ir.Literal(name)
+            )
+        return node
+
+    def _name(self, name: str) -> ir.NameExpr:
+        node = self._nodes.get(name)
+        if node is None:
+            node = self._nodes[name] = ir.NameExpr(name)
+        return node
+
+    def _setup(self, pred: str, args: tuple[str, ...]) -> ir.SetupStmt:
+        key = (pred, args)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = ir.SetupStmt(pred, args)
+        return node
+
+    def _action(self, verb: str, agent: str, arg: str) -> ir.ActionStmt:
+        key = (verb, agent, arg)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = ir.ActionStmt(
+                verb, self._name(agent), (self._name(arg),)
+            )
+        return node
+
     def record_instance(
         self,
         trace: Sequence[itp.TraceEvent],
@@ -161,64 +204,43 @@ class KnowledgeBase:
         rooms = [e for e, (kind, _) in world.entities.items() if kind == "Room"]
         tables = [e for e, (kind, _) in world.entities.items() if kind == "Table"]
 
-        attrs = [
-            ir.Attribute(tok, "Sound", ir.Visibility.PRIVATE, ir.Literal(tok))
-            for tok in said
-        ]
-        attrs.append(
-            ir.Attribute(agent, "Person", ir.Visibility.PRIVATE, ir.Literal(agent))
-        )
-        for room in rooms:
-            attrs.append(
-                ir.Attribute(room, "Room", ir.Visibility.PRIVATE, ir.Literal(room))
-            )
-        for table in tables:
-            attrs.append(
-                ir.Attribute(table, "Table", ir.Visibility.PRIVATE, ir.Literal(table))
-            )
-        for eid in pointed:
-            kind = world.entities[eid][0]
-            attrs.append(
-                ir.Attribute(eid, kind, ir.Visibility.PRIVATE, ir.Literal(eid))
-            )
-        attrs.append(
-            ir.Attribute(hand, "Hand", ir.Visibility.PRIVATE, ir.Literal(hand))
-        )
+        attrs = [self._const(tok, "Sound") for tok in said]
+        attrs.append(self._const(agent, "Person"))
+        attrs.extend(self._const(room, "Room") for room in rooms)
+        attrs.extend(self._const(table, "Table") for table in tables)
+        attrs.extend(self._const(eid, world.entities[eid][0]) for eid in pointed)
+        attrs.append(self._const(hand, "Hand"))
 
         body: list[ir.SetupStmt | ir.ActionStmt] = []
         for room in rooms:
-            body.append(ir.SetupStmt("In", (agent, room)))
+            body.append(self._setup("In", (agent, room)))
         for eid in pointed:
             for table in tables:
-                body.append(ir.SetupStmt("On", (eid, table)))
+                body.append(self._setup("On", (eid, table)))
         group = world.entities[pointed[0]][1] if pointed else None
         if group is not None and world.arrangements.get(group) == "Line":
-            body.append(ir.SetupStmt("InLine", tuple(world.containers[group])))
-        me = ir.NameExpr(agent)
+            body.append(self._setup("InLine", tuple(world.containers[group])))
         for event in trace:
             verb = _VERB_FOR_EVENT.get(event.verb)
             if verb is None:
                 raise KbError(f"cannot code a {event.verb} event into an episode")
             arg = event.arg if event.arg is not None else hand
-            body.append(ir.ActionStmt(verb, me, (ir.NameExpr(arg),)))
+            body.append(self._action(verb, agent, arg))
 
         ordinal = 1 + self._instance_counts.get(domain, 0)
+        # Positional, in field order: keyword construction takes the
+        # records' slower generic path.
+        operation = ir.Operation(
+            ir.IMPLICIT_OP, (), None, ir.Visibility.PRIVATE, tuple(body), True
+        )
         unit = ir.ConceptUnit(
-            name=f"{concept}_{domain}_{ordinal}",
-            kind=ir.UnitKind.INSTANCE,
-            level=ir.Level.I,
-            domain=domain,
-            attributes=tuple(attrs),
-            operations=(
-                ir.Operation(
-                    ir.IMPLICIT_OP,
-                    params=(),
-                    returns=None,
-                    visibility=ir.Visibility.PRIVATE,
-                    body=tuple(body),
-                    implicit=True,
-                ),
-            ),
+            f"{concept}_{domain}_{ordinal}",
+            ir.UnitKind.INSTANCE,
+            ir.Level.I,
+            domain,
+            tuple(attrs),
+            (operation,),
+            (),
         )
         return self.add_unit(unit)
 

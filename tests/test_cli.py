@@ -2,6 +2,9 @@
 
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +215,31 @@ class TestUsage:
         code, _, err = run_cli(capsys, "redescribe", "--auto", "--threshold", "0")
         assert code == 2
         assert "must be at least 1" in err
+
+
+class TestClosedStdout:
+    """A reader that goes away before rrlang writes is an I/O error,
+    reported by the exit code alone, whether stdout is buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize(
+        "argv",
+        [("trace", "--task", "T1", "--level", "E1"), ("verbalize", "Counting")],
+        ids=["trace", "verbalize"],
+    )
+    def test_exits_as_io_trouble_without_a_traceback(self, argv, unbuffered):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "RR_KB")}
+        env["PYTHONPATH"] = str(src)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "rrlang.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (3, b"")

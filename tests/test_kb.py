@@ -1,5 +1,7 @@
 """Knowledge base: storage, episodic recording, advancement, persistence."""
 
+import gc
+
 import pytest
 
 from rrlang import dsl, interpreter as itp, ir, kb as kbmod, redescription as rd, tasks
@@ -156,6 +158,86 @@ class TestRecording:
         assert [e.tick for e in kb.log] == [1, 2]
         assert kb.log[0].outcome == "Solved"
         assert kb.log[1].outcome == "Failed"
+
+
+def counting_scene(size, domain="apples", kind="Apple"):
+    """A world of size objects in a line and a demonstration over it:
+    move, point and say the next numeral per object, then the total."""
+    entities = {
+        "ME": ("Person", None),
+        "HAND": ("Hand", None),
+        "ROOM1": ("Room", None),
+        "TABLE1": ("Table", None),
+    }
+    ids = tuple(f"{kind.upper()}{i}" for i in range(1, size + 1))
+    entities.update((eid, (kind, domain)) for eid in ids)
+    world = itp.World(entities, {domain: "Line"}, {domain: ids}, 0)
+    events = []
+    for eid, numeral in zip(ids, ir.NUMERALS):
+        events += [("Moved", None), ("PointedTo", eid), ("Said", numeral)]
+    events.append(("Said", ir.NUMERALS[size - 1]))
+    return world, tuple(itp.TraceEvent(i, v, a) for i, (v, a) in enumerate(events, 1))
+
+
+def recorded_nodes(unit):
+    """Every attribute, literal, statement and name a recording holds."""
+    (op,) = unit.operations
+    nodes = list(unit.attributes) + [a.const for a in unit.attributes] + list(op.body)
+    for stmt in op.body:
+        if isinstance(stmt, ir.ActionStmt):
+            nodes += [stmt.recv, *stmt.args]
+    return nodes
+
+
+class TestSharedNodes:
+    """Recordings in one knowledge base share their immutable nodes and
+    never their operations or units."""
+
+    def test_same_scene_twice_shares_every_member(self):
+        kb = kbmod.KnowledgeBase()
+        world, trace = counting_scene(4)
+        first = kb.record_instance(trace, world, "apples")
+        second = kb.record_instance(trace, world, "apples")
+        pairs = list(zip(recorded_nodes(first), recorded_nodes(second), strict=True))
+        assert pairs and all(a is b for a, b in pairs)
+
+    def test_operations_and_units_stay_distinct(self):
+        # An Operation holds its execution tier, so a shared one would
+        # make the second recording's first replay run compiled.
+        kb = kbmod.KnowledgeBase()
+        world, trace = counting_scene(4)
+        first = kb.record_instance(trace, world, "apples")
+        second = kb.record_instance(trace, world, "apples")
+        assert first is not second
+        assert first.operations[0] is not second.operations[0]
+        for _ in range(2):
+            itp.replay_instance([first], first, world)
+        assert itp.compiled_body(first.operations[0]) is not None
+        assert itp.compiled_body(second.operations[0]) is None
+
+    def test_two_knowledge_bases_share_no_node(self):
+        world, trace = counting_scene(4)
+        one = kbmod.KnowledgeBase().record_instance(trace, world, "apples")
+        other = kbmod.KnowledgeBase().record_instance(trace, world, "apples")
+        assert one == other
+        assert not {id(n) for n in recorded_nodes(one)} & {id(n) for n in recorded_nodes(other)}
+
+    def test_recording_known_scenes_builds_almost_nothing(self):
+        scenes = [
+            (domain, *counting_scene(size, domain, kind))
+            for domain, kind in (("apples", "Apple"), ("cups", "Cup"))
+            for size in range(2, 9)
+        ]
+        kb = kbmod.KnowledgeBase()
+        for domain, world, trace in scenes:
+            kb.record_instance(trace, world, domain)
+        gc.collect()
+        before = len(gc.get_objects())
+        for i in range(200):
+            domain, world, trace = scenes[i % len(scenes)]
+            kb.record_instance(trace, world, domain)
+        gc.collect()
+        assert (len(gc.get_objects()) - before) / 200 < 20
 
 
 def push_to_mastery(kb, unit_name):
