@@ -271,10 +271,50 @@ PROBES = {
 }
 
 
+# Each probe's outcome, frozen from the tree walker: the error class and
+# message, or the value's repr, the steps and the TSV trace.
+_HIDDEN = "private member of {} (domain 'elsewhere') is hidden from Probe (domain 'numbers')"
+PROBE_OUTCOMES = {
+    "append-to-int": ("TypeMismatch", "Append needs an ordered collection receiver"),
+    "assign-constant": ("TypeMismatch", "Probe.K is constant"),
+    "assign-unbound": ("UnboundName", "'nowhere' is not assignable in Probe"),
+    "call-arity": ("TypeMismatch", "Probe.Takes takes 0 arguments, got 1"),
+    "call-missing-operation": ("UnboundName", "Probe has no member 'Missing'"),
+    "call-on-int": ("UnboundName", "operation 'Op' needs a unit receiver"),
+    "call-param-type": ("TypeMismatch", "Probe.Takes(n: int) does not accept BoolVal"),
+    "call-private": ("AccessViolation", _HIDDEN.format("Other")),
+    "call-shadowed-unit": ("UnboundName", "unknown unit 'Other'"),
+    "call-unknown-unit": ("UnboundName", "unknown unit 'Nobody'"),
+    "endless-loop": ("StepLimitExceeded", "exceeded 50 steps"),
+    "field-of-int": ("TypeMismatch", "field 'x' needs a unit value receiver"),
+    "first-of-empty": ("EmptyCollection", "First on an empty collection"),
+    "if-not-boolean": ("TypeMismatch", "if needs a Boolean condition"),
+    "late-local-shadows-attribute": (None, "IntVal(value=-1)", 7, ""),
+    "less-than-nothing": ("TypeMismatch", "< needs integer operands"),
+    "next-of-int": ("TypeMismatch", "Next needs an ordered collection receiver"),
+    "not-not-boolean": ("TypeMismatch", "! needs a Boolean operand"),
+    "plus-not-integer": ("TypeMismatch", "+ needs integer operands"),
+    "point-to-ghost": ("UnboundName", "PointTo: unknown entity 'GHOST'"),
+    "point-to-int": ("TypeMismatch", "PointTo takes one entity"),
+    "primitive-without-receiver": ("TypeMismatch", "Next needs a receiver"),
+    "read-missing-field": ("UnboundName", "Hiding has no member 'nowhere'"),
+    "read-private-field": ("AccessViolation", _HIDDEN.format("Hiding")),
+    "read-private-global": ("AccessViolation", _HIDDEN.format("Globals")),
+    "read-unbound": ("UnboundName", "'nowhere' is not bound in Probe"),
+    "say-int": ("TypeMismatch", "Say takes one sound token"),
+    "say-nothing": ("NumeralsExhausted", "the numerals ran out: Say has no count word left"),
+    "select-from-empty": ("EmptyCollection", "SelectOneRandom on an empty collection"),
+    "set-field-of-int": ("TypeMismatch", "field 'x' needs a unit value receiver"),
+    "unknown-operator": ("TypeMismatch", "unknown operator '*'"),
+    "unknown-primitive-statement": ("TypeMismatch", "unknown primitive 'Juggle'"),
+    "while-not-boolean": ("TypeMismatch", "while needs a Boolean condition"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(PROBES))
 def test_probe_outcomes_match_between_tiers(name):
-    """Odd and ill-typed bodies: the compiled second run reports what
-    the walked first run did, to the message and the step."""
+    """Odd and ill-typed bodies: the first run and the compiled second
+    run both report the frozen outcome, to the message and the step."""
     raises, units = PROBES[name]
     units = fresh(units)
     probe = units[0]
@@ -287,10 +327,11 @@ def test_probe_outcomes_match_between_tiers(name):
         except itp.ExecError as exc:
             outcomes.append((type(exc).__name__, str(exc)))
         else:
-            outcomes.append((None, r.value, r.steps, r.trace))
+            outcomes.append((None, repr(r.value), r.steps, itp.format_trace(r.trace)))
     assert itp.compiled_body(probe.operation("Run")) is not None
     assert outcomes[0][0] == raises
     assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == PROBE_OUTCOMES[name]
 
 
 def test_shared_operation_rechecks_access_for_a_new_caller():
