@@ -250,11 +250,7 @@ class _Parser:
         if shared:
             units.append(
                 ConceptUnit(
-                    name=ir.GLOBALS_UNIT,
-                    kind=UnitKind.CLASS,
-                    level=Level.E2,
-                    domain="numbers",
-                    attributes=tuple(shared),
+                    ir.GLOBALS_UNIT, UnitKind.CLASS, Level.E2, "numbers", tuple(shared), (), ()
                 )
             )
         return tuple(units)
@@ -296,24 +292,16 @@ class _Parser:
                         bare_vis = vis
         self.take()  # closing brace
         if bare_body:
-            ops.append(
-                Operation(
-                    name=ir.IMPLICIT_OP,
-                    params=(),
-                    returns=None,
-                    visibility=bare_vis or Visibility.PRIVATE,
-                    body=tuple(bare_body),
-                    implicit=True,
-                )
-            )
+            vis = bare_vis or Visibility.PRIVATE
+            ops.append(Operation(ir.IMPLICIT_OP, (), None, vis, tuple(bare_body), True))
         return ConceptUnit(
-            name=name,
-            kind=UnitKind.INSTANCE if head[1] == "instance" else UnitKind.CLASS,
-            level=Level(pending["level"]),
-            domain=pending["domain"],
-            attributes=tuple(attrs),
-            operations=tuple(ops),
-            friends=tuple(friends),
+            name,
+            UnitKind.INSTANCE if head[1] == "instance" else UnitKind.CLASS,
+            Level(pending["level"]),
+            pending["domain"],
+            tuple(attrs),
+            tuple(ops),
+            tuple(friends),
         )
 
     def _at_section_header(self) -> bool:
@@ -391,7 +379,7 @@ class _Parser:
                 break
         self.expect(")")
         body = self.parse_block()
-        return Operation(name, tuple(params), returns, vis, body)
+        return Operation(name, tuple(params), returns, vis, body, False)
 
     # -- statements
 

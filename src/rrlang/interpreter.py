@@ -1,7 +1,7 @@
 """Executes concept-unit operations against a simulated world.
 
 The world holds entities, their spatial arrangement by group, and named
-ordered containers. Execution walks operation bodies, enforces member
+ordered containers. Execution runs operation bodies, enforces member
 visibility between units, emits a trace of observable events, and
 returns the result value plus a mutated copy of the world. The input
 world is never changed.
@@ -24,18 +24,19 @@ unit values pass by reference, with their list fields' cursors reset
 at entry so every operation gets a fresh view of the collections.
 
 Operation bodies run on one of two tiers with identical results, steps
-and errors:
+and errors, chosen by the body's shape and its call count:
 
-* the tree walker (`_Machine.exec_block`) runs an Operation's first
-  call. Most bodies that run once are replayed recordings, straight
-  line and never run again, so compiling them would cost more than
-  walking them;
-* from the second call on, the body runs as Python closures compiled
-  once per Operation (see "Closure tier" below). Node kinds, primitive
-  verbs and name scopes are settled at compile time, and each access
-  decision is kept per call site. The compiled body is stored on the
-  Operation object itself, so it lives and dies with the operation:
-  there is no global cache to hold knowledge bases alive.
+* the tree walker (`_Machine.exec_block`) plays a script, a body of
+  setup facts and atomic actions only (`ir.is_script`), on its first
+  call. Scripts are replayed recordings, and most run once, so
+  compiling them would cost more than walking them;
+* every other body, and a script from its second call on, runs as
+  Python closures compiled once per Operation (see "Closure tier"
+  below). Node kinds, primitive verbs and name scopes are settled at
+  compile time, and each access decision is kept per call site. The
+  compiled body is stored on the Operation object itself, so it lives
+  and dies with the operation: there is no global cache to hold
+  knowledge bases alive.
 """
 
 from __future__ import annotations
@@ -319,11 +320,6 @@ class EmptyCollection(ExecError):
 
 class NumeralsExhausted(ExecError):
     """Say was handed Nothing: the count ran past the last numeral."""
-
-
-class _Return(Exception):
-    def __init__(self, value: Value):
-        self.value = value
 
 
 # ---------------------------------------------------------------------------
@@ -698,52 +694,20 @@ class _Machine:
     # -- statements
 
     def exec_block(self, frame: _Frame, body: Sequence[Stmt]) -> None:
+        """Walk a script (see ir.is_script), one step per statement."""
         for stmt in body:
             self.tick()
             self.exec_stmt(frame, stmt)
 
-    def exec_stmt(self, frame: _Frame, stmt: Stmt) -> None:
-        """Run one statement; its step was counted by the enclosing block."""
-        if isinstance(stmt, SetupStmt):
+    def exec_stmt(self, frame: _Frame, stmt: SetupStmt | ActionStmt) -> None:
+        """Run one statement of a script; its step was counted by the
+        enclosing block."""
+        if type(stmt) is SetupStmt:
             self.check_setup(stmt, frame)
-        elif isinstance(stmt, ActionStmt):
+        else:
             recv = self.eval(frame, stmt.recv)
             args = [self.eval(frame, a) for a in stmt.args]
             self.eval_primitive(stmt.verb, recv, args)
-        elif isinstance(stmt, AssignStmt):
-            value = self.eval(frame, stmt.value)
-            if isinstance(stmt.target, NameExpr):
-                self.assign(frame, stmt.target.name, value)
-            else:
-                recv = self.eval(frame, stmt.target.recv)
-                self.assign_field(frame, recv, stmt.target.name, value)
-        elif isinstance(stmt, LocalDecl):
-            frame.locals[stmt.name] = self._default_local(stmt.type_ref)
-        elif isinstance(stmt, WhileStmt):
-            while True:
-                self.tick()
-                if not _truth(self.eval(frame, stmt.cond), "while needs a Boolean condition"):
-                    break
-                self.exec_block(frame, stmt.body)
-        elif isinstance(stmt, IfStmt):
-            cond = _truth(self.eval(frame, stmt.cond), "if needs a Boolean condition")
-            self.exec_block(frame, stmt.then if cond else stmt.orelse)
-        elif isinstance(stmt, CallStmt):
-            if stmt.recv is None:
-                target = frame.unit
-            elif self._names_unit(frame, stmt.recv):
-                target = self.units[stmt.recv]
-            else:
-                raise UnboundName(f"unknown unit {stmt.recv!r}")
-            args = [self.eval(frame, a) for a in stmt.args]
-            self.call_operation(frame.unit, target, stmt.op, args)
-        elif isinstance(stmt, ReturnStmt):
-            value = self.eval(frame, stmt.value) if stmt.value is not None else NOTHING
-            raise _Return(value)
-        elif isinstance(stmt, BlockStmt):
-            self.exec_block(frame, stmt.body)
-        else:
-            raise TypeMismatch(f"cannot execute {stmt!r}")
 
     @staticmethod
     def _default_local(type_ref: str) -> Value:
@@ -805,8 +769,6 @@ class _Machine:
                 return NOTHING
             value = code(self, frame)
             return NOTHING if value is None else value
-        except _Return as ret:
-            return ret.value
         finally:
             self.call_depth -= 1
 
@@ -891,13 +853,13 @@ def _binop(op: str, left: Value, right: Value) -> Value:
 # ---------------------------------------------------------------------------
 # Closure tier
 #
-# An operation's body is compiled into nested Python closures the second
-# time that Operation object is called; the first call walks it. Every
+# An operation's body is compiled into nested Python closures on its
+# first call, or on its second if it is a script (see _tier). Every
 # closure takes (machine, frame). A statement closure returns None to
 # fall through and a Value to return from the operation, so `return`
 # needs no exception. Node kinds are dispatched once, at compile time.
 # Fast paths cover the well-typed common case; anything else goes to the
-# walker's own helpers, which raise the same errors after the same steps.
+# machine's own helpers, which raise the same errors after the same steps.
 
 _TRUE = BoolVal(True)
 _FALSE = BoolVal(False)
@@ -908,23 +870,24 @@ _WALKED = "walked once"
 def _tier(op: ir.Operation):
     """None while op should be walked, else its compiled body.
 
-    The first call walks, since a body run only once (a replayed
-    recording) costs more to compile than to walk. The second call
-    compiles, and the closure is kept in the Operation's own slot, so
-    it lives and dies with the operation.
+    A script's first call walks, since a recording replayed once costs
+    more to compile than to walk; its second call compiles. Any other
+    body compiles on its first call. The closure is kept in the
+    Operation's own slot, so it lives and dies with the operation.
     """
     code = getattr(op, _TIER_ATTR, None)
-    if code is None:
+    if code is None and ir.is_script(op.body):
         object.__setattr__(op, _TIER_ATTR, _WALKED)
         return None
-    if code is _WALKED:
+    if code is None or code is _WALKED:
         code = _compile_block(op.body, _Scope(op))
         object.__setattr__(op, _TIER_ATTR, code)
     return code
 
 
 def compiled_body(op: ir.Operation):
-    """The closure tier of op, or None until its second call."""
+    """The closure tier of op: None until a script's second call or any
+    other body's first."""
     code = getattr(op, _TIER_ATTR, _WALKED)
     return None if code is _WALKED else code
 
@@ -965,7 +928,7 @@ def _compile_stmt(stmt: Stmt, scope: _Scope):
     if kind is AssignStmt:
         return _compile_assign(stmt, scope)
     if kind is CallStmt:
-        return _compile_call(stmt.recv, stmt.op, stmt.args, scope, stmt, None)
+        return _compile_call(stmt.recv, stmt.op, stmt.args, scope, None)
     if kind is WhileStmt:
         return _compile_while(stmt, scope)
     if kind is IfStmt:
@@ -1005,10 +968,10 @@ def _compile_stmt(stmt: Stmt, scope: _Scope):
 
         return setup
 
-    def delegate(m, f):
-        m.exec_stmt(f, stmt)
+    def unknown(m, f):
+        raise TypeMismatch(f"cannot execute {stmt!r}")
 
-    return delegate
+    return unknown
 
 
 def _compile_while(stmt: WhileStmt, scope: _Scope):
@@ -1091,7 +1054,7 @@ def _compile_expr(expr: Expr, scope: _Scope):
             expr.recv is None or type(expr.recv) is NameExpr
         ):
             recv = None if expr.recv is None else expr.recv.name
-            return _compile_call(recv, expr.op, expr.args, scope, expr, NOTHING)
+            return _compile_call(recv, expr.op, expr.args, scope, NOTHING)
     elif kind is FieldExpr:
         return _compile_field(expr, scope)
     elif kind is BinExpr:
@@ -1329,10 +1292,10 @@ _FAST_PRIMITIVES = {
 }
 
 
-def _compile_call(recv_name: str | None, op_name: str, arg_exprs, scope: _Scope, node, done):
-    """An operation call by a statement or expression node; a name that
-    is bound as a local or attribute, or names no unit, is handed to
-    the walker, which reports it."""
+def _compile_call(recv_name: str | None, op_name: str, arg_exprs, scope: _Scope, done):
+    """An operation call by a statement (done is None) or an expression;
+    a receiver name that is bound as a local or attribute, or names no
+    unit, is reported before any argument is evaluated."""
     args = tuple(_compile_expr(a, scope) for a in arg_exprs)
     may_be_local = recv_name is not None and (
         recv_name in scope.params or recv_name in scope.declared
@@ -1347,8 +1310,8 @@ def _compile_call(recv_name: str | None, op_name: str, arg_exprs, scope: _Scope,
             target = m.units.get(recv_name)
             if target is None or recv_name in f.attrs or (may_be_local and recv_name in f.locals):
                 if done is None:
-                    return m.exec_stmt(f, node)
-                return m.eval(f, node)
+                    raise UnboundName(f"unknown unit {recv_name!r}")
+                raise UnboundName(f"operation {op_name!r} needs a unit receiver")
         values = [a(m, f) for a in args]
         k = site[0]
         if k[0] is caller and k[1] is target:

@@ -147,12 +147,6 @@ class Level(Enum):
     def rank(self) -> int:
         return _LEVEL_RANK[self]
 
-    def __lt__(self, other: "Level") -> bool:
-        return self.rank < other.rank
-
-    def __le__(self, other: "Level") -> bool:
-        return self.rank <= other.rank
-
 
 _LEVEL_RANK = {Level.I: 0, Level.E1: 1, Level.E2: 2, Level.E3: 3}
 
@@ -441,8 +435,8 @@ IMPLICIT_OP = "Replay"
 
 @record
 class Operation:
-    # The interpreter keeps the operation's execution tier here (see
-    # interpreter._tier), so a compiled body lives and dies with it.
+    # The interpreter keeps the operation's compiled body here (see
+    # interpreter._tier), so it lives and dies with the operation.
     __slots__ = ("_compiled_body",)
 
     name: str
@@ -517,6 +511,15 @@ def walk(body: Iterable[Stmt]):
             yield from walk(stmt.body)
 
 
+_SCRIPT_STATEMENTS = frozenset((SetupStmt, ActionStmt))
+
+
+def is_script(body: Iterable[Stmt]) -> bool:
+    """Whether body is a script: setup facts and atomic actions only, the
+    straight-line shape of a level I recording."""
+    return _SCRIPT_STATEMENTS.issuperset(map(type, body))
+
+
 def iter_statements(unit: ConceptUnit):
     for op in unit.operations:
         yield from walk(op.body)
@@ -587,14 +590,12 @@ def validate(unit: ConceptUnit) -> list[Diagnostic]:
                 bad("i-private", "level I members are private", op.name)
             if op.params or op.returns is not None:
                 bad("i-script", "a recording takes no parameters and returns nothing", op.name)
-            for stmt in walk(op.body):
-                if not isinstance(stmt, (SetupStmt, ActionStmt)):
-                    bad(
-                        "i-straight-line",
-                        "recordings hold only setup facts and atomic actions",
-                        op.name,
-                    )
-                    break
+            if not is_script(op.body):
+                bad(
+                    "i-straight-line",
+                    "recordings hold only setup facts and atomic actions",
+                    op.name,
+                )
     elif unit.level is Level.E1:
         if unit.kind is not UnitKind.CLASS:
             bad("e1-kind", "level E1 units are classes")
@@ -842,34 +843,7 @@ def call_graph(units: Sequence[ConceptUnit]) -> set[tuple[str, str, str, str]]:
     return edges
 
 
-def unit_signature(unit: ConceptUnit, *, anonymize: bool = False):
-    """Structural fingerprint: names, member shapes, visibilities.
-
-    With anonymize=True the unit's own name is masked, for comparing a
-    synthesized unit against a hand-written twin that differs only in name.
-    """
-    name = "<unit>" if anonymize else unit.name
-    return (
-        name,
-        unit.kind.value,
-        unit.level.value,
-        unit.domain,
-        tuple(
-            (a.name, a.type_ref, a.is_const, a.const.value if a.const else None, a.visibility.value)
-            for a in unit.attributes
-        ),
-        tuple(
-            (o.name, tuple(p.type_ref for p in o.params), o.returns, o.visibility.value)
-            for o in unit.operations
-        ),
-        unit.friends,
-    )
-
-
 def units_equal(a: ConceptUnit, b: ConceptUnit, *, ignore_names: bool = False) -> bool:
     if ignore_names:
-        sa = unit_signature(a, anonymize=True)
-        sb = unit_signature(b, anonymize=True)
-        same_ops = tuple(op.body for op in a.operations) == tuple(op.body for op in b.operations)
-        return sa == sb and same_ops
+        a = replace(a, name=b.name)
     return a == b

@@ -5,7 +5,8 @@ Redescription appends; it never replaces. A knowledge base therefore
 keeps an instance recording alongside the class that grew out of it,
 keyed by (name, level). Recordings in one knowledge base share their
 immutable nodes (constants, names and statements) and never their
-operations, which hold their execution tier.
+operations: each Operation carries its own compiled body, and a
+recording's first replay walks it.
 
 On disk a knowledge base is a directory: one canonical .rr file per
 unit and a manifest.tsv index whose rows are either
@@ -140,7 +141,8 @@ class KnowledgeBase:
     # (pred, args) and an ActionStmt by (verb, agent, arg); a record's
     # own hash would recurse through its fields. It grows with the
     # names and verbs seen, not with the episodes. Operations and units
-    # are never shared, since an Operation holds its execution tier.
+    # are never shared: a shared Operation would carry one recording's
+    # compiled body into another's first replay.
 
     def _const(self, name: str, type_ref: str) -> ir.Attribute:
         key = (name, type_ref)

@@ -327,18 +327,13 @@ def _accessible(task: Task, target: ir.ConceptUnit, member: str) -> ir.Access:
 
 
 def _attempt(
-    kb: Sequence[ir.ConceptUnit],
-    target: ir.ConceptUnit,
-    op: str,
-    args: Sequence[itp.Value],
-    world: World,
-    caller_domain: str,
+    run: Callable[..., ExecResult], *args
 ) -> tuple[Outcome | None, ExecResult | None]:
-    """Execute, folding errors into outcomes. Access and binding
-    problems mean the knowledge does not apply here; anything past
-    that point is a failed attempt."""
+    """Call run (itp.execute or itp.replay_instance) on args, folding
+    errors into outcomes. Access and binding problems mean the knowledge
+    does not apply here; anything past that point is a failed attempt."""
     try:
-        result = itp.execute(kb, target, op, args, world, caller_domain)
+        result = run(*args)
     except (itp.AccessViolation, itp.BindingMismatch) as exc:
         return Outcome.inaccessible(str(exc)), None
     except itp.ExecError as exc:
@@ -377,17 +372,11 @@ def _count_once(
         access = _accessible(task, unit, "Counting")
         if not access:
             return Outcome.inaccessible(access.reason), None
-        return _attempt(kb, unit, "Counting", [], world, task.caller_domain)
+        return _attempt(itp.execute, kb, unit, "Counting", [], world, task.caller_domain)
     instance = _replay_candidate(kb, world)
     if instance is None:
         return Outcome.inaccessible("no concept or recording covers this scene"), None
-    try:
-        result = itp.replay_instance(kb, instance, world)
-    except (itp.AccessViolation, itp.BindingMismatch) as exc:
-        return Outcome.inaccessible(str(exc)), None
-    except itp.ExecError as exc:
-        return Outcome.failed(str(exc)), None
-    return None, result
+    return _attempt(itp.replay_instance, kb, instance, world)
 
 
 def _shift_trace(
@@ -415,7 +404,9 @@ def _run_driver(task: Task, kb: Sequence[ir.ConceptUnit]):
     injected beside the knowledge base."""
     name, op, _ = task.query
     driver = _driver(name)
-    error, result = _attempt([*kb, driver], driver, op, [], task.world, task.caller_domain)
+    error, result = _attempt(
+        itp.execute, [*kb, driver], driver, op, [], task.world, task.caller_domain
+    )
     if error is not None:
         return error, ()
     return _judged(task, result.trace, result.value, result.world)
@@ -460,7 +451,9 @@ def _run_fetch_five(task: Task, kb: Sequence[ir.ConceptUnit]):
     args = _fetch_args(kb, cls, task.world, "Bananaset", 5)
     if args is None:
         return Outcome.inaccessible("the fetch routine takes foreign arguments"), ()
-    error, result = _attempt(kb, cls, "FetchObjects", args, task.world, task.caller_domain)
+    error, result = _attempt(
+        itp.execute, kb, cls, "FetchObjects", args, task.world, task.caller_domain
+    )
     if error is not None:
         return error, ()
     return _judged(task, result.trace, result.value, result.world)
@@ -487,11 +480,15 @@ def _run_compare_figures(task: Task, kb: Sequence[ir.ConceptUnit]):
     args_a = _fetch_args(kb, cls, task.world, "group_a", 5)
     if args_a is None:
         return Outcome.inaccessible("the fetch routine takes foreign arguments"), ()
-    error, first = _attempt(kb, cls, "FetchObjects", args_a, task.world, task.caller_domain)
+    error, first = _attempt(
+        itp.execute, kb, cls, "FetchObjects", args_a, task.world, task.caller_domain
+    )
     if error is not None:
         return error, ()
     args_b = _fetch_args(kb, cls, first.world, "group_b", 7)
-    error, second = _attempt(kb, cls, "FetchObjects", args_b, first.world, task.caller_domain)
+    error, second = _attempt(
+        itp.execute, kb, cls, "FetchObjects", args_b, first.world, task.caller_domain
+    )
     if error is not None:
         return error, _shift_trace(first.trace)
     trace = _shift_trace(first.trace, second.trace)
@@ -550,7 +547,8 @@ def _run_heap_compare(task: Task, kb: Sequence[ir.ConceptUnit]):
         set_a = itp.build_unit_value(kb, "Set", task.world, "heap_a")
         set_b = itp.build_unit_value(kb, "Set", task.world, "heap_b")
         error, result = _attempt(
-            kb, cls, "OneToOneMap", [set_a, set_b], task.world, task.caller_domain
+            itp.execute, kb, cls, "OneToOneMap", [set_a, set_b], task.world,
+            task.caller_domain,
         )
         if error is not None:
             return error, ()
@@ -563,13 +561,13 @@ def _run_heap_compare(task: Task, kb: Sequence[ir.ConceptUnit]):
         if not access:
             return Outcome.inaccessible(access.reason), ()
         error, first = _attempt(
-            kb, counter, "Counting", [], _with_primary(task.world, "heap_a"),
+            itp.execute, kb, counter, "Counting", [], _with_primary(task.world, "heap_a"),
             task.caller_domain,
         )
         if error is not None:
             return error, ()
         error, second = _attempt(
-            kb, counter, "Counting", [], _with_primary(task.world, "heap_b"),
+            itp.execute, kb, counter, "Counting", [], _with_primary(task.world, "heap_b"),
             task.caller_domain,
         )
         if error is not None:

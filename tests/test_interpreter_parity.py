@@ -10,8 +10,8 @@ behaviour:
     PYTHONPATH=src python tests/test_interpreter_parity.py
 
 Every cell runs twice on the same fresh copies of the canonical units:
-the first run takes the walker for each operation's first call, the
-second takes the compiled bodies the first run left behind.
+the first run walks each recorded script on its first call and compiles
+every other body, the second runs the compiled bodies throughout.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def test_step_limit_boundary_on_both_tiers(level, slices):
         units, name, world, domain = _counting_case(slices, level, size)
         steps = _run_counting(fresh(units), name, world, domain).steps
 
-        # walked: every check on operations that have never run
+        # first calls: every check on operations that have never run
         assert _run_counting(fresh(units), name, world, domain, step_limit=steps).steps == steps
         with pytest.raises(itp.StepLimitExceeded):
             _run_counting(fresh(units), name, world, domain, step_limit=steps - 1)
@@ -332,6 +332,19 @@ def test_probe_outcomes_match_between_tiers(name):
     assert outcomes[0][0] == raises
     assert outcomes[0] == outcomes[1]
     assert outcomes[0] == PROBE_OUTCOMES[name]
+
+
+def test_only_a_script_is_walked_on_its_first_call():
+    """A body of setup facts and actions waits for its second call to
+    compile; any other body compiles on its first."""
+    _, script = _probe(None, [ir.ActionStmt("Move", _I(0), ())])
+    _, branching = _probe(None, [ir.IfStmt(_B(False), (), ())])
+    world = itp.World({"ME": ("Person", None)}, {}, {}, 0)
+    for units, compiled_after in ((script, (False, True)), (branching, (True, True))):
+        run = units[0].operation("Run")
+        for expected in compiled_after:
+            itp.execute(units, units[0], "Run", [], world, "numbers")
+            assert (itp.compiled_body(run) is not None) is expected
 
 
 def test_shared_operation_rechecks_access_for_a_new_caller():
