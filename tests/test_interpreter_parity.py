@@ -17,6 +17,7 @@ every other body, the second runs the compiled bodies throughout.
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 from pathlib import Path
 
@@ -332,6 +333,183 @@ def test_probe_outcomes_match_between_tiers(name):
     assert outcomes[0][0] == raises
     assert outcomes[0] == outcomes[1]
     assert outcomes[0] == PROBE_OUTCOMES[name]
+
+
+_SCRIPT_WORLD = itp.World(
+    {
+        "ME": ("Person", None),
+        "HAND": ("Hand", None),
+        "ROOM1": ("Room", None),
+        "TABLE1": ("Table", None),
+        "APPLE1": ("Apple", "a"),
+        "APPLE2": ("Apple", "a"),
+        "PENCIL1": ("Pencil", "p"),
+    },
+    {"a": "Line", "p": "Square"},
+    {"a": ("APPLE1", "APPLE2"), "p": ("PENCIL1",)},
+    0,
+)
+_SCRIPT_ATTRS = (
+    _attr("one", "Sound", "one"),
+    _attr("ME", "Person", "ME"),
+    _attr("ROOM1", "Room", "ROOM1"),
+    _attr("TABLE1", "Table", "TABLE1"),
+    _attr("APPLE1", "Apple", "APPLE1"),
+    _attr("APPLE2", "Apple", "APPLE2"),
+    _attr("PENCIL1", "Pencil", "PENCIL1"),
+    _attr("GHOST", "Apple", "GHOST"),
+    _attr("HAND", "Hand", "HAND"),
+)
+
+
+def _script(*body):
+    """A script probe: a body of setup facts and actions over named
+    scene entities, walked on its first call."""
+    return _probe(None, body, attrs=_SCRIPT_ATTRS)[1]
+
+
+def _act(verb, *args, recv="ME"):
+    return ir.ActionStmt(verb, _N(recv), tuple(_N(a) for a in args))
+
+
+def _moves(count):
+    return _script(*(_act("Move", "HAND") for _ in range(count)))
+
+
+SCRIPT_PROBES = {
+    "episode": _script(
+        ir.SetupStmt("In", ("ME", "ROOM1")),
+        ir.SetupStmt("On", ("APPLE1", "TABLE1")),
+        ir.SetupStmt("InLine", ("APPLE1", "APPLE2")),
+        _act("Move", "HAND"),
+        _act("PointTo", "APPLE1"),
+        _act("Say", "one"),
+        _act("TakeAway", "APPLE2"),
+    ),
+    "in-non-entity": _script(ir.SetupStmt("In", ("one", "ROOM1"))),
+    "on-missing-entity": _script(ir.SetupStmt("On", ("GHOST", "TABLE1"))),
+    "inline-out-of-order": _script(ir.SetupStmt("InLine", ("APPLE2", "APPLE1"))),
+    "inline-not-a-line": _script(ir.SetupStmt("InLine", ("PENCIL1",))),
+    "action-on-unbound-receiver": _script(_act("PointTo", "APPLE1", recv="nobody")),
+    "action-on-unbound-argument": _script(_act("PointTo", "nobody")),
+    "step-limit-reached": _moves(50),
+    "step-limit-exceeded": _moves(51),
+    "move-without-argument": _script(_act("Move")),
+    "say-entity": _script(_act("Say", "APPLE1")),
+    "point-to-token": _script(_act("PointTo", "one")),
+}
+
+# Each script probe's outcome, frozen from the tree walker.
+SCRIPT_OUTCOMES = {
+    "episode": (
+        None, "Nothing", 7, "1\tMoved\t\n2\tPointedTo\tAPPLE1\n3\tSaid\tone\n4\tTookAway\tAPPLE2\n"
+    ),
+    "in-non-entity": ("SetupMismatch", "In: 'one' is not an entity"),
+    "on-missing-entity": ("SetupMismatch", "On: 'GHOST' is not in the scene"),
+    "inline-out-of-order": (
+        "SetupMismatch", "InLine: container 'a' does not hold exactly these entities in order"
+    ),
+    "inline-not-a-line": ("SetupMismatch", "InLine: group 'p' is not arranged in a line"),
+    "action-on-unbound-receiver": ("UnboundName", "'nobody' is not bound in Probe"),
+    "action-on-unbound-argument": ("UnboundName", "'nobody' is not bound in Probe"),
+    "step-limit-reached": (None, "Nothing", 50, "".join(f"{i}\tMoved\t\n" for i in range(1, 51))),
+    "step-limit-exceeded": ("StepLimitExceeded", "exceeded 50 steps"),
+    "move-without-argument": (None, "Nothing", 1, "1\tMoved\t\n"),
+    "say-entity": ("TypeMismatch", "Say takes one sound token"),
+    "point-to-token": ("TypeMismatch", "PointTo takes one entity"),
+}
+
+
+def _outcome(run):
+    try:
+        r = run()
+    except itp.ExecError as exc:
+        return type(exc).__name__, str(exc)
+    return None, repr(r.value), r.steps, itp.format_trace(r.trace)
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_PROBES))
+def test_script_outcomes_match_between_tiers(name):
+    """Scripts: the walked first run and the compiled second run both
+    report the frozen outcome."""
+    units = fresh(SCRIPT_PROBES[name])
+    probe = units[0]
+    run = probe.operation("Run")
+    outcomes = []
+    for compiled in (False, True):
+        outcomes.append(_outcome(
+            lambda: itp.execute(units, probe, "Run", [], _SCRIPT_WORLD, "numbers", step_limit=50)
+        ))
+        assert (itp.compiled_body(run) is not None) is compiled
+    assert outcomes[0] == outcomes[1] == SCRIPT_OUTCOMES[name]
+
+
+_GROW_DOMAINS = {
+    "apples": "Apple", "pencils": "Pencil", "cups": "Cup",
+    "marbles": "Marble", "candies": "Candy", "bananas": "Banana",
+}
+
+
+def _grow_episode(rng):
+    """A counting demonstration of grow's shape; about one in five
+    takes away an entity the scene lacks, and about one in five is
+    replayed on a scene without one of the counted objects."""
+    domain = rng.choice(sorted(_GROW_DOMAINS))
+    size = rng.randint(2, 20)
+    kind = _GROW_DOMAINS[domain]
+    entities = {
+        "ME": ("Person", None),
+        "HAND": ("Hand", None),
+        "ROOM1": ("Room", None),
+        "TABLE1": ("Table", None),
+    }
+    ids = tuple(f"{kind.upper()}{i}" for i in range(1, size + 1))
+    for eid in ids:
+        entities[eid] = (kind, domain)
+    world = itp.World(entities, {domain: "Line"}, {domain: ids}, rng.randrange(1 << 30))
+    events = []
+    for eid, numeral in zip(ids, ir.NUMERALS[:size]):
+        events += [("Moved", None), ("PointedTo", eid), ("Said", numeral)]
+    events.append(("Said", ir.NUMERALS[size - 1]))
+    if rng.random() < 0.2:
+        events.insert(rng.randrange(len(events) + 1), ("TookAway", "GHOST"))
+    if rng.random() < 0.2:
+        events.append(("TookAway", rng.choice(ids)))
+    trace = tuple(itp.TraceEvent(i, verb, arg) for i, (verb, arg) in enumerate(events, 1))
+    replay_world = world
+    if rng.random() < 0.2:
+        gone = rng.choice(ids)
+        replay_world = itp.World(
+            {e: v for e, v in entities.items() if e != gone},
+            world.arrangements,
+            {domain: tuple(e for e in ids if e != gone)},
+            world.rng_seed,
+        )
+    return domain, world, trace, replay_world
+
+
+def test_recordings_replay_alike_walked_and_compiled():
+    """200 recorded episodes: the first, walked replay and the second,
+    compiled replay give the same result or the same error."""
+    rng = random.Random(20)
+    kb = kbmod.KnowledgeBase()
+    kinds = set()
+    for _ in range(200):
+        domain, world, trace, replay_world = _grow_episode(rng)
+        unit = kb.record_instance(trace, world, domain)
+        op = unit.operations[0]
+        outcomes = []
+        for _ in range(2):
+            try:
+                r = itp.replay_instance((unit,), unit, replay_world)
+            except itp.ExecError as exc:
+                outcomes.append((type(exc).__name__, str(exc)))
+            else:
+                outcomes.append((None, r.trace, r.value, r.steps, r.world))
+        assert itp.compiled_body(op) is not None
+        assert outcomes[0] == outcomes[1], unit.name
+        kinds.add(outcomes[0][0])
+    assert kinds == {None, "UnboundName", "SetupMismatch"}
 
 
 def test_only_a_script_is_walked_on_its_first_call():
