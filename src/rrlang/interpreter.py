@@ -26,10 +26,13 @@ at entry so every operation gets a fresh view of the collections.
 Operation bodies run on one of two tiers with identical results, steps
 and errors, chosen by the body's shape and its call count:
 
-* the tree walker (`_Machine.exec_block`) plays a script, a body of
-  setup facts and atomic actions only (`ir.is_script`), on its first
-  call. Scripts are replayed recordings, and most run once, so
-  compiling them would cost more than walking them;
+* the tree walker plays a script, a body of setup facts and atomic
+  actions only (`ir.is_script`), on its first call. Scripts are
+  replayed recordings, and most run once, so compiling them would cost
+  more than walking them. The walker is one loop, `_Machine.exec_block`,
+  which counts each statement's step, checks setup facts, and puts the
+  well-typed PointTo, Say and Move of a recording straight onto the
+  trace; any other action goes through `eval_primitive`;
 * every other body, and a script from its second call on, runs as
   Python closures compiled once per Operation (see "Closure tier"
   below). Node kinds, primitive verbs and name scopes are settled at
@@ -391,17 +394,17 @@ class _Machine:
 
     def _literal_value(self, attr: ir.Attribute) -> Value:
         lit = attr.const
-        assert lit is not None
-        if lit.is_int:
-            return IntVal(lit.value)
-        if lit.is_symbols:
-            return SeqVal([TokenVal(sym) for sym in lit.value])
+        if lit.value.__class__ is not str:  # every constant of a recording is a symbol
+            if lit.is_int:
+                return IntVal(lit.value)
+            if lit.is_symbols:
+                return SeqVal([TokenVal(sym) for sym in lit.value])
         if attr.type_ref in ir.TOKEN_TYPES or attr.type_ref in ir.SCALAR_TYPES:
             return TokenVal(lit.value)
         return EntityVal(lit.value)
 
     def _bind_attribute(self, unit: ConceptUnit, attr: ir.Attribute, used: set[str]):
-        if attr.is_const:
+        if attr.const is not None:
             return self._literal_value(attr)
         t = attr.type_ref
         if t in ir.SET_TYPES:
@@ -694,20 +697,44 @@ class _Machine:
     # -- statements
 
     def exec_block(self, frame: _Frame, body: Sequence[Stmt]) -> None:
-        """Walk a script (see ir.is_script), one step per statement."""
-        for stmt in body:
-            self.tick()
-            self.exec_stmt(frame, stmt)
+        """Walk a script (see ir.is_script), one step per statement.
 
-    def exec_stmt(self, frame: _Frame, stmt: SetupStmt | ActionStmt) -> None:
-        """Run one statement of a script; its step was counted by the
-        enclosing block."""
-        if type(stmt) is SetupStmt:
-            self.check_setup(stmt, frame)
-        else:
-            recv = self.eval(frame, stmt.recv)
-            args = [self.eval(frame, a) for a in stmt.args]
-            self.eval_primitive(stmt.verb, recv, args)
+        A name operand is looked up directly, and PointTo of an entity in
+        the scene, Say of a token and Move go straight onto the trace.
+        Any other operand or action, well typed or not, goes through eval
+        and eval_primitive, so every error stays theirs.
+        """
+        lookup = self.lookup
+        trace = self.trace
+        for stmt in body:
+            if self.steps < self.step_limit:
+                self.steps += 1
+            else:
+                self.tick()
+            if stmt.__class__ is SetupStmt:
+                self.check_setup(stmt, frame)
+                continue
+            recv = stmt.recv
+            recv = lookup(frame, recv.name) if recv.__class__ is NameExpr else self.eval(frame, recv)
+            args = [
+                lookup(frame, a.name) if a.__class__ is NameExpr else self.eval(frame, a)
+                for a in stmt.args
+            ]
+            verb = stmt.verb
+            if len(args) == 1:
+                arg = args[0]
+                if verb == "PointTo":
+                    if arg.__class__ is EntityVal and arg.entity in self.entities:
+                        trace.append(TraceEvent(len(trace) + 1, "PointedTo", arg.entity))
+                        continue
+                elif verb == "Say":
+                    if arg.__class__ is TokenVal:
+                        trace.append(TraceEvent(len(trace) + 1, "Said", arg.token))
+                        continue
+            if verb == "Move":
+                trace.append(TraceEvent(len(trace) + 1, "Moved", None))
+                continue
+            self.eval_primitive(verb, recv, args)
 
     @staticmethod
     def _default_local(type_ref: str) -> Value:

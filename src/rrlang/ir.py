@@ -502,13 +502,12 @@ def walk(body: Iterable[Stmt]):
     """Every statement of body, nested bodies included, in source order."""
     for stmt in body:
         yield stmt
-        if isinstance(stmt, WhileStmt):
+        kind = stmt.__class__  # statement records have no subclasses
+        if kind is WhileStmt or kind is BlockStmt:
             yield from walk(stmt.body)
-        elif isinstance(stmt, IfStmt):
+        elif kind is IfStmt:
             yield from walk(stmt.then)
             yield from walk(stmt.orelse)
-        elif isinstance(stmt, BlockStmt):
-            yield from walk(stmt.body)
 
 
 _SCRIPT_STATEMENTS = frozenset((SetupStmt, ActionStmt))
@@ -554,14 +553,17 @@ def validate(unit: ConceptUnit) -> list[Diagnostic]:
         if len(params) != len(set(params)):
             bad("duplicate-param", "parameter names must be distinct", op.name)
         for stmt in walk(op.body):
-            if isinstance(stmt, ReturnStmt) and stmt.value is not None:
+            kind = stmt.__class__
+            if kind is ActionStmt:  # no rule below concerns an action
+                continue
+            if kind is ReturnStmt and stmt.value is not None:
                 if op.returns is None:
                     bad("return-in-void", "returns a value from a void operation", op.name)
-            if isinstance(stmt, WhileStmt) and not stmt.body:
+            elif kind is WhileStmt and not stmt.body:
                 bad("empty-loop", "loop body is empty", op.name)
-            if isinstance(stmt, SetupStmt) and unit.level is not Level.I:
+            elif kind is SetupStmt and unit.level is not Level.I:
                 bad("setup-above-i", "setup facts belong to level I recordings", op.name)
-            if isinstance(stmt, BlockStmt) and unit.level is not Level.E1:
+            elif kind is BlockStmt and unit.level is not Level.E1:
                 bad("block-outside-e1", "inline labeled blocks are an E1-only form", op.name)
 
     if unit.friends and unit.level.rank < Level.E2.rank:

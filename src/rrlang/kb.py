@@ -187,13 +187,14 @@ class KnowledgeBase:
         actions verbatim."""
         if not trace:
             raise EmptyTrace("nothing happened; there is no episode to record")
-        said: list[str] = []
-        pointed: list[str] = []
+        # insertion-ordered sets: first mention order, one entry each
+        said: dict[str, None] = {}
+        pointed: dict[str, None] = {}
         for event in trace:
-            if event.verb == "Said" and event.arg not in said:
-                said.append(event.arg)
-            elif event.verb == "PointedTo" and event.arg not in pointed:
-                pointed.append(event.arg)
+            if event.verb == "Said":
+                said[event.arg] = None
+            elif event.verb == "PointedTo":
+                pointed[event.arg] = None
         agent = next(
             (e for e, (kind, _) in world.entities.items() if kind in ir.AGENT_TYPES),
             None,
@@ -219,7 +220,7 @@ class KnowledgeBase:
         for eid in pointed:
             for table in tables:
                 body.append(self._setup("On", (eid, table)))
-        group = world.entities[pointed[0]][1] if pointed else None
+        group = world.entities[next(iter(pointed))][1] if pointed else None
         if group is not None and world.arrangements.get(group) == "Line":
             body.append(self._setup("InLine", tuple(world.containers[group])))
         for event in trace:
