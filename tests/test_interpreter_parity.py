@@ -148,10 +148,10 @@ def test_step_limit_boundary_on_both_tiers(level, slices):
             _run_counting(warm, name, world, domain, step_limit=steps - 1)
 
 
-def _probe(raises, body, *, attrs=(), extra_ops=(), others=()):
+def _probe(raises, body, *, attrs=(), extra_ops=(), others=(), params=()):
     """A unit Probe whose Run executes body, and the name of the error
     Run raises (None when it returns)."""
-    run = ir.Operation("Run", (), None, ir.Visibility.PUBLIC, tuple(body))
+    run = ir.Operation("Run", tuple(params), None, ir.Visibility.PUBLIC, tuple(body))
     probe = ir.ConceptUnit(
         "Probe", ir.UnitKind.CLASS, ir.Level.E3, "numbers",
         attributes=tuple(attrs), operations=(run, *extra_ops),
@@ -166,6 +166,16 @@ def _attr(name, type_ref, const=None):
 
 def _op(name, *body, params=(), visibility=ir.Visibility.PUBLIC):
     return ir.Operation(name, tuple(params), None, visibility, tuple(body))
+
+
+def _takes(type_ref, arg, **kwargs):
+    """A probe whose Run passes arg to Takes(p: type_ref)."""
+    return _probe(
+        "TypeMismatch",
+        [ir.CallStmt(None, "Takes", (arg,))],
+        extra_ops=[_op("Takes", params=[ir.Param("p", type_ref)])],
+        **kwargs,
+    )
 
 
 _I, _B, _N = ir.IntExpr, ir.BoolExpr, ir.NameExpr
@@ -215,6 +225,20 @@ PROBES = {
         [ir.CallStmt(None, "Takes", (_B(True),))],
         extra_ops=[_op("Takes", params=[ir.Param("n", "int")])],
     ),
+    # one rejection per parameter type that _check_param distinguishes
+    "param-boolean": _takes("Boolean", _I(1)),
+    "param-token": _takes("Sound", _I(1)),
+    "param-agent-of-another-kind": _takes("Person", _N("A"), attrs=[_attr("A", "APPLE", "APPLE1")]),
+    "param-element-not-entity": _takes("APPLE", _I(1)),
+    "param-set-not-collection": _takes("APP_Set", _I(1)),
+    "param-token-list-of-entities": _takes("intList", ir.ListExpr(("APPLE1",))),
+    "param-set-of-tokens": _takes("APP_Set", ir.ListExpr(("one",))),
+    "param-set-of-another-kind": _takes("APP_Set", ir.ListExpr(("ME",))),
+    "param-unit-of-another-class": _takes(
+        "Other", _N("o"), attrs=[_attr("o", "Hiding")],
+        others=[_SECRET, ir.replace(_HIDING_GLOBALS, name="Hiding")],
+    ),
+    "param-unknown-type": _takes("Gizmo", _I(1)),
     "primitive-without-receiver": _probe(
         "TypeMismatch", [ir.ReturnStmt(ir.CallExpr(None, "Next", ()))]
     ),
@@ -294,6 +318,24 @@ PROBE_OUTCOMES = {
     "less-than-nothing": ("TypeMismatch", "< needs integer operands"),
     "next-of-int": ("TypeMismatch", "Next needs an ordered collection receiver"),
     "not-not-boolean": ("TypeMismatch", "! needs a Boolean operand"),
+    "param-agent-of-another-kind": (
+        "TypeMismatch", "Probe.Takes(p: Person) does not accept a Apple entity"
+    ),
+    "param-boolean": ("TypeMismatch", "Probe.Takes(p: Boolean) does not accept IntVal"),
+    "param-element-not-entity": ("TypeMismatch", "Probe.Takes(p: APPLE) does not accept IntVal"),
+    "param-set-not-collection": ("TypeMismatch", "Probe.Takes(p: APP_Set) does not accept IntVal"),
+    "param-set-of-another-kind": (
+        "TypeMismatch", "Probe.Takes(p: APP_Set) does not accept a collection holding Person entities"
+    ),
+    "param-set-of-tokens": (
+        "TypeMismatch", "Probe.Takes(p: APP_Set) does not accept a collection of non-entities"
+    ),
+    "param-token": ("TypeMismatch", "Probe.Takes(p: Sound) does not accept IntVal"),
+    "param-token-list-of-entities": (
+        "TypeMismatch", "Probe.Takes(p: intList) does not accept a collection of non-tokens"
+    ),
+    "param-unit-of-another-class": ("TypeMismatch", "Probe.Takes(p: Other) does not accept UnitVal"),
+    "param-unknown-type": ("TypeMismatch", "Probe.Takes(p: Gizmo): unknown parameter type"),
     "plus-not-integer": ("TypeMismatch", "+ needs integer operands"),
     "point-to-ghost": ("UnboundName", "PointTo: unknown entity 'GHOST'"),
     "point-to-int": ("TypeMismatch", "PointTo takes one entity"),
@@ -362,10 +404,10 @@ _SCRIPT_ATTRS = (
 )
 
 
-def _script(*body):
+def _script(*body, attrs=(), params=()):
     """A script probe: a body of setup facts and actions over named
     scene entities, walked on its first call."""
-    return _probe(None, body, attrs=_SCRIPT_ATTRS)[1]
+    return _probe(None, body, attrs=_SCRIPT_ATTRS + tuple(attrs), params=params)[1]
 
 
 def _act(verb, *args, recv="ME"):
@@ -397,7 +439,16 @@ SCRIPT_PROBES = {
     "move-without-argument": _script(_act("Move")),
     "say-entity": _script(_act("Say", "APPLE1")),
     "point-to-token": _script(_act("PointTo", "one")),
+    "point-to-parameter": _script(_act("PointTo", "a"), params=[ir.Param("a", "APPLE")]),
+    # a non-name operand is compiled in place by the walker
+    "say-next-word": _script(
+        *(ir.ActionStmt("Say", _N("ME"), (ir.CallExpr(_N("words"), "Next", ()),)),) * 2,
+        attrs=[_attr("words", "intList", ("one", "two"))],
+    ),
 }
+
+# The arguments Run takes in the script probes that declare parameters.
+SCRIPT_ARGS = {"point-to-parameter": [itp.EntityVal("APPLE2")]}
 
 # Each script probe's outcome, frozen from the tree walker.
 SCRIPT_OUTCOMES = {
@@ -417,6 +468,8 @@ SCRIPT_OUTCOMES = {
     "move-without-argument": (None, "Nothing", 1, "1\tMoved\t\n"),
     "say-entity": ("TypeMismatch", "Say takes one sound token"),
     "point-to-token": ("TypeMismatch", "PointTo takes one entity"),
+    "point-to-parameter": (None, "Nothing", 1, "1\tPointedTo\tAPPLE2\n"),
+    "say-next-word": (None, "Nothing", 2, "1\tSaid\tone\n2\tSaid\ttwo\n"),
 }
 
 
@@ -435,10 +488,11 @@ def test_script_outcomes_match_between_tiers(name):
     units = fresh(SCRIPT_PROBES[name])
     probe = units[0]
     run = probe.operation("Run")
+    args = SCRIPT_ARGS.get(name, [])
     outcomes = []
     for compiled in (False, True):
         outcomes.append(_outcome(
-            lambda: itp.execute(units, probe, "Run", [], _SCRIPT_WORLD, "numbers", step_limit=50)
+            lambda: itp.execute(units, probe, "Run", args, _SCRIPT_WORLD, "numbers", step_limit=50)
         ))
         assert (itp.compiled_body(run) is not None) is compiled
     assert outcomes[0] == outcomes[1] == SCRIPT_OUTCOMES[name]
