@@ -24,14 +24,16 @@ unit values pass by reference, with their list fields' cursors reset
 at entry so every operation gets a fresh view of the collections.
 
 Operation bodies run on one of two tiers with identical results, steps
-and errors, chosen by the body's shape and its call count:
+and errors, chosen by the body's shape and its call count. Both share
+one expression evaluator, the closure compiler `_compile_expr`:
 
 * the tree walker plays a script, a body of setup facts and atomic
   actions only (`ir.is_script`), on its first call. Scripts are
   replayed recordings, and most run once, so compiling them would cost
   more than walking them. The walker is one loop, `_Machine.exec_block`,
-  which counts each statement's step, checks setup facts, and puts the
-  well-typed PointTo, Say and Move of a recording straight onto the
+  which counts each statement's step, checks setup facts, looks a name
+  operand up directly and compiles any other operand in place, and puts
+  the well-typed PointTo, Say and Move of a recording straight onto the
   trace; any other action goes through `eval_primitive`;
 * every other body, and a script from its second call on, runs as
   Python closures compiled once per Operation (see "Closure tier"
@@ -502,9 +504,6 @@ class _Machine:
         raise UnboundName(f"{name!r} is not bound in {frame.unit.name}")
 
     def assign(self, frame: _Frame, name: str, value: Value, site: list | None = None) -> None:
-        if name in frame.locals:
-            frame.locals[name] = value
-            return
         if name in frame.attrs:
             if frame.unit.attribute(name).is_const:
                 raise TypeMismatch(f"{frame.unit.name}.{name} is constant")
@@ -625,28 +624,6 @@ class _Machine:
 
     # -- expressions
 
-    def eval(self, frame: _Frame, expr: Expr) -> Value:
-        if isinstance(expr, IntExpr):
-            return IntVal(expr.value)
-        if isinstance(expr, BoolExpr):
-            return BoolVal(expr.value)
-        if isinstance(expr, NullExpr):
-            return NOTHING
-        if isinstance(expr, NameExpr):
-            return self.lookup(frame, expr.name)
-        if isinstance(expr, ListExpr):
-            return SeqVal([self._list_element(frame, name) for name in expr.names])
-        if isinstance(expr, FieldExpr):
-            return self.field_of(frame, self.eval(frame, expr.recv), expr.name)
-        if isinstance(expr, CallExpr):
-            return self._eval_call(frame, expr)
-        if isinstance(expr, NotExpr):
-            return _negate(self.eval(frame, expr.operand))
-        if isinstance(expr, BinExpr):
-            left = self.eval(frame, expr.left)
-            return _binop(expr.op, left, self.eval(frame, expr.right))
-        raise TypeMismatch(f"cannot evaluate {expr!r}")
-
     def _list_element(self, frame: _Frame, name: str) -> Value:
         try:
             return self.lookup(frame, name)
@@ -672,41 +649,20 @@ class _Machine:
             raise TypeMismatch(f"{recv.cls}.{name} is constant")
         recv.fields[name] = value
 
-    def _eval_call(self, frame: _Frame, expr: CallExpr) -> Value:
-        if expr.op in ir.PRIMITIVE_VERBS:
-            if expr.recv is None:
-                raise TypeMismatch(f"{expr.op} needs a receiver")
-            recv = self.eval(frame, expr.recv)
-            args = [self.eval(frame, a) for a in expr.args]
-            return self.eval_primitive(expr.op, recv, args)
-        if expr.recv is None:
-            target = frame.unit
-        elif isinstance(expr.recv, NameExpr) and self._names_unit(frame, expr.recv.name):
-            target = self.units[expr.recv.name]
-        else:
-            raise UnboundName(f"operation {expr.op!r} needs a unit receiver")
-        args = [self.eval(frame, a) for a in expr.args]
-        return self.call_operation(frame.unit, target, expr.op, args)
-
-    def _names_unit(self, frame: _Frame, name: str) -> bool:
-        # A local binding shadows a unit name.
-        if name in frame.locals or name in frame.attrs:
-            return False
-        return name in self.units
-
     # -- statements
 
-    def exec_block(self, frame: _Frame, body: Sequence[Stmt]) -> None:
-        """Walk a script (see ir.is_script), one step per statement.
+    def exec_block(self, frame: _Frame, op: ir.Operation) -> None:
+        """Walk op's body, a script (see ir.is_script), one step per statement.
 
-        A name operand is looked up directly, and PointTo of an entity in
-        the scene, Say of a token and Move go straight onto the trace.
-        Any other operand or action, well typed or not, goes through eval
-        and eval_primitive, so every error stays theirs.
+        A name operand is looked up directly; any other operand is
+        compiled in place by _compile_expr, the one expression evaluator.
+        PointTo of an entity in the scene, Say of a token and Move go
+        straight onto the trace. Any other action, well typed or not,
+        goes through eval_primitive, so every error stays its own.
         """
         lookup = self.lookup
         trace = self.trace
-        for stmt in body:
+        for stmt in op.body:
             if self.steps < self.step_limit:
                 self.steps += 1
             else:
@@ -715,9 +671,13 @@ class _Machine:
                 self.check_setup(stmt, frame)
                 continue
             recv = stmt.recv
-            recv = lookup(frame, recv.name) if recv.__class__ is NameExpr else self.eval(frame, recv)
+            recv = (
+                lookup(frame, recv.name) if recv.__class__ is NameExpr
+                else _compile_expr(recv, _Scope(op))(self, frame)
+            )
             args = [
-                lookup(frame, a.name) if a.__class__ is NameExpr else self.eval(frame, a)
+                lookup(frame, a.name) if a.__class__ is NameExpr
+                else _compile_expr(a, _Scope(op))(self, frame)
                 for a in stmt.args
             ]
             verb = stmt.verb
@@ -738,8 +698,6 @@ class _Machine:
 
     @staticmethod
     def _default_local(type_ref: str) -> Value:
-        if ir.is_collection_type(type_ref):
-            return SeqVal([])
         if type_ref == "int":
             return IntVal(0)
         if type_ref == "Boolean":
@@ -747,15 +705,6 @@ class _Machine:
         return NOTHING
 
     # -- operation calls
-
-    def call_operation(
-        self,
-        caller: ConceptUnit | None,
-        target: ConceptUnit,
-        op_name: str,
-        args: list[Value],
-    ) -> Value:
-        return self.invoke(target, self.resolve_call(caller, target, op_name), args)
 
     def resolve_call(
         self, caller: ConceptUnit | None, target: ConceptUnit, op_name: str
@@ -792,7 +741,7 @@ class _Machine:
         frame = _Frame(target, locals_map, attrs)
         try:
             if code is None:
-                self.exec_block(frame, op.body)
+                self.exec_block(frame, op)
                 return NOTHING
             value = code(self, frame)
             return NOTHING if value is None else value
@@ -843,38 +792,6 @@ class _Machine:
                 reject(type(value).__name__)
         else:
             raise TypeMismatch(f"{where}: unknown parameter type")
-
-
-def _truth(value: Value, complaint: str) -> bool:
-    if not isinstance(value, BoolVal):
-        raise TypeMismatch(complaint)
-    return value.value
-
-
-def _negate(value: Value) -> BoolVal:
-    return BoolVal(not _truth(value, "! needs a Boolean operand"))
-
-
-def _binop(op: str, left: Value, right: Value) -> Value:
-    if op == "==":
-        return BoolVal(values_equal(left, right))
-    if op == "!=":
-        return BoolVal(not values_equal(left, right))
-    if not (isinstance(left, IntVal) and isinstance(right, IntVal)):
-        raise TypeMismatch(f"{op} needs integer operands")
-    if op == "+":
-        return IntVal(left.value + right.value)
-    if op == "-":
-        return IntVal(left.value - right.value)
-    if op == "<":
-        return BoolVal(left.value < right.value)
-    if op == ">":
-        return BoolVal(left.value > right.value)
-    if op == "<=":
-        return BoolVal(left.value <= right.value)
-    if op == ">=":
-        return BoolVal(left.value >= right.value)
-    raise TypeMismatch(f"unknown operator {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -966,7 +883,7 @@ def _compile_stmt(stmt: Stmt, scope: _Scope):
         def if_(m, f):
             c = cond(m, f)
             if c.__class__ is not BoolVal:
-                _truth(c, "if needs a Boolean condition")
+                raise TypeMismatch("if needs a Boolean condition")
             return then(m, f) if c.value else orelse(m, f)
 
         return if_
@@ -994,11 +911,7 @@ def _compile_stmt(stmt: Stmt, scope: _Scope):
             m.check_setup(stmt, f)
 
         return setup
-
-    def unknown(m, f):
-        raise TypeMismatch(f"cannot execute {stmt!r}")
-
-    return unknown
+    return _raising(TypeMismatch, f"cannot execute {stmt!r}")
 
 
 def _compile_while(stmt: WhileStmt, scope: _Scope):
@@ -1013,7 +926,7 @@ def _compile_while(stmt: WhileStmt, scope: _Scope):
                 m.tick()
             c = cond(m, f)
             if c.__class__ is not BoolVal:
-                _truth(c, "while needs a Boolean condition")
+                raise TypeMismatch("while needs a Boolean condition")
             if not c.value:
                 return None
             for s in body:
@@ -1075,13 +988,14 @@ def _compile_expr(expr: Expr, scope: _Scope):
     if kind is NameExpr:
         return _compile_name(expr.name, scope)
     if kind is CallExpr:
-        if expr.op in ir.PRIMITIVE_VERBS and expr.recv is not None:
-            return _compile_primitive(expr.op, expr.recv, expr.args, scope, NOTHING)
-        if expr.op not in ir.PRIMITIVE_VERBS and (
-            expr.recv is None or type(expr.recv) is NameExpr
-        ):
+        if expr.op in ir.PRIMITIVE_VERBS:
+            if expr.recv is not None:
+                return _compile_primitive(expr.op, expr.recv, expr.args, scope, NOTHING)
+            return _raising(TypeMismatch, f"{expr.op} needs a receiver")
+        if expr.recv is None or type(expr.recv) is NameExpr:
             recv = None if expr.recv is None else expr.recv.name
             return _compile_call(recv, expr.op, expr.args, scope, NOTHING)
+        return _raising(UnboundName, f"operation {expr.op!r} needs a unit receiver")
     elif kind is FieldExpr:
         return _compile_field(expr, scope)
     elif kind is BinExpr:
@@ -1101,13 +1015,22 @@ def _compile_expr(expr: Expr, scope: _Scope):
             v = operand(m, f)
             if v.__class__ is BoolVal:
                 return _FALSE if v.value else _TRUE
-            return _negate(v)
+            raise TypeMismatch("! needs a Boolean operand")
 
         return not_
     elif kind is ListExpr:
         names = expr.names
         return lambda m, f: SeqVal([m._list_element(f, name) for name in names])
-    return lambda m, f: m.eval(f, expr)
+    return _raising(TypeMismatch, f"cannot evaluate {expr!r}")
+
+
+def _raising(error: type[ExecError], message: str):
+    """The closure of a node that cannot run: it raises a fresh error on
+    each call, before any operand is evaluated."""
+    def fail(m, f):
+        raise error(message)
+
+    return fail
 
 
 def _compile_name(name: str, scope: _Scope):
@@ -1164,16 +1087,24 @@ def _compile_binop(expr: BinExpr, scope: _Scope):
         return lambda m, f: _FALSE if values_equal(left(m, f), right(m, f)) else _TRUE
     compute = _INT_OPS.get(op)
     if compute is None:
-        return lambda m, f: _binop(op, left(m, f), right(m, f))
+        return lambda m, f: _binop_error(op, left(m, f), right(m, f))
 
     def arith(m, f):
         a = left(m, f)
         b = right(m, f)
         if a.__class__ is IntVal and b.__class__ is IntVal:
             return compute(a.value, b.value)
-        return _binop(op, a, b)
+        return _binop_error(op, a, b)
 
     return arith
+
+
+def _binop_error(op: str, left: Value, right: Value):
+    """Raise the error of an operator that no closure computed: an
+    unknown one, or an integer one on other operands."""
+    if isinstance(left, IntVal) and isinstance(right, IntVal):
+        raise TypeMismatch(f"unknown operator {op!r}")
+    raise TypeMismatch(f"{op} needs integer operands")
 
 
 _INT_OPS = {
@@ -1384,7 +1315,7 @@ def execute(
         raise UnboundName(exc.args[0]) from exc
     if not visibility_probe:
         raise AccessViolation(visibility_probe.reason)
-    value = machine.call_operation(None, target, op, list(args))
+    value = machine.invoke(target, machine.resolve_call(None, target, op), list(args))
     return ExecResult(
         trace=tuple(machine.trace),
         value=value,
