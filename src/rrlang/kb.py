@@ -184,17 +184,24 @@ class KnowledgeBase:
     ) -> ir.ConceptUnit:
         """Code one episode independently: constants for everything the
         episode touched, setup predicates from the scene, and the
-        actions verbatim."""
+        actions verbatim. An event that names an entity the scene lacks
+        is refused before anything is stored or shared."""
         if not trace:
             raise EmptyTrace("nothing happened; there is no episode to record")
         # insertion-ordered sets: first mention order, one entry each
         said: dict[str, None] = {}
         pointed: dict[str, None] = {}
         for event in trace:
-            if event.verb == "Said":
+            verb = event.verb
+            if verb == "Said":
                 said[event.arg] = None
-            elif event.verb == "PointedTo":
-                pointed[event.arg] = None
+            elif verb == "PointedTo" or verb == "TookAway":
+                if event.arg not in world.entities:
+                    raise KbError(
+                        f"event {event.seq}: {verb} {event.arg!r} is not in the scene"
+                    )
+                if verb == "PointedTo":
+                    pointed[event.arg] = None
         agent = next(
             (e for e, (kind, _) in world.entities.items() if kind in ir.AGENT_TYPES),
             None,
@@ -405,7 +412,13 @@ class KnowledgeBase:
                     raise ManifestError(str(exc), str(manifest)) from exc
             elif parts[0] == "log" and len(parts) == 5:
                 _, unit_name, task, outcome, tick = parts
-                kb.log.append(LogEntry(unit_name, task, outcome, int(tick)))
+                try:
+                    tick = int(tick)
+                except ValueError:
+                    raise ManifestError(
+                        f"line {lineno}: tick {tick!r} is not an integer", str(manifest)
+                    ) from None
+                kb.log.append(LogEntry(unit_name, task, outcome, tick))
             else:
                 raise ManifestError(
                     f"line {lineno}: unrecognized row {line!r}", str(manifest)

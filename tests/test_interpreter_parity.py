@@ -506,8 +506,9 @@ _GROW_DOMAINS = {
 
 def _grow_episode(rng):
     """A counting demonstration of grow's shape; about one in five
-    takes away an entity the scene lacks, and about one in five is
-    replayed on a scene without one of the counted objects."""
+    takes away an entity the scene lacks, which the recorder refuses,
+    and about one in five is replayed on a scene without one of the
+    counted objects."""
     domain = rng.choice(sorted(_GROW_DOMAINS))
     size = rng.randint(2, 20)
     kind = _GROW_DOMAINS[domain]
@@ -544,12 +545,18 @@ def _grow_episode(rng):
 
 def test_recordings_replay_alike_walked_and_compiled():
     """200 recorded episodes: the first, walked replay and the second,
-    compiled replay give the same result or the same error."""
+    compiled replay give the same result or the same error. An episode
+    that names an entity outside its scene is refused when recorded."""
     rng = random.Random(20)
     kb = kbmod.KnowledgeBase()
     kinds = set()
     for _ in range(200):
         domain, world, trace, replay_world = _grow_episode(rng)
+        if any(event.arg == "GHOST" for event in trace):
+            with pytest.raises(kbmod.KbError, match="'GHOST' is not in the scene"):
+                kb.record_instance(trace, world, domain)
+            kinds.add("KbError")
+            continue
         unit = kb.record_instance(trace, world, domain)
         op = unit.operations[0]
         outcomes = []
@@ -563,7 +570,7 @@ def test_recordings_replay_alike_walked_and_compiled():
         assert itp.compiled_body(op) is not None
         assert outcomes[0] == outcomes[1], unit.name
         kinds.add(outcomes[0][0])
-    assert kinds == {None, "UnboundName", "SetupMismatch"}
+    assert kinds == {None, "KbError", "SetupMismatch"}
 
 
 def test_only_a_script_is_walked_on_its_first_call():

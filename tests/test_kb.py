@@ -146,6 +146,16 @@ class TestRecording:
         )
         assert ir.units_equal(first, second, ignore_names=True)
 
+    @pytest.mark.parametrize("verb", ["PointedTo", "TookAway"])
+    def test_an_entity_outside_the_scene_is_refused(self, verb):
+        kb = kbmod.KnowledgeBase()
+        trace = replay_four_apples(None)
+        ghost = (*trace, itp.TraceEvent(len(trace) + 1, verb, "GHOST"))
+        with pytest.raises(kbmod.KbError, match=f"event 14: {verb} 'GHOST' is not in the scene"):
+            kb.record_instance(ghost, four_apple_world(), "apples")
+        assert len(kb) == 0 and kb._nodes == {}
+        assert kb.record_instance(trace, four_apple_world(), "apples").name == "Counting_apples_1"
+
     def test_empty_trace_is_no_episode(self):
         kb = kbmod.KnowledgeBase()
         with pytest.raises(kbmod.EmptyTrace):
@@ -384,3 +394,42 @@ class TestPersistence:
         )
         with pytest.raises(kbmod.ManifestError):
             kbmod.KnowledgeBase.load(root)
+
+    def test_missing_unit_file_is_io_failure(self, tmp_path):
+        root = kbmod.KnowledgeBase.canonical().save(tmp_path / "kb")
+        (root / "Counting_E2.rr").unlink()
+        with pytest.raises(kbmod.IoFailure, match="Counting_E2.rr"):
+            kbmod.KnowledgeBase.load(root)
+
+    def test_unreadable_manifest_is_io_failure(self, tmp_path):
+        (tmp_path / "kb" / kbmod.MANIFEST).mkdir(parents=True)
+        with pytest.raises(kbmod.IoFailure, match="cannot read"):
+            kbmod.KnowledgeBase.load(tmp_path / "kb")
+
+    @pytest.mark.parametrize("tamper, complaint", [
+        (lambda rows: [rows[0].replace("\tCountingApples\t", "\tCountingPears\t"), *rows[1:]],
+         "CountingApples_I.rr does not define unit 'CountingPears'"),
+        (lambda rows: [rows[0].replace("\tI\t", "\tE1\t"), *rows[1:]],
+         "CountingApples_I.rr disagrees with the manifest about 'CountingApples'"),
+        (lambda rows: [*rows, rows[0]], "CountingApples at I already stored"),
+        (lambda rows: [*rows, "log\tX\tT1\tSolved\tsoon"], "line 8: tick 'soon' is not an integer"),
+    ], ids=["unit-not-defined", "level-mismatch", "duplicate-unit", "tick-not-integer"])
+    def test_inconsistent_manifest_names_the_fault(self, tmp_path, tamper, complaint):
+        root = kbmod.KnowledgeBase.canonical().save(tmp_path / "kb")
+        manifest = root / kbmod.MANIFEST
+        rows = tamper(manifest.read_text(encoding="utf-8").splitlines())
+        manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(kbmod.ManifestError, match=complaint):
+            kbmod.KnowledgeBase.load(root)
+
+    def test_invalid_kb_is_not_saved(self, tmp_path):
+        kb = kbmod.KnowledgeBase()
+        kb.add_unit(dsl.load_fixture("counting_e2")[0])  # its friend Globals is missing
+        with pytest.raises(kbmod.InvalidUnit, match="friend 'Globals' is not in the set"):
+            kb.save(tmp_path / "kb")
+        assert not (tmp_path / "kb").exists()
+
+    def test_failed_write_is_io_failure(self, tmp_path):
+        (tmp_path / "kb").write_text("not a directory", encoding="utf-8")
+        with pytest.raises(kbmod.IoFailure, match="cannot write"):
+            kbmod.KnowledgeBase.canonical().save(tmp_path / "kb")
