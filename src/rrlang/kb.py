@@ -192,15 +192,14 @@ class KnowledgeBase:
         said: dict[str, None] = {}
         pointed: dict[str, None] = {}
         for event in trace:
-            verb = event.verb
-            if verb == "Said":
+            if event.verb == "Said":
                 said[event.arg] = None
-            elif verb == "PointedTo" or verb == "TookAway":
+            elif event.verb in ("PointedTo", "TookAway"):
                 if event.arg not in world.entities:
                     raise KbError(
-                        f"event {event.seq}: {verb} {event.arg!r} is not in the scene"
+                        f"event {event.seq}: {event.verb} {event.arg!r} is not in the scene"
                     )
-                if verb == "PointedTo":
+                if event.verb == "PointedTo":
                     pointed[event.arg] = None
         agent = next(
             (e for e, (kind, _) in world.entities.items() if kind in ir.AGENT_TYPES),
@@ -414,10 +413,10 @@ class KnowledgeBase:
                 _, unit_name, task, outcome, tick = parts
                 try:
                     tick = int(tick)
-                except ValueError:
+                except ValueError as exc:
                     raise ManifestError(
                         f"line {lineno}: tick {tick!r} is not an integer", str(manifest)
-                    ) from None
+                    ) from exc
                 kb.log.append(LogEntry(unit_name, task, outcome, tick))
             else:
                 raise ManifestError(
