@@ -325,7 +325,8 @@ PROBE_OUTCOMES = {
     "param-element-not-entity": ("TypeMismatch", "Probe.Takes(p: APPLE) does not accept IntVal"),
     "param-set-not-collection": ("TypeMismatch", "Probe.Takes(p: APP_Set) does not accept IntVal"),
     "param-set-of-another-kind": (
-        "TypeMismatch", "Probe.Takes(p: APP_Set) does not accept a collection holding Person entities"
+        "TypeMismatch",
+        "Probe.Takes(p: APP_Set) does not accept a collection holding Person entities",
     ),
     "param-set-of-tokens": (
         "TypeMismatch", "Probe.Takes(p: APP_Set) does not accept a collection of non-entities"
@@ -334,7 +335,9 @@ PROBE_OUTCOMES = {
     "param-token-list-of-entities": (
         "TypeMismatch", "Probe.Takes(p: intList) does not accept a collection of non-tokens"
     ),
-    "param-unit-of-another-class": ("TypeMismatch", "Probe.Takes(p: Other) does not accept UnitVal"),
+    "param-unit-of-another-class": (
+        "TypeMismatch", "Probe.Takes(p: Other) does not accept UnitVal"
+    ),
     "param-unknown-type": ("TypeMismatch", "Probe.Takes(p: Gizmo): unknown parameter type"),
     "plus-not-integer": ("TypeMismatch", "+ needs integer operands"),
     "point-to-ghost": ("UnboundName", "PointTo: unknown entity 'GHOST'"),
