@@ -277,6 +277,52 @@ PROBES = {
         "TypeMismatch", [ir.ActionStmt("Juggle", ir.ListExpr(()), ())]
     ),
     "endless-loop": _probe("StepLimitExceeded", [ir.WhileStmt(_B(True), ())]),
+    # one probe per primitive error the probes above leave open
+    "take-away-uncontained": _probe(
+        "UnboundName",
+        [ir.ActionStmt("TakeAway", _I(0), (_N("M"),))], attrs=[_attr("M", "Person", "ME")]
+    ),
+    "empty-of-int": _probe("TypeMismatch", [ir.ReturnStmt(ir.CallExpr(_I(0), "Empty", ()))]),
+    "first-of-int": _probe("TypeMismatch", [ir.ReturnStmt(ir.CallExpr(_I(0), "First", ()))]),
+    "delete-from-int": _probe("TypeMismatch", [ir.ActionStmt("Delete", _I(0), (_I(1),))]),
+    "select-from-int": _probe(
+        "TypeMismatch", [ir.ReturnStmt(ir.CallExpr(_I(0), "SelectOneRandom", ()))]
+    ),
+    "append-two": _probe(
+        "TypeMismatch", [ir.ActionStmt("Append", ir.ListExpr(()), (_I(1), _I(2)))]
+    ),
+    "delete-two": _probe(
+        "TypeMismatch", [ir.ActionStmt("Delete", ir.ListExpr(()), (_I(1), _I(2)))]
+    ),
+    "next-as-statement": _probe(
+        None, [ir.ActionStmt("Next", ir.ListExpr(("APPLE1",)), ())]
+    ),
+    # compiled-tier paths that no other test runs
+    "bare-return": _probe(
+        None, [ir.ReturnStmt(None), ir.ActionStmt("Move", _I(0), ())]
+    ),
+    "return-inside-while": _probe(
+        None, [ir.WhileStmt(_B(True), (ir.ReturnStmt(_I(3)),)), ir.ReturnStmt(_I(4))]
+    ),
+    "assign-parameter": _probe(
+        None,
+        [ir.ReturnStmt(ir.CallExpr(None, "Bump", (_I(4),)))],
+        extra_ops=[_op(
+            "Bump",
+            ir.AssignStmt(_N("n"), ir.BinExpr("+", _N("n"), _I(1))),
+            ir.ReturnStmt(_N("n")),
+            params=[ir.Param("n", "int")],
+        )],
+    ),
+    "not-equal-values": _probe(None, [ir.ReturnStmt(ir.BinExpr("!=", _I(1), _I(2)))]),
+    "call-on-attribute": _probe(
+        "UnboundName",
+        [ir.ReturnStmt(ir.CallExpr(_N("Other"), "Secret", ()))],
+        attrs=[_attr("Other", "int")], others=[_SECRET],
+    ),
+    "boolean-local-default": _probe(
+        None, [ir.LocalDecl("b", "Boolean"), ir.ReturnStmt(_N("b"))]
+    ),
     # a name assigned as an attribute, then declared and assigned as a local
     "late-local-shadows-attribute": _probe(
         None,
@@ -301,22 +347,33 @@ PROBES = {
 _HIDDEN = "private member of {} (domain 'elsewhere') is hidden from Probe (domain 'numbers')"
 PROBE_OUTCOMES = {
     "append-to-int": ("TypeMismatch", "Append needs an ordered collection receiver"),
+    "append-two": ("TypeMismatch", "Append takes one element"),
     "assign-constant": ("TypeMismatch", "Probe.K is constant"),
+    "assign-parameter": (None, "IntVal(value=5)", 3, ""),
     "assign-unbound": ("UnboundName", "'nowhere' is not assignable in Probe"),
+    "bare-return": (None, "Nothing", 1, ""),
+    "boolean-local-default": (None, "BoolVal(value=False)", 2, ""),
     "call-arity": ("TypeMismatch", "Probe.Takes takes 0 arguments, got 1"),
     "call-missing-operation": ("UnboundName", "Probe has no member 'Missing'"),
+    "call-on-attribute": ("UnboundName", "operation 'Secret' needs a unit receiver"),
     "call-on-int": ("UnboundName", "operation 'Op' needs a unit receiver"),
     "call-param-type": ("TypeMismatch", "Probe.Takes(n: int) does not accept BoolVal"),
     "call-private": ("AccessViolation", _HIDDEN.format("Other")),
     "call-shadowed-unit": ("UnboundName", "unknown unit 'Other'"),
     "call-unknown-unit": ("UnboundName", "unknown unit 'Nobody'"),
+    "delete-from-int": ("TypeMismatch", "Delete needs an ordered collection receiver"),
+    "delete-two": ("TypeMismatch", "Delete takes one element"),
+    "empty-of-int": ("TypeMismatch", "Empty needs an ordered collection receiver"),
     "endless-loop": ("StepLimitExceeded", "exceeded 50 steps"),
     "field-of-int": ("TypeMismatch", "field 'x' needs a unit value receiver"),
     "first-of-empty": ("EmptyCollection", "First on an empty collection"),
+    "first-of-int": ("TypeMismatch", "First needs an ordered collection receiver"),
     "if-not-boolean": ("TypeMismatch", "if needs a Boolean condition"),
     "late-local-shadows-attribute": (None, "IntVal(value=-1)", 7, ""),
     "less-than-nothing": ("TypeMismatch", "< needs integer operands"),
+    "next-as-statement": (None, "Nothing", 1, ""),
     "next-of-int": ("TypeMismatch", "Next needs an ordered collection receiver"),
+    "not-equal-values": (None, "BoolVal(value=True)", 1, ""),
     "not-not-boolean": ("TypeMismatch", "! needs a Boolean operand"),
     "param-agent-of-another-kind": (
         "TypeMismatch", "Probe.Takes(p: Person) does not accept a Apple entity"
@@ -347,10 +404,15 @@ PROBE_OUTCOMES = {
     "read-private-field": ("AccessViolation", _HIDDEN.format("Hiding")),
     "read-private-global": ("AccessViolation", _HIDDEN.format("Globals")),
     "read-unbound": ("UnboundName", "'nowhere' is not bound in Probe"),
+    "return-inside-while": (None, "IntVal(value=3)", 3, ""),
     "say-int": ("TypeMismatch", "Say takes one sound token"),
     "say-nothing": ("NumeralsExhausted", "the numerals ran out: Say has no count word left"),
     "select-from-empty": ("EmptyCollection", "SelectOneRandom on an empty collection"),
+    "select-from-int": (
+        "TypeMismatch", "SelectOneRandom needs an ordered collection receiver"
+    ),
     "set-field-of-int": ("TypeMismatch", "field 'x' needs a unit value receiver"),
+    "take-away-uncontained": ("UnboundName", "'ME' is not in any container"),
     "unknown-operator": ("TypeMismatch", "unknown operator '*'"),
     "unknown-primitive-statement": ("TypeMismatch", "unknown primitive 'Juggle'"),
     "while-not-boolean": ("TypeMismatch", "while needs a Boolean condition"),
