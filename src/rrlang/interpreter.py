@@ -23,25 +23,29 @@ Sequences pass by value at operation calls (fresh cursor, own items);
 unit values pass by reference, with their list fields' cursors reset
 at entry so every operation gets a fresh view of the collections.
 
-Operation bodies run on one of two tiers with identical results, steps
-and errors, chosen by the body's shape and its call count. Both share
-one expression evaluator, the closure compiler `_compile_expr`:
+Each primitive verb has one definition, a function in `_PRIMITIVES`
+(see "Primitive verbs" below), and every way of running a verb calls
+it. Operation bodies run on one of two tiers with identical results,
+steps and errors, chosen by the body's shape and its call count. Both
+share that verb table and one expression evaluator, the closure
+compiler `_compile_expr`:
 
 * the tree walker plays a script, a body of setup facts and atomic
   actions only (`ir.is_script`), on its first call. Scripts are
   replayed recordings, and most run once, so compiling them would cost
   more than walking them. The walker is one loop, `_Machine.exec_block`,
   which counts each statement's step, checks setup facts, looks a name
-  operand up directly and compiles any other operand in place, and puts
-  the well-typed PointTo, Say and Move of a recording straight onto the
-  trace; any other action goes through `eval_primitive`;
+  operand up directly and compiles any other operand in place, and
+  calls the action's verb;
 * every other body, and a script from its second call on, runs as
   Python closures compiled once per Operation (see "Closure tier"
-  below). Node kinds, primitive verbs and name scopes are settled at
+  below). Node kinds, verb definitions and name scopes are settled at
   compile time, and each access decision is kept per call site. The
   compiled body is stored on the Operation object itself, so it lives
   and dies with the operation: there is no global cache to hold
   knowledge bases alive.
+
+`eval_primitive` runs one verb in isolation, through the same table.
 """
 
 from __future__ import annotations
@@ -164,12 +168,8 @@ class EntityVal:
 
 
 class SeqVal:
-    """Ordered collection with one implicit cursor.
-
-    next() returns the element under the cursor and advances, or None
-    at the end (the cursor stays put, matching a != NULL loop test).
-    first() resets to the front and returns the first element.
-    """
+    """Ordered collection with one implicit cursor, which the Next and
+    First verbs move (see "Primitive verbs")."""
 
     __slots__ = ("items", "pos")
 
@@ -179,27 +179,6 @@ class SeqVal:
 
     def copy(self) -> "SeqVal":
         return SeqVal(list(self.items))
-
-    def next(self):
-        if self.pos >= len(self.items):
-            return None
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
-
-    def first(self):
-        if not self.items:
-            return None
-        self.pos = 1
-        return self.items[0]
-
-    def delete(self, value) -> None:
-        for i, item in enumerate(self.items):
-            if values_equal(item, value):
-                del self.items[i]
-                if i < self.pos:
-                    self.pos -= 1
-                return
 
     def __repr__(self) -> str:
         return f"SeqVal({self.items!r}, pos={self.pos})"
@@ -231,6 +210,8 @@ class Nothing:
 
 
 NOTHING = Nothing()
+_TRUE = BoolVal(True)
+_FALSE = BoolVal(False)
 
 Value = IntVal | BoolVal | TokenVal | EntityVal | SeqVal | UnitVal | Nothing
 
@@ -379,9 +360,6 @@ class _Machine:
         if self.steps > self.step_limit:
             raise StepLimitExceeded(f"exceeded {self.step_limit} steps")
 
-    def emit(self, verb: str, arg: str | None) -> None:
-        self.trace.append(TraceEvent(len(self.trace) + 1, verb, arg))
-
     # -- frame binding
 
     def unit_frame(self, unit: ConceptUnit) -> dict:
@@ -529,67 +507,6 @@ class _Machine:
         if site is not None:
             site[0] = (caller, target)
 
-    # -- primitives
-
-    def eval_primitive(self, verb: str, recv: Value, args: list[Value]) -> Value:
-        if verb == "Move":
-            self.emit("Moved", None)
-            return NOTHING
-        if verb == "PointTo":
-            target = self._entity_arg(verb, args)
-            self.emit("PointedTo", target.entity)
-            return NOTHING
-        if verb == "Say":
-            if len(args) == 1 and args[0] is NOTHING:
-                raise NumeralsExhausted("the numerals ran out: Say has no count word left")
-            if len(args) != 1 or not isinstance(args[0], TokenVal):
-                raise TypeMismatch("Say takes one sound token")
-            self.emit("Said", args[0].token)
-            return NOTHING
-        if verb == "TakeAway":
-            target = self._entity_arg(verb, args)
-            for members in self.containers.values():
-                if target.entity in members:
-                    members.remove(target.entity)
-                    self.emit("TookAway", target.entity)
-                    return NOTHING
-            raise UnboundName(f"{target.entity!r} is not in any container")
-        if not isinstance(recv, SeqVal):
-            raise TypeMismatch(f"{verb} needs an ordered collection receiver")
-        if verb == "Empty":
-            return BoolVal(not recv.items)
-        if verb == "First":
-            item = recv.first()
-            if item is None:
-                raise EmptyCollection("First on an empty collection")
-            return item
-        if verb == "Next":
-            item = recv.next()
-            return item if item is not None else NOTHING
-        if verb == "Append":
-            if len(args) != 1:
-                raise TypeMismatch("Append takes one element")
-            recv.items.append(args[0])
-            return NOTHING
-        if verb == "Delete":
-            if len(args) != 1:
-                raise TypeMismatch("Delete takes one element")
-            recv.delete(args[0])
-            return NOTHING
-        if verb == "SelectOneRandom":
-            if not recv.items:
-                raise EmptyCollection("SelectOneRandom on an empty collection")
-            return self.rng.choice(recv.items)
-        raise TypeMismatch(f"unknown primitive {verb!r}")
-
-    def _entity_arg(self, verb: str, args: list[Value]) -> EntityVal:
-        if len(args) != 1 or not isinstance(args[0], EntityVal):
-            raise TypeMismatch(f"{verb} takes one entity")
-        target = args[0]
-        if target.entity not in self.entities:
-            raise UnboundName(f"{verb}: unknown entity {target.entity!r}")
-        return target
-
     # -- setup facts
 
     def check_setup(self, stmt: SetupStmt, frame: _Frame) -> None:
@@ -656,12 +573,9 @@ class _Machine:
 
         A name operand is looked up directly; any other operand is
         compiled in place by _compile_expr, the one expression evaluator.
-        PointTo of an entity in the scene, Say of a token and Move go
-        straight onto the trace. Any other action, well typed or not,
-        goes through eval_primitive, so every error stays its own.
+        An action then runs its verb's one definition in _PRIMITIVES.
         """
         lookup = self.lookup
-        trace = self.trace
         for stmt in op.body:
             if self.steps < self.step_limit:
                 self.steps += 1
@@ -680,21 +594,7 @@ class _Machine:
                 else _compile_expr(a, _Scope(op))(self, frame)
                 for a in stmt.args
             ]
-            verb = stmt.verb
-            if len(args) == 1:
-                arg = args[0]
-                if verb == "PointTo":
-                    if arg.__class__ is EntityVal and arg.entity in self.entities:
-                        trace.append(TraceEvent(len(trace) + 1, "PointedTo", arg.entity))
-                        continue
-                elif verb == "Say":
-                    if arg.__class__ is TokenVal:
-                        trace.append(TraceEvent(len(trace) + 1, "Said", arg.token))
-                        continue
-            if verb == "Move":
-                trace.append(TraceEvent(len(trace) + 1, "Moved", None))
-                continue
-            self.eval_primitive(verb, recv, args)
+            _PRIMITIVES[stmt.verb](self, recv, args)
 
     @staticmethod
     def _default_local(type_ref: str) -> Value:
@@ -795,18 +695,157 @@ class _Machine:
 
 
 # ---------------------------------------------------------------------------
+# Primitive verbs
+#
+# Each primitive verb is one function (machine, receiver, argument
+# values) -> Value, defined here and nowhere else: the walker, the
+# closure tier and eval_primitive all call it through _PRIMITIVES. A
+# function takes the well-typed case first and raises its own error
+# otherwise. The arguments come as a tuple, or as a list from the walker.
+
+def _move(m, recv, args):
+    trace = m.trace
+    trace.append(TraceEvent(len(trace) + 1, "Moved", None))
+    return NOTHING
+
+
+def _point_to(m, recv, args):
+    if len(args) == 1 and args[0].__class__ is EntityVal:
+        eid = args[0].entity
+        if eid in m.entities:
+            trace = m.trace
+            trace.append(TraceEvent(len(trace) + 1, "PointedTo", eid))
+            return NOTHING
+        raise UnboundName(f"PointTo: unknown entity {eid!r}")
+    raise TypeMismatch("PointTo takes one entity")
+
+
+def _say(m, recv, args):
+    if len(args) == 1:
+        word = args[0]
+        if word.__class__ is TokenVal:
+            trace = m.trace
+            trace.append(TraceEvent(len(trace) + 1, "Said", word.token))
+            return NOTHING
+        if word is NOTHING:
+            raise NumeralsExhausted("the numerals ran out: Say has no count word left")
+    raise TypeMismatch("Say takes one sound token")
+
+
+def _take_away(m, recv, args):
+    if len(args) == 1 and args[0].__class__ is EntityVal:
+        eid = args[0].entity
+        if eid not in m.entities:
+            raise UnboundName(f"TakeAway: unknown entity {eid!r}")
+        for members in m.containers.values():
+            if eid in members:
+                members.remove(eid)
+                trace = m.trace
+                trace.append(TraceEvent(len(trace) + 1, "TookAway", eid))
+                return NOTHING
+        raise UnboundName(f"{eid!r} is not in any container")
+    raise TypeMismatch("TakeAway takes one entity")
+
+
+def _empty(m, recv, args):
+    if recv.__class__ is SeqVal:
+        return _FALSE if recv.items else _TRUE
+    raise TypeMismatch("Empty needs an ordered collection receiver")
+
+
+def _first(m, recv, args):
+    """Reset the cursor past the front and return the first element."""
+    if recv.__class__ is SeqVal:
+        if recv.items:
+            recv.pos = 1
+            return recv.items[0]
+        raise EmptyCollection("First on an empty collection")
+    raise TypeMismatch("First needs an ordered collection receiver")
+
+
+def _next(m, recv, args):
+    """Return the element under the cursor and advance, or Nothing at
+    the end, where the cursor stays put (a != NULL loop test ends)."""
+    if recv.__class__ is SeqVal:
+        pos = recv.pos
+        items = recv.items
+        if pos < len(items):
+            recv.pos = pos + 1
+            return items[pos]
+        return NOTHING
+    raise TypeMismatch("Next needs an ordered collection receiver")
+
+
+def _append(m, recv, args):
+    if recv.__class__ is SeqVal:
+        if len(args) == 1:
+            recv.items.append(args[0])
+            return NOTHING
+        raise TypeMismatch("Append takes one element")
+    raise TypeMismatch("Append needs an ordered collection receiver")
+
+
+def _delete(m, recv, args):
+    """Remove the first element equal to the argument, if any, keeping
+    the cursor on the element it was on."""
+    if recv.__class__ is SeqVal:
+        if len(args) == 1:
+            value = args[0]
+            for i, item in enumerate(recv.items):
+                if values_equal(item, value):
+                    del recv.items[i]
+                    if i < recv.pos:
+                        recv.pos -= 1
+                    break
+            return NOTHING
+        raise TypeMismatch("Delete takes one element")
+    raise TypeMismatch("Delete needs an ordered collection receiver")
+
+
+def _select_one_random(m, recv, args):
+    if recv.__class__ is SeqVal:
+        if recv.items:
+            return m.rng.choice(recv.items)
+        raise EmptyCollection("SelectOneRandom on an empty collection")
+    raise TypeMismatch("SelectOneRandom needs an ordered collection receiver")
+
+
+class _VerbTable(dict):
+    """Verb name -> definition. An unknown verb looks up a function that
+    raises, so it fails once its operands are evaluated."""
+
+    def __missing__(self, verb: str):
+        def unknown(m, recv, args):
+            raise TypeMismatch(f"unknown primitive {verb!r}")
+
+        return unknown
+
+
+_PRIMITIVES = _VerbTable(
+    Move=_move,
+    PointTo=_point_to,
+    Say=_say,
+    TakeAway=_take_away,
+    Empty=_empty,
+    First=_first,
+    Next=_next,
+    Append=_append,
+    Delete=_delete,
+    SelectOneRandom=_select_one_random,
+)
+
+
+# ---------------------------------------------------------------------------
 # Closure tier
 #
 # An operation's body is compiled into nested Python closures on its
 # first call, or on its second if it is a script (see _tier). Every
 # closure takes (machine, frame). A statement closure returns None to
 # fall through and a Value to return from the operation, so `return`
-# needs no exception. Node kinds are dispatched once, at compile time.
-# Fast paths cover the well-typed common case; anything else goes to the
-# machine's own helpers, which raise the same errors after the same steps.
+# needs no exception. Node kinds are dispatched once, at compile time,
+# and a primitive call looks its verb's one definition up then; the
+# machine's own helpers raise the same errors after the same steps.
 
-_TRUE = BoolVal(True)
-_FALSE = BoolVal(False)
 _TIER_ATTR = "_compiled_body"
 _WALKED = "walked once"
 
@@ -1118,136 +1157,30 @@ _INT_OPS = {
 
 
 def _compile_primitive(verb: str, recv_expr: Expr, arg_exprs, scope: _Scope, done):
-    """A primitive call; done is what it yields when used as a statement
-    (None) or for verbs without a result (NOTHING) in an expression."""
+    """A primitive call through its verb's one definition, with one
+    closure per arity. done is None for a statement, which yields None,
+    and NOTHING for an expression, which yields the verb's value."""
+    run = _PRIMITIVES[verb]
     recv = _compile_expr(recv_expr, scope)
     args = tuple(_compile_expr(a, scope) for a in arg_exprs)
-    fast = _FAST_PRIMITIVES.get((verb, len(args), done is None))
-    if fast is not None:
-        return fast(verb, recv, *args, done)
+    if not args:
+        def primitive(m, f):
+            value = run(m, recv(m, f), ())
+            return value if done is NOTHING else None
+    elif len(args) == 1:
+        (arg,) = args
 
-    def primitive(m, f):
-        r = recv(m, f)
-        value = m.eval_primitive(verb, r, [a(m, f) for a in args])
-        return value if done is NOTHING else None
+        def primitive(m, f):
+            r = recv(m, f)
+            value = run(m, r, (arg(m, f),))
+            return value if done is NOTHING else None
+    else:
+        def primitive(m, f):
+            r = recv(m, f)
+            value = run(m, r, tuple([a(m, f) for a in args]))
+            return value if done is NOTHING else None
 
     return primitive
-
-
-def _point_to(verb, recv, arg, done):
-    def point_to(m, f):
-        r = recv(m, f)
-        a = arg(m, f)
-        if a.__class__ is EntityVal and a.entity in m.entities:
-            trace = m.trace
-            trace.append(TraceEvent(len(trace) + 1, "PointedTo", a.entity))
-        else:
-            m.eval_primitive(verb, r, [a])
-        return done
-
-    return point_to
-
-
-def _say(verb, recv, arg, done):
-    def say(m, f):
-        r = recv(m, f)
-        a = arg(m, f)
-        if a.__class__ is TokenVal:
-            trace = m.trace
-            trace.append(TraceEvent(len(trace) + 1, "Said", a.token))
-        else:
-            m.eval_primitive(verb, r, [a])
-        return done
-
-    return say
-
-
-def _append(verb, recv, arg, done):
-    def append(m, f):
-        r = recv(m, f)
-        a = arg(m, f)
-        if r.__class__ is SeqVal:
-            r.items.append(a)
-        else:
-            m.eval_primitive(verb, r, [a])
-        return done
-
-    return append
-
-
-def _delete(verb, recv, arg, done):
-    def delete(m, f):
-        r = recv(m, f)
-        a = arg(m, f)
-        if r.__class__ is SeqVal:
-            r.delete(a)
-        else:
-            m.eval_primitive(verb, r, [a])
-        return done
-
-    return delete
-
-
-def _next(verb, recv, done):
-    def next_(m, f):
-        r = recv(m, f)
-        if r.__class__ is not SeqVal:
-            return m.eval_primitive(verb, r, [])
-        pos = r.pos
-        items = r.items
-        if pos < len(items):
-            r.pos = pos + 1
-            return items[pos]
-        return NOTHING
-
-    return next_
-
-
-def _first(verb, recv, done):
-    def first(m, f):
-        r = recv(m, f)
-        if r.__class__ is SeqVal and r.items:
-            r.pos = 1
-            return r.items[0]
-        return m.eval_primitive(verb, r, [])
-
-    return first
-
-
-def _empty(verb, recv, done):
-    def empty(m, f):
-        r = recv(m, f)
-        if r.__class__ is SeqVal:
-            return _FALSE if r.items else _TRUE
-        return m.eval_primitive(verb, r, [])
-
-    return empty
-
-
-def _select_one_random(verb, recv, done):
-    def select(m, f):
-        r = recv(m, f)
-        if r.__class__ is SeqVal and r.items:
-            return m.rng.choice(r.items)
-        return m.eval_primitive(verb, r, [])
-
-    return select
-
-
-# (verb, argument count, in statement position) -> maker of its fast closure
-_FAST_PRIMITIVES = {
-    **{
-        (verb, 1, as_stmt): build
-        for verb, build in (
-            ("PointTo", _point_to), ("Say", _say), ("Append", _append), ("Delete", _delete),
-        )
-        for as_stmt in (True, False)
-    },
-    ("Next", 0, False): _next,
-    ("First", 0, False): _first,
-    ("Empty", 0, False): _empty,
-    ("SelectOneRandom", 0, False): _select_one_random,
-}
 
 
 def _compile_call(recv_name: str | None, op_name: str, arg_exprs, scope: _Scope, done):
@@ -1353,7 +1286,7 @@ def eval_primitive(
     TakeAway mutates a throwaway copy. Collection receivers mutate in
     place. The draw sequence restarts from world.rng_seed each call."""
     machine = _Machine((), world, "<primitive>", DEFAULT_STEP_LIMIT)
-    value = machine.eval_primitive(verb, recv, list(args))
+    value = _PRIMITIVES[verb](machine, recv, tuple(args))
     event = machine.trace[0] if machine.trace else None
     return event, value
 

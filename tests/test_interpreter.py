@@ -321,6 +321,14 @@ class TestPrimitives:
         with pytest.raises(itp.TypeMismatch):
             itp.eval_primitive("Juggle", itp.SeqVal([]), [], w)
 
+    def test_every_primitive_verb_has_a_definition(self):
+        w = banana_world(1)
+        for verb in sorted(ir.PRIMITIVE_VERBS):
+            try:
+                itp.eval_primitive(verb, itp.SeqVal([]), [], w)
+            except itp.ExecError as exc:
+                assert "unknown primitive" not in str(exc), verb
+
 
 class TestLimits:
     def test_unknown_operation_is_unbound(self, e1):
