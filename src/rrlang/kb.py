@@ -191,6 +191,7 @@ class KnowledgeBase:
         # insertion-ordered sets: first mention order, one entry each
         said: dict[str, None] = {}
         pointed: dict[str, None] = {}
+        taken: dict[str, None] = {}
         for event in trace:
             if event.verb == "Said":
                 said[event.arg] = None
@@ -201,6 +202,8 @@ class KnowledgeBase:
                     )
                 if event.verb == "PointedTo":
                     pointed[event.arg] = None
+                else:
+                    taken[event.arg] = None
         agent = next(
             (e for e, (kind, _) in world.entities.items() if kind in ir.AGENT_TYPES),
             None,
@@ -218,6 +221,9 @@ class KnowledgeBase:
         attrs.extend(self._const(room, "Room") for room in rooms)
         attrs.extend(self._const(table, "Table") for table in tables)
         attrs.extend(self._const(eid, world.entities[eid][0]) for eid in pointed)
+        attrs.extend(
+            self._const(eid, world.entities[eid][0]) for eid in taken if eid not in pointed
+        )
         attrs.append(self._const(hand, "Hand"))
 
         body: list[ir.SetupStmt | ir.ActionStmt] = []

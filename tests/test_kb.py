@@ -156,6 +156,22 @@ class TestRecording:
         assert len(kb) == 0 and kb._nodes == {}
         assert kb.record_instance(trace, four_apple_world(), "apples").name == "Counting_apples_1"
 
+    def test_an_entity_taken_away_unpointed_is_bound_and_replays(self):
+        kb = kbmod.KnowledgeBase()
+        entities = {"ME": ("Person", None), "HAND": ("Hand", None), "TABLE1": ("Table", None)}
+        entities.update({"APPLE1": ("Apple", "apples"), "APPLE2": ("Apple", "apples")})
+        world = itp.World(entities, {"apples": "Line"}, {"apples": ("APPLE1", "APPLE2")}, 0)
+        events = [("PointedTo", "APPLE1"), ("Said", "ONE"), ("TookAway", "APPLE2")]
+        trace = tuple(itp.TraceEvent(i, v, a) for i, (v, a) in enumerate(events, 1))
+        unit = kb.record_instance(trace, world, "apples")
+        consts = [attr.name for attr in unit.attributes]
+        assert consts.index("APPLE2") == consts.index("APPLE1") + 1
+        replayed = itp.replay_instance((unit,), unit, world)
+        assert replayed.trace == trace
+        assert replayed.world.containers["apples"] == ("APPLE1",)
+        again = kb.record_instance(replayed.trace, world, "apples")
+        assert ir.units_equal(unit, again, ignore_names=True)
+
     def test_empty_trace_is_no_episode(self):
         kb = kbmod.KnowledgeBase()
         with pytest.raises(kbmod.EmptyTrace):
