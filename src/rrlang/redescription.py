@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import dsl, ir
 from .ir import (
@@ -92,6 +92,9 @@ def format_report(report: PhaseReport) -> str:
 # ---------------------------------------------------------------------------
 # Loop rolling
 
+_MAX_PERIOD = 5  # the longest repeated block loop_roll looks for
+
+
 @record
 class Roll:
     start: int
@@ -103,23 +106,18 @@ class Roll:
         return self.period * self.count
 
 
-def loop_roll(
-    items: Sequence,
-    congruent: Callable | None = None,
-    max_period: int = 5,
-) -> Roll | None:
-    """Find the best repeated block: at least two repetitions, period up
-    to max_period. Prefers more covered items, then a shorter period,
-    then an earlier start. Returns None when nothing repeats."""
-    if congruent is None:
-        congruent = lambda a, b: a == b
+def loop_roll(items: Sequence) -> Roll | None:
+    """Find the best repeated block of equal items: at least two
+    repetitions, period up to _MAX_PERIOD. Prefers more covered items,
+    then a shorter period, then an earlier start. Returns None when
+    nothing repeats."""
     n = len(items)
     best: tuple[tuple[int, int, int], Roll] | None = None
-    for period in range(1, min(max_period, n // 2) + 1):
+    for period in range(1, min(_MAX_PERIOD, n // 2) + 1):
         for start in range(0, n - 2 * period + 1):
             count = 1
             while start + (count + 1) * period <= n and all(
-                congruent(items[start + i], items[start + count * period + i])
+                items[start + i] == items[start + count * period + i]
                 for i in range(period)
             ):
                 count += 1

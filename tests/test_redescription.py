@@ -263,12 +263,6 @@ class TestLoopRoll:
         assert roll.count >= 2
         assert roll.covered == roll.period * roll.count
 
-    def test_custom_congruence(self):
-        items = ["A1", "B7", "A2", "B9"]
-        roll = rd.loop_roll(items, congruent=lambda a, b: a[0] == b[0])
-        assert roll is not None
-        assert (roll.start, roll.period, roll.count) == (0, 2, 2)
-
     def test_nothing_repeats(self):
         assert rd.loop_roll(["a", "b", "c"]) is None
 
