@@ -282,6 +282,10 @@ PROBES = {
         "UnboundName",
         [ir.ActionStmt("TakeAway", _I(0), (_N("M"),))], attrs=[_attr("M", "Person", "ME")]
     ),
+    "take-away-ghost": _probe(
+        "UnboundName",
+        [ir.ActionStmt("TakeAway", _I(0), (_N("G"),))], attrs=[_attr("G", "APPLE", "GHOST")]
+    ),
     "empty-of-int": _probe("TypeMismatch", [ir.ReturnStmt(ir.CallExpr(_I(0), "Empty", ()))]),
     "first-of-int": _probe("TypeMismatch", [ir.ReturnStmt(ir.CallExpr(_I(0), "First", ()))]),
     "delete-from-int": _probe("TypeMismatch", [ir.ActionStmt("Delete", _I(0), (_I(1),))]),
@@ -298,6 +302,7 @@ PROBES = {
         None, [ir.ActionStmt("Next", ir.ListExpr(("APPLE1",)), ())]
     ),
     # compiled-tier paths that no other test runs
+    "move-with-two-arguments": _probe(None, [ir.ActionStmt("Move", _I(0), (_I(1), _I(2)))]),
     "bare-return": _probe(
         None, [ir.ReturnStmt(None), ir.ActionStmt("Move", _I(0), ())]
     ),
@@ -371,6 +376,7 @@ PROBE_OUTCOMES = {
     "if-not-boolean": ("TypeMismatch", "if needs a Boolean condition"),
     "late-local-shadows-attribute": (None, "IntVal(value=-1)", 7, ""),
     "less-than-nothing": ("TypeMismatch", "< needs integer operands"),
+    "move-with-two-arguments": (None, "Nothing", 1, "1\tMoved\t\n"),
     "next-as-statement": (None, "Nothing", 1, ""),
     "next-of-int": ("TypeMismatch", "Next needs an ordered collection receiver"),
     "not-equal-values": (None, "BoolVal(value=True)", 1, ""),
@@ -412,6 +418,7 @@ PROBE_OUTCOMES = {
         "TypeMismatch", "SelectOneRandom needs an ordered collection receiver"
     ),
     "set-field-of-int": ("TypeMismatch", "field 'x' needs a unit value receiver"),
+    "take-away-ghost": ("UnboundName", "TakeAway: unknown entity 'GHOST'"),
     "take-away-uncontained": ("UnboundName", "'ME' is not in any container"),
     "unknown-operator": ("TypeMismatch", "unknown operator '*'"),
     "unknown-primitive-statement": ("TypeMismatch", "unknown primitive 'Juggle'"),
