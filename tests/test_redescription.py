@@ -131,6 +131,150 @@ class TestAntiUnify:
             rd.antiunify_instances([instances[0], trimmed])
 
 
+
+def episode(*actions, consts=(), name="CountingApples", domain="apples"):
+    """A level-I recording with three apples, three sounds, ME and HAND,
+    plus `consts`, playing `actions` (one statement per string)."""
+    declared = [
+        "Sound ONE", "Sound TWO", "Sound THREE", "Person ME",
+        "Apple APPLE1", "Apple APPLE2", "Apple APPLE3", "Hand HAND", *consts,
+    ]
+    body = [f"const {c};" for c in declared] + list(actions)
+    lines = "".join(f"        {line}\n" for line in body)
+    return dsl.parse(
+        f"@level(I)\n@domain({domain})\ninstance {name} {{\n    private:\n{lines}}}\n"
+    )[0]
+
+
+def counting_script(*blocks):
+    """One Move/PointTo/Say block per (object, sound) pair."""
+    return [
+        line
+        for obj, sound in blocks
+        for line in ("ME.Move(HAND);", f"ME.PointTo({obj});", f"ME.Say({sound});")
+    ]
+
+
+THREE_APPLES = (("APPLE1", "ONE"), ("APPLE2", "TWO"), ("APPLE3", "THREE"))
+
+
+class TestPhaseOneRefusals:
+    """Each way phase 1 refuses its input, with the message it gives."""
+
+    def refusal(self, *units):
+        with pytest.raises(rd.RedescriptionError) as exc:
+            rd.antiunify_instances(units)
+        return str(exc.value)
+
+    def test_the_plain_script_is_accepted(self, instances):
+        unit, _ = rd.antiunify_instances([instances[0], episode(*counting_script(*THREE_APPLES))])
+        assert unit.name == "CountingApples"
+
+    def test_a_block_cut_short_at_the_end(self, instances):
+        cut = episode(*counting_script(*THREE_APPLES), "ME.Move(HAND);", "ME.PointTo(APPLE1);")
+        assert self.refusal(instances[0], cut) == (
+            "CountingApples: script is not one repeated routine"
+        )
+
+    def test_an_extra_action_before_the_first_block(self, instances):
+        extra = episode("ME.Move(HAND);", *counting_script(*THREE_APPLES))
+        assert self.refusal(instances[0], extra) == (
+            "CountingApples: script is not one repeated routine"
+        )
+
+    def test_same_period_different_routines(self, instances):
+        swapped = episode(*[
+            line
+            for obj, sound in THREE_APPLES
+            for line in (f"ME.PointTo({obj});", "ME.Move(HAND);", f"ME.Say({sound});")
+        ])
+        assert self.refusal(instances[0], swapped) == "episodes repeat different routines"
+
+    def test_a_class_is_not_an_episode(self, instances):
+        e1 = dsl.load_fixture("counting_apples_e1")[0]
+        with pytest.raises(ValueError) as exc:
+            rd.antiunify_instances([instances[0], e1])
+        assert str(exc.value) == f"{e1.name} is not a level-I instance"
+
+    def test_an_instance_with_no_script(self, instances):
+        bare = ir.replace(instances[1], name="Bare", operations=())
+        assert self.refusal(instances[0], bare) == "Bare has no recorded script"
+
+    def test_an_operand_that_is_not_a_name(self, instances):
+        op = instances[1].operation(ir.IMPLICIT_OP)
+        body = tuple(
+            ir.ActionStmt("Say", s.recv, (ir.IntExpr(1),))
+            if isinstance(s, ir.ActionStmt) and s.verb == "Say" else s
+            for s in op.body
+        )
+        odd = ir.replace(instances[1], operations=(ir.replace(op, body=body),))
+        assert self.refusal(instances[0], odd) == (
+            "recorded actions must reference bound constants"
+        )
+
+    def test_performers_switch_within_a_step(self, instances):
+        script = counting_script(*THREE_APPLES)
+        script[4] = "YOU.PointTo(APPLE2);"
+        switched = episode(*script, consts=("Person YOU",))
+        assert self.refusal(instances[0], switched) == "actions switch between performers"
+
+    def test_performers_switch_between_steps(self, instances):
+        script = [line.replace("ME.Say", "YOU.Say") for line in counting_script(*THREE_APPLES)]
+        switched = episode(*script, consts=("Person YOU",))
+        assert self.refusal(switched, switched) == "actions switch between performers"
+
+    def test_a_receiver_that_is_not_an_agent(self):
+        script = [line.replace("ME.", "HAND.") for line in counting_script(*THREE_APPLES)]
+        handed = episode(*script)
+        assert self.refusal(handed, handed) == "actions are not performed by an agent"
+
+    def test_numerals_out_of_order(self):
+        shuffled = episode(*counting_script(
+            ("APPLE1", "TWO"), ("APPLE2", "ONE"), ("APPLE3", "THREE"),
+        ))
+        assert self.refusal(shuffled, shuffled) == (
+            "sounds do not follow the shared numeral order"
+        )
+
+    def test_an_object_pointed_at_twice_in_one_pass(self):
+        twice = episode(*counting_script(
+            ("APPLE1", "ONE"), ("APPLE2", "TWO"), ("APPLE1", "THREE"),
+        ))
+        assert self.refusal(twice, twice) == "an object is pointed at twice in one pass"
+
+    def test_two_varying_kinds(self):
+        pears = ("Pear PEAR1", "Pear PEAR2", "Pear PEAR3")
+        script = [
+            line
+            for (obj, sound), pear in zip(THREE_APPLES, ("PEAR1", "PEAR2", "PEAR3"))
+            for line in (f"ME.PointTo({obj});", f"ME.PointTo({pear});", f"ME.Say({sound});")
+        ]
+        both = episode(*script, consts=pears)
+        assert self.refusal(both, both) == "more than one varying object kind"
+
+    def test_no_varying_objects(self):
+        same = episode(*counting_script(
+            ("APPLE1", "ONE"), ("APPLE1", "TWO"), ("APPLE1", "THREE"),
+        ))
+        assert self.refusal(same, same) == "no varying objects to collect"
+
+    def test_pencils_collect_into_an_object_set(self):
+        pencils = [
+            episode(
+                *counting_script(*[(f"PENCIL{i}", s) for i, s in enumerate(sounds, 1)]),
+                consts=tuple(f"Pencil PENCIL{i}" for i in range(1, len(sounds) + 1)),
+                name="CountingPencils", domain="pencils",
+            )
+            for sounds in (("ONE", "TWO"), ("ONE", "TWO", "THREE"))
+        ]
+        unit, report = rd.antiunify_instances(pencils)
+        assert unit.name == "CountingPencils"
+        assert unit.attribute("object_set").type_ref == "objectSet"
+        (item,) = [s for s in ir.iter_statements(unit) if isinstance(s, ir.LocalDecl)]
+        assert (item.name, item.type_ref) == ("item", "OBJECT")
+        assert ("bind_items", "Pencil -> objectSet object_set") in report.rules_applied
+
+
 class TestGeneralize:
     def test_e2_matches_reference_listing_byte_for_byte(self):
         e1 = dsl.load_fixture("counting_apples_e1")[0]
