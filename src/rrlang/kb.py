@@ -261,18 +261,6 @@ class KnowledgeBase:
 
     # -- advancement -------------------------------------------------
 
-    @staticmethod
-    def _base_name(unit_name: str, domain: str) -> str:
-        """The concept a unit carries, shorn of recording ordinals and
-        the domain suffix generalization appends."""
-        name = unit_name
-        if f"_{domain}_" in name:
-            name = name.split("_", 1)[0]
-        title = domain.title()
-        if name.endswith(title) and len(name) > len(title):
-            name = name[: -len(title)]
-        return name
-
     def _chain(self, domain: str):
         """A domain's redescription chain. Instances and the E1 class
         keep the domain tag; the later levels are tied to the chain by
@@ -291,7 +279,7 @@ class KnowledgeBase:
         heads = e1 or instances
         if not heads:
             return None
-        base = self._base_name(heads[0].name, domain)
+        base = redescription.base_name(heads[0].name, domain)
         e2 = self.unit(base, ir.Level.E2)
         e3 = self.unit(base, ir.Level.E3)
         names = {u.name for u in instances} | {u.name for u in e1}

@@ -92,42 +92,17 @@ def format_report(report: PhaseReport) -> str:
 # ---------------------------------------------------------------------------
 # Loop rolling
 
-_MAX_PERIOD = 5  # the longest repeated block loop_roll looks for
+_MAX_PERIOD = 5  # the longest block phase 1 rolls into a loop
 
 
-@record
-class Roll:
-    start: int
-    period: int
-    count: int
-
-    @property
-    def covered(self) -> int:
-        return self.period * self.count
-
-
-def loop_roll(items: Sequence) -> Roll | None:
-    """Find the best repeated block of equal items: at least two
-    repetitions, period up to _MAX_PERIOD. Prefers more covered items,
-    then a shorter period, then an earlier start. Returns None when
-    nothing repeats."""
+def repeat_period(items: Sequence) -> int | None:
+    """The shortest period p <= _MAX_PERIOD at which items are one block
+    repeated at least twice from the first item, or None."""
     n = len(items)
-    best: tuple[tuple[int, int, int], Roll] | None = None
     for period in range(1, min(_MAX_PERIOD, n // 2) + 1):
-        for start in range(0, n - 2 * period + 1):
-            count = 1
-            while start + (count + 1) * period <= n and all(
-                items[start + i] == items[start + count * period + i]
-                for i in range(period)
-            ):
-                count += 1
-            if count < 2:
-                continue
-            roll = Roll(start, period, count)
-            key = (roll.covered, -period, -start)
-            if best is None or key > best[0]:
-                best = (key, roll)
-    return best[1] if best else None
+        if n % period == 0 and items[period:] == items[:-period]:
+            return period
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +140,19 @@ def _title(domain: str) -> str:
     return domain[:1].upper() + domain[1:]
 
 
+def base_name(unit_name: str, domain: str) -> str:
+    """The concept a unit of a domain's chain carries, shorn of the
+    recording ordinal and of the domain suffix phase 1 appends; the E2
+    and E3 units of the chain take this name."""
+    name = unit_name
+    if f"_{domain}_" in name:
+        name = name.split("_", 1)[0]
+    title = _title(domain)
+    if name.endswith(title) and len(name) > len(title):
+        name = name[: -len(title)]
+    return name
+
+
 # ---------------------------------------------------------------------------
 # Pass one: several episodes into one looped class
 
@@ -185,24 +173,17 @@ def antiunify_instances(
     scripts = [_instance_script(unit) for unit in instances]
     stripped = sum(1 for s in scripts if s.stripped)
 
-    rolls = []
+    templates = set()
     for unit, script in zip(instances, scripts):
         shapes = [_action_shape(unit, a) for a in script.actions]
-        roll = loop_roll(shapes)
-        if roll is None or roll.start != 0 or roll.covered != len(shapes):
+        period = repeat_period(shapes)
+        if period is None:
             raise NoCommonSkeleton(f"{unit.name}: script is not one repeated routine")
-        rolls.append(roll)
-    period = rolls[0].period
-    if any(r.period != period for r in rolls):
-        raise NoCommonSkeleton("episodes repeat different routines")
-    templates = {
-        tuple(_action_shape(u, a) for a in s.actions[:period])
-        for u, s in zip(instances, scripts)
-    }
-    if len(templates) > 1:
+        templates.add(tuple(shapes[:period]))
+    if len(templates) > 1:  # blocks of another length or of other actions
         raise NoCommonSkeleton("episodes repeat different routines")
 
-    roles = _template_roles(instances, scripts, rolls, period)
+    roles = _template_roles(instances, scripts, period)
 
     set_type = _set_type_for(roles.item_kind)
     elem_type = _elem_type_for(roles.item_kind)
@@ -263,7 +244,8 @@ def antiunify_instances(
     rules = [
         (
             "loop_roll",
-            f"period={period} counts=" + "/".join(str(r.count) for r in rolls),
+            f"period={period} counts="
+            + "/".join(str(len(s.actions) // period) for s in scripts),
         ),
         ("bind_agent", f"{roles.agent} -> p"),
         ("bind_items", f"{roles.item_kind} -> {set_type} {set_name}"),
@@ -341,21 +323,16 @@ class _Roles:
 def _template_roles(
     instances: Sequence[ConceptUnit],
     scripts: Sequence[_Script],
-    rolls: Sequence[Roll],
     period: int,
 ) -> _Roles:
     first = instances[0]
 
     def column(pos: int, slot: int) -> list[list[str]]:
         # slot 0 is the receiver, 1.. are arguments; one list per instance
-        out = []
-        for script, roll in zip(scripts, rolls):
-            names = []
-            for it in range(roll.count):
-                action = script.actions[it * period + pos]
-                names.append(_stmt_names(action)[slot])
-            out.append(names)
-        return out
+        return [
+            [_stmt_names(action)[slot] for action in script.actions[pos::period]]
+            for script in scripts
+        ]
 
     # The agent: every action's receiver must be the same Person constant.
     agent = None
@@ -382,10 +359,8 @@ def _template_roles(
         for slot in range(1, len(_stmt_names(action))):
             cols = column(pos, slot)
             names = {name for col in cols for name in col}
-            kinds = {instances[i].attribute(n).type_ref for i, col in enumerate(cols) for n in col}
-            if len(kinds) != 1:
-                raise NoCommonSkeleton("one argument slot mixes constant kinds")
-            kind = kinds.pop()
+            # every episode repeats the first one's shapes, so a slot holds one kind
+            kind = first.attribute(cols[0][0]).type_ref
             referenced.update(names)
             if len(names) == 1 and all(len(set(col)) == 1 for col in cols):
                 arg_roles.append(("const", names.pop(), kind))
@@ -475,10 +450,7 @@ def generalize_to_e2(
         raise ValueError(f"{unit.name} is not a level-E1 class")
     roles = _counting_roles(unit)
 
-    title = _title(unit.domain)
-    base = unit.name[: -len(title)] if (
-        unit.name.endswith(title) and len(unit.name) > len(title)
-    ) else unit.name
+    base = base_name(unit.name, unit.domain)
 
     widened = sorted(
         f"{t} -> {ir.widen_type(t)}"

@@ -296,6 +296,29 @@ class TestAdvance:
         push_to_mastery(kb, "Counting")
         assert kb.advance() == []
 
+    @pytest.mark.parametrize("domain", ["candy_heaps", "cups2b"])
+    def test_a_domain_that_title_case_changes_climbs_to_e3(self, domain):
+        kb = kbmod.KnowledgeBase()
+        for size in (3, 4):
+            entities = {"ME": ("Person", None), "HAND": ("Hand", None)}
+            ids = tuple(f"CANDY{i}" for i in range(1, size + 1))
+            entities.update({eid: ("Candy", domain) for eid in ids})
+            world = itp.World(entities, {domain: "Line"}, {domain: ids}, 0)
+            events = []
+            for eid, numeral in zip(ids, ir.NUMERALS):
+                events += [("Moved", None), ("PointedTo", eid), ("Said", numeral)]
+            trace = tuple(itp.TraceEvent(i, v, a) for i, (v, a) in enumerate(events, 1))
+            kb.record_instance(trace, world, domain)
+        fresh = [f"Counting_{domain}_1"]
+        for phase in (1, 2, 3):
+            for name in fresh:
+                push_to_mastery(kb, name)
+            reports = kb.advance()
+            assert [r.phase for r in reports] == [phase]
+            fresh = list(reports[0].outputs)
+        assert kb.unit("Counting", Level.E3) is not None
+        assert kb.advance() == []
+
     def test_without_mastery_nothing_moves(self):
         kb = fresh_kb_with_episode()
         kb.record_outcome("CountingApples", "T1", "Solved")

@@ -368,6 +368,9 @@ class TestDecompose:
 
 
 def brute_force_roll(items, max_period=5):
+    """The best repeated block anywhere in items, by trying every start
+    and period: (start, period, count), preferring more covered items,
+    then a shorter period, then an earlier start; None if nothing repeats."""
     n = len(items)
     best = None
     for period in range(1, min(max_period, n // 2) + 1):
@@ -386,29 +389,56 @@ def brute_force_roll(items, max_period=5):
     return best[1] if best else None
 
 
+def whole_script_period(items):
+    """brute_force_roll's period when its roll starts at the first item
+    and covers every item, else None."""
+    roll = brute_force_roll(items)
+    if roll is None:
+        return None
+    start, period, count = roll
+    return period if start == 0 and period * count == len(items) else None
+
+
 class TestLoopRoll:
-    @given(st.lists(st.sampled_from("ab"), max_size=14))
-    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from("ab"), max_size=14),
+        st.builds(
+            lambda block, times, tail: block * times + tail,
+            st.lists(st.sampled_from("abc"), min_size=1, max_size=6),
+            st.integers(1, 4),
+            st.lists(st.sampled_from("abc"), max_size=2),
+        ),
+    ))
+    @settings(max_examples=600, deadline=None)
     def test_matches_brute_force(self, items):
-        roll = rd.loop_roll(items)
-        got = (roll.start, roll.period, roll.count) if roll else None
-        assert got == brute_force_roll(items)
+        assert rd.repeat_period(items) == whole_script_period(items)
 
     @given(st.lists(st.sampled_from("abc"), max_size=20))
     @settings(max_examples=200, deadline=None)
     def test_reported_region_truly_repeats(self, items):
-        roll = rd.loop_roll(items)
-        if roll is None:
+        period = rd.repeat_period(items)
+        if period is None:
             return
-        block = items[roll.start: roll.start + roll.period]
-        for rep in range(roll.count):
-            lo = roll.start + rep * roll.period
-            assert items[lo: lo + roll.period] == block
-        assert roll.count >= 2
-        assert roll.covered == roll.period * roll.count
+        block = items[:period]
+        assert len(items) >= 2 * period
+        for lo in range(0, len(items), period):
+            assert items[lo: lo + period] == block
 
     def test_nothing_repeats(self):
-        assert rd.loop_roll(["a", "b", "c"]) is None
+        assert rd.repeat_period(["a", "b", "c"]) is None
+
+    @pytest.mark.parametrize("items", [
+        list("ababa"),  # the last block is cut short
+        list("cabab"),  # an extra item before the first block
+        list("ababcc"),  # a repeated block followed by another
+        list("abcdef") * 2,  # a block longer than the cap
+    ])
+    def test_a_partial_repeat_has_no_period(self, items):
+        assert rd.repeat_period(items) is None
+
+    def test_the_shortest_period_wins(self):
+        assert rd.repeat_period(list("aaaa")) == 1
+        assert rd.repeat_period(list("abababab")) == 2
 
 
 class TestMastery:
