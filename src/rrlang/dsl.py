@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import ir
 from .ir import (
@@ -181,7 +181,7 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def fail(self, expected: str, tok: _Tok | None = None) -> None:
+    def fail(self, expected: str, tok: _Tok | None = None) -> NoReturn:
         kind, text, line, column = tok or self.peek()
         found = text if kind != "eof" else "end of input"
         raise ParseFailure([ParseError(line, column, expected, found)], self.origin)
@@ -357,7 +357,6 @@ class _Parser:
         if self.at("ident"):
             return Literal(self.take()[1])
         self.fail("a literal")
-        raise AssertionError("unreachable")
 
     def parse_operation(self, vis: Visibility) -> Operation:
         if self.at_word("void"):
@@ -469,7 +468,6 @@ class _Parser:
                 return CallStmt(expr.recv.name, expr.op, expr.args)
             self.fail("a unit or self receiver for an operation call", start)
         self.fail("a statement", start)
-        raise AssertionError("unreachable")
 
     def _block_follows_call(self) -> bool:
         # Scan past the balanced argument list; a '{' after it marks a
@@ -566,7 +564,6 @@ class _Parser:
         if kind == "[":
             return ListExpr(self.names("[", "]", "a symbol"))
         self.fail("an expression")
-        raise AssertionError("unreachable")
 
 
 def parse(src: SourceText | str) -> tuple[ConceptUnit, ...]:

@@ -180,12 +180,12 @@ class KnowledgeBase:
         trace: Sequence[itp.TraceEvent],
         world: itp.World,
         domain: str,
-        concept: str = "Counting",
     ) -> ir.ConceptUnit:
         """Code one episode independently: constants for everything the
-        episode touched, setup predicates from the scene, and the
-        actions verbatim. An event that names an entity the scene lacks
-        is refused before anything is stored or shared."""
+        episode touched or its setup facts name, setup predicates from
+        the scene, and the actions verbatim. An event that names an
+        entity the scene lacks is refused before anything is stored or
+        shared."""
         if not trace:
             raise EmptyTrace("nothing happened; there is no episode to record")
         # insertion-ordered sets: first mention order, one entry each
@@ -216,14 +216,18 @@ class KnowledgeBase:
         rooms = [e for e, (kind, _) in world.entities.items() if kind == "Room"]
         tables = [e for e, (kind, _) in world.entities.items() if kind == "Table"]
 
+        group = world.entities[next(iter(pointed))][1] if pointed else None
+        line = None
+        if group is not None and world.arrangements.get(group) == "Line":
+            line = tuple(world.containers[group])
+        # every entity an action or the InLine fact names, each once
+        objects = {**pointed, **taken, **dict.fromkeys(line or ())}
+
         attrs = [self._const(tok, "Sound") for tok in said]
         attrs.append(self._const(agent, "Person"))
         attrs.extend(self._const(room, "Room") for room in rooms)
         attrs.extend(self._const(table, "Table") for table in tables)
-        attrs.extend(self._const(eid, world.entities[eid][0]) for eid in pointed)
-        attrs.extend(
-            self._const(eid, world.entities[eid][0]) for eid in taken if eid not in pointed
-        )
+        attrs.extend(self._const(eid, world.entities[eid][0]) for eid in objects)
         attrs.append(self._const(hand, "Hand"))
 
         body: list[ir.SetupStmt | ir.ActionStmt] = []
@@ -232,9 +236,8 @@ class KnowledgeBase:
         for eid in pointed:
             for table in tables:
                 body.append(self._setup("On", (eid, table)))
-        group = world.entities[next(iter(pointed))][1] if pointed else None
-        if group is not None and world.arrangements.get(group) == "Line":
-            body.append(self._setup("InLine", tuple(world.containers[group])))
+        if line is not None:
+            body.append(self._setup("InLine", line))
         for event in trace:
             verb = _VERB_FOR_EVENT.get(event.verb)
             if verb is None:
@@ -249,7 +252,7 @@ class KnowledgeBase:
             ir.IMPLICIT_OP, (), None, ir.Visibility.PRIVATE, tuple(body), True
         )
         unit = ir.ConceptUnit(
-            f"{concept}_{domain}_{ordinal}",
+            f"Counting_{domain}_{ordinal}",
             ir.UnitKind.INSTANCE,
             ir.Level.I,
             domain,

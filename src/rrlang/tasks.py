@@ -136,11 +136,7 @@ def _bananas(seed: int) -> World:
 # ---------------------------------------------------------------------------
 # Principles
 
-def check_principles(
-    trace: Sequence[TraceEvent],
-    world: World,
-    numerals: Sequence[str] = ir.NUMERALS,
-) -> PrincipleReport:
+def check_principles(trace: Sequence[TraceEvent], world: World) -> PrincipleReport:
     """Read the counting principles off one trace.
 
     The targets are the world's first container. Order and object
@@ -151,10 +147,10 @@ def check_principles(
     said = [e.arg for e in trace if e.verb == "Said"]
     one_to_one = sorted(pointed) == sorted(targets)
     stripped = said[:-1] if len(said) >= 2 and said[-1] == said[-2] else said
-    stable_order = stripped == list(numerals[: len(stripped)])
+    stable_order = stripped == list(ir.NUMERALS[: len(stripped)])
     cardinality = bool(
-        said and targets and len(targets) <= len(numerals)
-        and said[-1] == numerals[len(targets) - 1]
+        said and targets and len(targets) <= len(ir.NUMERALS)
+        and said[-1] == ir.NUMERALS[len(targets) - 1]
     )
     return PrincipleReport(
         one_to_one=one_to_one,

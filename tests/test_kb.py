@@ -172,6 +172,16 @@ class TestRecording:
         again = kb.record_instance(replayed.trace, world, "apples")
         assert ir.units_equal(unit, again, ignore_names=True)
 
+    def test_every_member_of_the_line_is_bound_and_replays(self):
+        kb = kbmod.KnowledgeBase()
+        world = tasks.training_world()
+        events = [("PointedTo", "APPLE1"), ("Said", "ONE"), ("PointedTo", "APPLE2"), ("Said", "TWO")]
+        trace = tuple(itp.TraceEvent(i, v, a) for i, (v, a) in enumerate(events, 1))
+        unit = kb.record_instance(trace, world, "apples")
+        consts = [attr.name for attr in unit.attributes]
+        assert consts[consts.index("APPLE1"):] == ["APPLE1", "APPLE2", "APPLE3", "HAND"]
+        assert itp.replay_instance((unit,), unit, world).trace == trace
+
     def test_empty_trace_is_no_episode(self):
         kb = kbmod.KnowledgeBase()
         with pytest.raises(kbmod.EmptyTrace):
