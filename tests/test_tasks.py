@@ -225,6 +225,72 @@ class TestSuccessJudges:
         assert task.success(took, None, None) is False
 
 
+def _count(n, said=None):
+    """Point at APPLE1..n, saying the given words (default ONE..n)."""
+    said = ir.NUMERALS[:n] if said is None else said
+    pointed = [("PointedTo", f"APPLE{i}") for i in range(1, n + 1)]
+    return [ev for pair in zip(pointed, [("Said", w) for w in said]) for ev in pair]
+
+
+def _took(prefix, first, last):
+    return [("TookAway", f"{prefix}{i}") for i in range(first, last + 1)]
+
+
+def _shrunk_bananas():
+    w = tasks.build_task("T5", 0).world
+    return itp.World(w.entities, w.arrangements, {"Bananaset": ()}, w.rng_seed)
+
+
+# Every reason each row's check can give, with a hand-built run that
+# gives it; seed 0 worlds (three apples, five bananas, marbles 1-8 and
+# 9-17, ten seats and ten children, sixteen apples, candies 1-7 and 8-15).
+CHECK_REASONS = [
+    ("T1", _count(3), IntVal(3), None, ""),
+    ("T1", _count(3)[:-2], None, None, "did not point at each object exactly once"),
+    ("T1", _count(3, ("TWO", "ONE", "THREE")), None, None, "count words were out of order"),
+    ("T1", [*_count(2), ("PointedTo", "APPLE3")], None, None, "did not state the total"),
+    ("T1", _count(3), IntVal(4), None, "returned the wrong count"),
+    ("T5", _took("BANANA", 1, 5), None, "shrunk", ""),
+    ("T5", [*_took("BANANA", 1, 5), ("Said", "ERROR")], None, "shrunk",
+     "announced an error instead of fetching"),
+    ("T5", _took("BANANA", 1, 4), None, "shrunk", "fetched 4 bananas instead of 5"),
+    ("T5", _took("BANANA", 1, 5), None, None, "the heap does not reflect the fetch"),
+    ("T6", [*_took("MARBLE", 1, 5), *_took("MARBLE", 9, 15)], None, None, ""),
+    ("T6", [], None, None, "nothing was fetched to compare"),
+    ("T6", [*_took("MARBLE", 1, 5), ("Said", "ERROR")], None, None, "gave up while fetching"),
+    ("T6", _took("MARBLE", 1, 5), None, None, "fetched the wrong amounts"),
+    ("T7", [("PointedTo", "SEAT1")], IntVal(10), None, ""),
+    ("T7", [], IntVal(9), None, "misjudged how many can sit"),
+    ("T7", [("PointedTo", "CHILD1")], IntVal(10), None, "recounted the passengers one by one"),
+    ("T8", [*_count(16), ("Moved", None)], IntVal(16), None, ""),
+    ("T8", _count(16), IntVal(16), None, "never registered the rearrangement"),
+    ("T8", [("Moved", None), ("PointedTo", "APPLE1")], IntVal(16), None,
+     "recounted after the rearrangement"),
+    ("T8", [("Moved", None)], IntVal(15), None, "lost track of the total"),
+    ("T9", [("PointedTo", "CANDY15")], None, None, ""),
+    ("T9", [("Said", w) for w in ir.NUMERALS[:7]], None, None,
+     "counted the heaps aloud instead of matching"),
+    ("T9", [], None, None, "judged the heaps equal"),
+    ("T9", [("PointedTo", "CANDY1"), ("PointedTo", "CANDY15")], None, None,
+     "pointed across both heaps"),
+    ("T9", [("PointedTo", "CANDY7")], None, None, "picked the smaller heap"),
+]
+
+
+class TestCheckReasons:
+    @pytest.mark.parametrize(
+        "task_id,events,value,world_after,reason", CHECK_REASONS,
+        ids=[f"{row[0]}-{row[4] or 'solved'}" for row in CHECK_REASONS],
+    )
+    def test_each_reason_is_frozen(self, task_id, events, value, world_after, reason):
+        task = tasks.build_task(task_id, 0)
+        trace = make_trace(*events)
+        after = _shrunk_bananas() if world_after == "shrunk" else world_after
+        got = tasks._TASKS[task_id].check(task.world, trace, value, after)
+        assert got == (not reason, reason)
+        assert task.success(trace, value, after) is (not reason)
+
+
 class TestRouting:
     def test_training_task_is_solved_by_replay_alone(self, kb_by_level):
         task = tasks.build_task("T1", 0)
