@@ -6,11 +6,12 @@ description, a seed -> world builder, the domain the request comes
 from, the query, the check that judges a run, and the runner. The
 runner resolves the best available route for the knowledge it is
 given: a class operation when one is accessible, otherwise a recorded
-episode that fits the scene. It stops early with an Outcome or hands
-the trace, value and world after to the row's check, which
-`Task.success` applies to the same world. Driver units for the errand,
-bus, and conservation scenarios are task apparatus; they are injected
-at run time and never stored in a knowledge base.
+episode that fits the scene. It stops early by raising `_Stop` with an
+Outcome, which `run` returns, or hands the trace, value and world after
+to the row's check, which `Task.success` applies to the same world.
+Driver units for the errand, bus, and conservation scenarios are task
+apparatus; they are injected at run time and never stored in a
+knowledge base.
 
 Outcome separates two failure modes. Inaccessible means the knowledge
 base could not even be applied: the needed operation is missing,
@@ -316,30 +317,41 @@ def _unit_named(kb: Sequence[ir.ConceptUnit], name: str) -> ir.ConceptUnit | Non
     return None
 
 
-def _accessible(task: Task, target: ir.ConceptUnit, member: str) -> ir.Access:
-    return ir.check_access(
-        task.caller_domain, f"<{task.caller_domain}>", target, member
-    )
+class _Stop(Exception):
+    """A runner's early end, raised as _Stop(outcome, trace so far). Only
+    `run` catches it, and returns the pair."""
+
+
+def _offering(
+    task: Task, kb: Sequence[ir.ConceptUnit], op_name: str, missing: str
+) -> ir.ConceptUnit:
+    """The first class with op_name, which the task's caller must be
+    allowed to call; otherwise stop Inaccessible with the reason."""
+    cls = _class_with_op(kb, op_name)
+    if cls is None:
+        raise _Stop(Outcome.inaccessible(missing), ())
+    access = ir.check_access(task.caller_domain, f"<{task.caller_domain}>", cls, op_name)
+    if not access:
+        raise _Stop(Outcome.inaccessible(access.reason), ())
+    return cls
 
 
 def _attempt(
-    run: Callable[..., ExecResult], *args
-) -> tuple[Outcome | None, ExecResult | None]:
-    """Call run (itp.execute or itp.replay_instance) on args, folding
-    errors into outcomes. Access and binding problems mean the knowledge
-    does not apply here; anything past that point is a failed attempt."""
+    run: Callable[..., ExecResult], *args, so_far: Sequence[TraceEvent] = ()
+) -> ExecResult:
+    """Call run (itp.execute or itp.replay_instance) on args, stopping
+    with the trace so far on an error. Access and binding problems mean
+    the knowledge does not apply here; anything past that point is a
+    failed attempt."""
     try:
-        result = run(*args)
+        return run(*args)
     except (itp.AccessViolation, itp.BindingMismatch) as exc:
-        return Outcome.inaccessible(str(exc)), None
+        raise _Stop(Outcome.inaccessible(str(exc)), _shift_trace(so_far)) from None
     except itp.ExecError as exc:
-        return Outcome.failed(str(exc)), None
-    return None, result
+        raise _Stop(Outcome.failed(str(exc)), _shift_trace(so_far)) from None
 
 
-def _replay_candidate(
-    kb: Sequence[ir.ConceptUnit], world: World
-) -> ir.ConceptUnit | None:
+def _replay_candidate(kb: Sequence[ir.ConceptUnit], world: World) -> ir.ConceptUnit | None:
     """A recording applies when every entity it names is in the scene."""
     for unit in kb:
         if unit.kind is not ir.UnitKind.INSTANCE:
@@ -359,20 +371,19 @@ def _replay_candidate(
 
 
 def _count_once(
-    task: Task, kb: Sequence[ir.ConceptUnit], world: World
-) -> tuple[Outcome | None, ExecResult | None]:
+    task: Task, kb: Sequence[ir.ConceptUnit], world: World, so_far: Sequence[TraceEvent] = ()
+) -> ExecResult:
     """Produce a count of the world's first container by whatever the
     knowledge base offers: a counting operation, or a fitting replay."""
-    unit = _class_with_op(kb, "Counting")
-    if unit is not None:
-        access = _accessible(task, unit, "Counting")
-        if not access:
-            return Outcome.inaccessible(access.reason), None
-        return _attempt(itp.execute, kb, unit, "Counting", [], world, task.caller_domain)
+    if _class_with_op(kb, "Counting") is not None:
+        unit = _offering(task, kb, "Counting", "")
+        return _attempt(
+            itp.execute, kb, unit, "Counting", [], world, task.caller_domain, so_far=so_far
+        )
     instance = _replay_candidate(kb, world)
     if instance is None:
-        return Outcome.inaccessible("no concept or recording covers this scene"), None
-    return _attempt(itp.replay_instance, kb, instance, world)
+        raise _Stop(Outcome.inaccessible("no concept or recording covers this scene"), ())
+    return _attempt(itp.replay_instance, kb, instance, world, so_far=so_far)
 
 
 def _shift_trace(
@@ -391,67 +402,47 @@ def _shift_trace(
 
 
 # ---------------------------------------------------------------------------
-# Runners. Each takes (task, units) and returns (Outcome, trace): early
-# when the knowledge does not apply or the attempt raised, otherwise
-# through _judged.
+# Runners. Each takes (task, units), raises _Stop when the knowledge does
+# not apply or the attempt raised, and otherwise ends in _judged.
 
 def _run_driver(task: Task, kb: Sequence[ir.ConceptUnit]):
     """Run the driver unit and operation the task's query names,
     injected beside the knowledge base."""
     name, op, _ = task.query
     driver = _driver(name)
-    error, result = _attempt(
+    result = _attempt(
         itp.execute, [*kb, driver], driver, op, [], task.world, task.caller_domain
     )
-    if error is not None:
-        return error, ()
     return _judged(task, result.trace, result.value, result.world)
 
 
 def _run_count(task: Task, kb: Sequence[ir.ConceptUnit]):
-    error, result = _count_once(task, kb, task.world)
-    if error is not None:
-        return error, ()
+    result = _count_once(task, kb, task.world)
     return _judged(task, result.trace, result.value, result.world)
 
 
 def _fetch_args(
-    kb: Sequence[ir.ConceptUnit],
-    cls: ir.ConceptUnit,
-    world: World,
-    container: str,
-    k: int,
-) -> list[itp.Value] | None:
+    kb: Sequence[ir.ConceptUnit], cls: ir.ConceptUnit, world: World, container: str, k: int
+) -> list[itp.Value]:
     op = cls.operation("FetchObjects")
-    if len(op.params) != 2:
-        return None
-    p0 = op.params[0].type_ref
+    p0 = op.params[0].type_ref if len(op.params) == 2 else None
     if p0 in ir.SET_TYPES:
         members = world.containers[container]
         return [SeqVal([EntityVal(e) for e in members]), IntVal(k)]
     if p0 == "Set" and _unit_named(kb, "Set") is not None:
         return [itp.build_unit_value(kb, "Set", world, container), IntVal(k)]
-    return None
+    raise _Stop(Outcome.inaccessible("the fetch routine takes foreign arguments"), ())
 
 
 def _run_fetch_five(task: Task, kb: Sequence[ir.ConceptUnit]):
-    cls = _class_with_op(kb, "FetchObjects")
-    if cls is None:
-        return Outcome.inaccessible("no fetch routine at this level"), ()
-    access = _accessible(task, cls, "FetchObjects")
-    if not access:
-        return Outcome.inaccessible(access.reason), ()
+    cls = _offering(task, kb, "FetchObjects", "no fetch routine at this level")
     op = cls.operation("FetchObjects")
     if op.params and op.params[0].type_ref == "Set" and _unit_named(kb, "Set"):
         return _run_driver(task, kb)
     args = _fetch_args(kb, cls, task.world, "Bananaset", 5)
-    if args is None:
-        return Outcome.inaccessible("the fetch routine takes foreign arguments"), ()
-    error, result = _attempt(
+    result = _attempt(
         itp.execute, kb, cls, "FetchObjects", args, task.world, task.caller_domain
     )
-    if error is not None:
-        return error, ()
     return _judged(task, result.trace, result.value, result.world)
 
 
@@ -459,44 +450,33 @@ def _run_compare_figures(task: Task, kb: Sequence[ir.ConceptUnit]):
     # Direct route: a public numeral order answers without fetching.
     ordinal = _unit_named(kb, "OrdinalNumber")
     if ordinal is not None:
-        access = _accessible(task, ordinal, "numlist")
+        access = ir.check_access(
+            task.caller_domain, f"<{task.caller_domain}>", ordinal, "numlist"
+        )
         attr = ordinal.attribute("numlist") if access else None
         if attr is not None and attr.is_const and attr.const.is_symbols:
             order = attr.const.value
             if "FIVE" in order and "SEVEN" in order:
                 if order.index("SEVEN") > order.index("FIVE"):
                     return Outcome.solved(), ()
-                return Outcome.failed("picked the smaller figure"), ()
-    cls = _class_with_op(kb, "FetchObjects")
-    if cls is None:
-        return Outcome.inaccessible("no way to weigh figures at this level"), ()
-    access = _accessible(task, cls, "FetchObjects")
-    if not access:
-        return Outcome.inaccessible(access.reason), ()
+                raise _Stop(Outcome.failed("picked the smaller figure"), ())
+    cls = _offering(task, kb, "FetchObjects", "no way to weigh figures at this level")
     args_a = _fetch_args(kb, cls, task.world, "group_a", 5)
-    if args_a is None:
-        return Outcome.inaccessible("the fetch routine takes foreign arguments"), ()
-    error, first = _attempt(
+    first = _attempt(
         itp.execute, kb, cls, "FetchObjects", args_a, task.world, task.caller_domain
     )
-    if error is not None:
-        return error, ()
     args_b = _fetch_args(kb, cls, first.world, "group_b", 7)
-    error, second = _attempt(
-        itp.execute, kb, cls, "FetchObjects", args_b, first.world, task.caller_domain
+    second = _attempt(
+        itp.execute, kb, cls, "FetchObjects", args_b, first.world, task.caller_domain,
+        so_far=first.trace,
     )
-    if error is not None:
-        return error, _shift_trace(first.trace)
-    trace = _shift_trace(first.trace, second.trace)
-    return _judged(task, trace)
+    return _judged(task, _shift_trace(first.trace, second.trace))
 
 
 def _run_seat_match(task: Task, kb: Sequence[ir.ConceptUnit]):
-    cls = _class_with_op(kb, "Can_Match_Discretely")
-    if cls is None or _unit_named(kb, "Set") is None:
-        return (
-            Outcome.inaccessible("discrete matching needs the decomposed concepts"),
-            (),
+    if _class_with_op(kb, "Can_Match_Discretely") is None or _unit_named(kb, "Set") is None:
+        raise _Stop(
+            Outcome.inaccessible("discrete matching needs the decomposed concepts"), ()
         )
     return _run_driver(task, kb)
 
@@ -506,20 +486,12 @@ def _run_conservation(task: Task, kb: Sequence[ir.ConceptUnit]):
         return _run_driver(task, kb)
     # No conservation knowledge: count, watch the rearrangement, and see
     # whether the answer survives without a recount.
-    error, first = _count_once(task, kb, task.world)
-    if error is not None:
-        return error, ()
-    rearranged = World(
-        task.world.entities,
-        {"apples": "Circle"},
-        task.world.containers,
-        task.world.rng_seed,
-    )
-    error, second = _count_once(task, kb, rearranged)
-    if error is not None:
-        return error, _shift_trace(first.trace, "Moved")
-    trace = _shift_trace(first.trace, "Moved", second.trace)
-    return _judged(task, trace, second.value, second.world)
+    first = _count_once(task, kb, task.world)
+    moved = _shift_trace(first.trace, "Moved")
+    w = task.world
+    rearranged = World(w.entities, {"apples": "Circle"}, w.containers, w.rng_seed)
+    second = _count_once(task, kb, rearranged, so_far=moved)
+    return _judged(task, _shift_trace(moved, second.trace), second.value, second.world)
 
 
 def _with_primary(world: World, container: str) -> World:
@@ -531,43 +503,29 @@ def _with_primary(world: World, container: str) -> World:
 
 
 def _run_heap_compare(task: Task, kb: Sequence[ir.ConceptUnit]):
-    cls = _class_with_op(kb, "OneToOneMap")
+    mapper = _class_with_op(kb, "OneToOneMap")
     if (
-        cls is not None
+        mapper is not None
         and _unit_named(kb, "Set") is not None
-        and [p.type_ref for p in cls.operation("OneToOneMap").params] == ["Set", "Set"]
+        and [p.type_ref for p in mapper.operation("OneToOneMap").params] == ["Set", "Set"]
     ):
-        access = _accessible(task, cls, "OneToOneMap")
-        if not access:
-            return Outcome.inaccessible(access.reason), ()
+        mapper = _offering(task, kb, "OneToOneMap", "")
         set_a = itp.build_unit_value(kb, "Set", task.world, "heap_a")
         set_b = itp.build_unit_value(kb, "Set", task.world, "heap_b")
-        error, result = _attempt(
-            itp.execute, kb, cls, "OneToOneMap", [set_a, set_b], task.world,
+        trace = _attempt(
+            itp.execute, kb, mapper, "OneToOneMap", [set_a, set_b], task.world,
             task.caller_domain,
-        )
-        if error is not None:
-            return error, ()
-        trace = result.trace
+        ).trace
     else:
-        counter = _class_with_op(kb, "Counting")
-        if counter is None:
-            return Outcome.inaccessible("no concept can compare heaps yet"), ()
-        access = _accessible(task, counter, "Counting")
-        if not access:
-            return Outcome.inaccessible(access.reason), ()
-        error, first = _attempt(
+        counter = _offering(task, kb, "Counting", "no concept can compare heaps yet")
+        first = _attempt(
             itp.execute, kb, counter, "Counting", [], _with_primary(task.world, "heap_a"),
             task.caller_domain,
         )
-        if error is not None:
-            return error, ()
-        error, second = _attempt(
+        second = _attempt(
             itp.execute, kb, counter, "Counting", [], _with_primary(task.world, "heap_b"),
-            task.caller_domain,
+            task.caller_domain, so_far=first.trace,
         )
-        if error is not None:
-            return error, _shift_trace(first.trace)
         trace = _shift_trace(first.trace, second.trace)
     return _judged(task, trace)
 
@@ -580,7 +538,7 @@ class _Row:
     """One task: its description, a seed -> world builder, the caller
     domain (None: the name of the world's first container), the query,
     the check (world, trace, value, world after) -> (ok, reason), and
-    the runner (task, units) -> (Outcome, trace)."""
+    the runner (task, units) -> (Outcome, trace), which may raise _Stop."""
 
     description: str
     build_world: Callable[[int], World]
@@ -677,7 +635,10 @@ def run(
     the trace it was judged on. With a level given, only that level's
     slice of kb (``ir.kb_by_level``) is consulted."""
     units = list(kb) if level is None else ir.kb_by_level(kb)[level]
-    outcome, trace = _TASKS[task.id].runner(task, units)
+    try:
+        outcome, trace = _TASKS[task.id].runner(task, units)
+    except _Stop as stop:
+        outcome, trace = stop.args
     return outcome, tuple(trace)
 
 

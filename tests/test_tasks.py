@@ -354,6 +354,22 @@ class TestRouting:
         assert outcome.kind == "Failed"
         assert outcome.reason == "Counting has no member 'Missing'"
 
+    def test_a_reversed_numeral_order_picks_the_smaller_figure(self, kb_by_level):
+        def reversed_order(unit):
+            if unit.name != "OrdinalNumber":
+                return unit
+            attrs = tuple(
+                ir.replace(a, const=ir.replace(a.const, value=a.const.value[::-1]))
+                if a.name == "numlist" else a
+                for a in unit.attributes
+            )
+            return ir.replace(unit, attributes=attrs)
+
+        units = [reversed_order(u) for u in kb_by_level[ir.Level.E3]]
+        outcome, trace = tasks.run(tasks.build_task("T6", 0), units)
+        assert outcome == tasks.Outcome.failed("picked the smaller figure")
+        assert trace == ()
+
     @pytest.mark.parametrize("level", ir.LEVELS, ids=lambda lv: lv.name)
     @pytest.mark.parametrize("task_id", tasks.TASK_IDS)
     def test_level_filter_is_the_matrix_slice(self, canonical_kb, kb_by_level, task_id, level):
