@@ -164,6 +164,9 @@ class _Parser:
         self.pos = 0
         self.origin = origin
         self.depth = 0
+        # Per unit parsed, in order: (line, column) of each member's name
+        # token, and of the unit's keyword under the key None.
+        self.spots: list[dict[str | None, tuple[int, int]]] = []
 
     def peek(self, ahead: int = 0) -> _Tok:
         return self.tokens[self.pos + ahead]
@@ -196,6 +199,13 @@ class _Parser:
             self.fail(what)
         return self.take()[1]
 
+    def member_name(self, spots: dict, what: str) -> str:
+        """An identifier naming a member; its position goes into spots."""
+        _, _, line, column = self.peek()
+        name = self.ident(what)
+        spots[name] = (line, column)
+        return name
+
     def names(self, open_: str, close: str, what: str) -> tuple[str, ...]:
         """``open [ident ("," ident)*] close``, each ident named what."""
         self.expect(open_)
@@ -221,6 +231,7 @@ class _Parser:
     def parse_file(self) -> tuple[ConceptUnit, ...]:
         units: list[ConceptUnit] = []
         shared: list[Attribute] = []
+        shared_spots: dict[str | None, tuple[int, int]] = {}
         pending: dict[str, str] = {}
         while not self.at("eof"):
             if self.at("@"):
@@ -239,7 +250,8 @@ class _Parser:
             elif self.at_word("const"):
                 if pending:
                     self.fail("'instance' or 'class' after annotations")
-                shared.extend(self.parse_attr(Visibility.PUBLIC))
+                shared_spots.setdefault(None, self.peek()[2:])
+                shared.extend(self.parse_attr(Visibility.PUBLIC, shared_spots))
             elif self.at_word("instance") or self.at_word("class"):
                 units.append(self.parse_unit(pending))
                 pending = {}
@@ -253,6 +265,7 @@ class _Parser:
                     ir.GLOBALS_UNIT, UnitKind.CLASS, Level.E2, "numbers", tuple(shared), (), ()
                 )
             )
+            self.spots.append(shared_spots)
         return tuple(units)
 
     def parse_unit(self, pending: dict[str, str]) -> ConceptUnit:
@@ -261,6 +274,7 @@ class _Parser:
             self.fail("a preceding @level annotation", head)
         if "domain" not in pending:
             self.fail("a preceding @domain annotation", head)
+        spots: dict[str | None, tuple[int, int]] = {None: head[2:]}
         name = self.ident("a unit name")
         self.expect("{")
         attrs: list[Attribute] = []
@@ -283,17 +297,21 @@ class _Parser:
                     friends.append(self.ident("a friend unit name"))
                     self.expect(";")
                 elif self._at_attribute():
-                    attrs.extend(self.parse_attr(vis))
+                    attrs.extend(self.parse_attr(vis, spots))
                 elif self._at_operation():
-                    ops.append(self.parse_operation(vis))
+                    ops.append(self.parse_operation(vis, spots))
                 else:
-                    bare_body.append(self.parse_stmt())
                     if bare_vis is None:
                         bare_vis = vis
+                        # The implicit operation is placed at its first statement.
+                        bare_spot = self.peek()[2:]
+                    bare_body.append(self.parse_stmt())
         self.take()  # closing brace
         if bare_body:
             vis = bare_vis or Visibility.PRIVATE
             ops.append(Operation(ir.IMPLICIT_OP, (), None, vis, tuple(bare_body), True))
+            spots[ir.IMPLICIT_OP] = bare_spot
+        self.spots.append(spots)
         return ConceptUnit(
             name,
             UnitKind.INSTANCE if head[1] == "instance" else UnitKind.CLASS,
@@ -323,16 +341,16 @@ class _Parser:
 
     # -- members
 
-    def parse_attr(self, vis: Visibility) -> list[Attribute]:
+    def parse_attr(self, vis: Visibility, spots: dict) -> list[Attribute]:
         is_const = False
         if self.at_word("const"):
             self.take()
             is_const = True
         type_ref = self.ident("a type name")
-        names = [self.ident("an attribute name")]
+        names = [self.member_name(spots, "an attribute name")]
         while self.at(","):
             self.take()
-            names.append(self.ident("an attribute name"))
+            names.append(self.member_name(spots, "an attribute name"))
         literal: Literal | None = None
         if self.at("="):
             eq = self.peek()
@@ -358,13 +376,13 @@ class _Parser:
             return Literal(self.take()[1])
         self.fail("a literal")
 
-    def parse_operation(self, vis: Visibility) -> Operation:
+    def parse_operation(self, vis: Visibility, spots: dict) -> Operation:
         if self.at_word("void"):
             self.take()
             returns = None
         else:
             returns = self.ident("a return type")
-        name = self.ident("an operation name")
+        name = self.member_name(spots, "an operation name")
         self.expect("(")
         params: list[Param] = []
         if not self.at(")"):
@@ -570,18 +588,21 @@ def parse(src: SourceText | str) -> tuple[ConceptUnit, ...]:
     """Parse source text into validated concept units.
 
     Raises ParseFailure on syntax errors and on units that violate
-    their declared level discipline.
+    their declared level discipline. A discipline error that names a
+    member points at the member's name, any other at its unit's keyword.
     """
     if isinstance(src, str):
         src = SourceText(src)
-    tokens = _lex(src)
-    units = _Parser(tokens, src.origin).parse_file()
-    problems = [diag for unit in units for diag in ir.validate(unit)]
+    parser = _Parser(_lex(src), src.origin)
+    units = parser.parse_file()
+    expected = "a unit meeting its level discipline"
+    problems = [
+        ParseError(*spots.get(d.member, spots[None]), expected, str(d))
+        for unit, spots in zip(units, parser.spots)
+        for d in ir.validate(unit)
+    ]
     if problems:
-        raise ParseFailure(
-            [ParseError(1, 1, "a unit meeting its level discipline", str(d)) for d in problems],
-            src.origin,
-        )
+        raise ParseFailure(problems, src.origin)
     return units
 
 

@@ -50,8 +50,10 @@ class TestFixtures:
 # sha256 over one line per input of the error-position corpus below:
 # "line<TAB>column<TAB>expected<TAB>found" for each diagnostic of an
 # input that fails, "ok<TAB><unit count>" for one that parses. Frozen
-# from the character-loop lexer the single-pattern scanner replaced.
-ERROR_POSITIONS_SHA256 = "60b88f4fd5b03806e81bd64987064481ec331852cbc242e8009cf32eea9292b9"
+# from the character-loop lexer the single-pattern scanner replaced, then
+# recomputed once when level-discipline errors left 1:1 for the member
+# they name; only the two inputs that break a discipline moved.
+ERROR_POSITIONS_SHA256 = "786e0e03446e3a69c46c09a6cf07eb05b5c7ded97a30168f1f13e19c16c852a6"
 
 SUBSTITUTES = " ;{}()=+@/*#\t\r\n"
 SUBSTITUTION_STRIDE = 11
@@ -147,6 +149,25 @@ class TestDiagnostics:
         bad = ROUND_TRIP_SOURCE.replace("protected:", "public:")
         with pytest.raises(dsl.ParseFailure):
             dsl.parse(bad)
+
+    def test_discipline_errors_point_at_the_member_or_the_unit(self):
+        e3 = dsl.fixture_source("counting_e3").text
+        relabelled = e3.replace("@level(E3)", "@level(E1)", 1)
+        with pytest.raises(dsl.ParseFailure) as exc:
+            dsl.parse(relabelled)
+        spots = {e.found.split()[1].rstrip(":"): (e.line, e.column) for e in exc.value.errors}
+        assert spots["OrdinalNumber.GetPre"] == (9, 13)
+        assert spots["OrdinalNumber"] == (3, 1)  # e1-loop names no member: the class keyword
+
+    def test_the_implicit_operation_is_placed_at_its_first_statement(self):
+        bare = (
+            "@level(E1)\n@domain(a)\nclass T {\n"
+            "    private:\n        int x;\n        return 1;\n}\n"
+        )
+        with pytest.raises(dsl.ParseFailure) as exc:
+            dsl.parse(bare)
+        assert [(e.line, e.column) for e in exc.value.errors] == [(6, 9), (3, 1)]
+        assert "T.Replay" in exc.value.errors[0].found
 
     def test_origin_is_reported(self):
         with pytest.raises(dsl.ParseFailure) as exc:
