@@ -5,8 +5,10 @@ Usage, from the root of a checkout:
     python tools/line_coverage.py [pytest arguments...]
 
 Runs pytest in this process (default arguments: -q -p no:cacheprovider
-tests) under a sys.settrace line tracer, then prints, for each module
-of src/rrlang, how many of its executable lines never ran and which.
+--hypothesis-seed=0 tests) under a sys.settrace line tracer, then
+prints, for each module of src/rrlang, how many of its executable lines
+never ran and which. The fixed seed makes hypothesis draw the same
+inputs every run, so counts from two commits can be compared.
 A line is executable when the compiled module maps some instruction to
 it. The tracer is installed before rrlang is imported, so module-level
 lines count. It gates nothing: the exit status is pytest's.
@@ -65,7 +67,9 @@ def main(argv: list[str]) -> int:
     threading.settrace(start)
     sys.settrace(start)
     try:
-        status = pytest.main(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        status = pytest.main(
+            argv or ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", str(ROOT / "tests")]
+        )
     finally:
         sys.settrace(None)
         threading.settrace(None)
