@@ -448,7 +448,7 @@ def generalize_to_e2(
     the Globals unit that now owns the input's numeral list."""
     if unit.level is not Level.E1 or unit.kind is not UnitKind.CLASS:
         raise ValueError(f"{unit.name} is not a level-E1 class")
-    roles = _counting_roles(unit)
+    numlist, item_element = _counting_roles(unit)
 
     base = base_name(unit.name, unit.domain)
 
@@ -464,7 +464,7 @@ def generalize_to_e2(
         level=Level.E2,
         domain="numbers",
         attributes=(
-            Attribute("numlist", "intList", Visibility.PUBLIC, roles.numlist.const),
+            Attribute("numlist", "intList", Visibility.PUBLIC, numlist.const),
         ),
     )
     e2_unit = _renamed(dsl.load_fixture("counting_e2")[0], base)
@@ -479,7 +479,7 @@ def generalize_to_e2(
         f"local {decl.type_ref} {decl.name}"
         for decl in _op_locals(unit)
         if ir.is_collection_type(decl.type_ref)
-        and ir.collection_element(decl.type_ref) == roles.item_element
+        and ir.collection_element(decl.type_ref) == item_element
     ]
     report = PhaseReport(
         phase=2,
@@ -487,7 +487,7 @@ def generalize_to_e2(
         outputs=(e2_unit.name, globals_unit.name),
         rules_applied=(
             ("widen_collection_type", ", ".join(widened) or "already widened"),
-            ("hoist_numlist_global", f"{roles.numlist.name} now lives in {ir.GLOBALS_UNIT}"),
+            ("hoist_numlist_global", f"{numlist.name} now lives in {ir.GLOBALS_UNIT}"),
             ("befriend_globals", f"friend {ir.GLOBALS_UNIT}"),
             ("split_index", "Index(object_set)"),
             ("split_one_to_one_map", "OneToOneMap(object_list)"),
@@ -502,16 +502,9 @@ def generalize_to_e2(
     return (e2_unit, globals_unit), report
 
 
-@record
-class _CountingRoles:
-    numlist: Attribute
-    agent: Attribute
-    collection: Attribute
-    result: Attribute
-    item_element: str | None
-
-
-def _counting_roles(unit: ConceptUnit) -> _CountingRoles:
+def _counting_roles(unit: ConceptUnit) -> tuple[Attribute, str | None]:
+    """A counting class's numeral list and the element kind of its object
+    collection; it must also hold an agent and an int result."""
     numlist = agent = collection = result = None
     for attr in unit.attributes:
         if (
@@ -544,13 +537,7 @@ def _counting_roles(unit: ConceptUnit) -> _CountingRoles:
         raise RedescriptionError(
             f"{unit.name} is not a counting class (no loop says successive numerals)"
         )
-    return _CountingRoles(
-        numlist=numlist,
-        agent=agent,
-        collection=collection,
-        result=result,
-        item_element=ir.SET_TYPES.get(collection.type_ref),
-    )
+    return numlist, ir.SET_TYPES.get(collection.type_ref)
 
 
 def _says_successive_numerals(unit: ConceptUnit, numlist_name: str) -> bool:
