@@ -63,22 +63,18 @@ class CapabilityMatrix:
 
 
 def build_matrix(
-    kb_by_level: Mapping[ir.Level | str, Sequence[ir.ConceptUnit]],
+    kb_by_level: Mapping[ir.Level, Sequence[ir.ConceptUnit]],
     seeds: Sequence[int] = DEFAULT_SEEDS,
 ) -> CapabilityMatrix:
     """Run every task at every level; a cell is Solved only when every
     seed solves it, and otherwise carries the first shortfall."""
-    normalized: dict[ir.Level, Sequence[ir.ConceptUnit]] = {}
-    for key, units in kb_by_level.items():
-        level = ir.Level[key] if isinstance(key, str) else key
-        normalized[level] = units
     for level in ir.LEVELS:
-        if not normalized.get(level):
+        if not kb_by_level.get(level):
             raise MissingLevel(f"no units supplied for level {level.name}")
     ordered_seeds = tuple(sorted(set(seeds)))
     cells: dict[tuple[ir.Level, str], Outcome] = {}
     for level in ir.LEVELS:
-        units = normalized[level]
+        units = kb_by_level[level]
         for task_id in tasks.TASK_IDS:
             outcomes = [
                 tasks.run_task(tasks.build_task(task_id, seed), units)

@@ -44,10 +44,6 @@ class TestBuildMatrix:
         assert shuffled.cells == reference.cells
         assert shuffled.seeds_used == (0, 1, 2)
 
-    def test_string_level_keys_accepted(self, kb_by_level):
-        renamed = {level.name: units for level, units in kb_by_level.items()}
-        assert cap.build_matrix(renamed).cells == cap.build_matrix(kb_by_level).cells
-
     def test_missing_level_is_an_error(self, kb_by_level):
         partial = {k: v for k, v in kb_by_level.items() if k is not ir.Level.E3}
         with pytest.raises(cap.MissingLevel):
