@@ -374,7 +374,9 @@ def _count_once(
     task: Task, kb: Sequence[ir.ConceptUnit], world: World, so_far: Sequence[TraceEvent] = ()
 ) -> ExecResult:
     """Produce a count of the world's first container by whatever the
-    knowledge base offers: a counting operation, or a fitting replay."""
+    knowledge base offers: a counting operation, or a fitting replay.
+    A recount repeats lookups that passed on the same entities, so only
+    its attempt can stop, with the trace so far."""
     if _class_with_op(kb, "Counting") is not None:
         unit = _offering(task, kb, "Counting", "")
         return _attempt(
