@@ -322,18 +322,24 @@ class _Stop(Exception):
     `run` catches it, and returns the pair."""
 
 
-def _offering(
-    task: Task, kb: Sequence[ir.ConceptUnit], op_name: str, missing: str
-) -> ir.ConceptUnit:
-    """The first class with op_name, which the task's caller must be
-    allowed to call; otherwise stop Inaccessible with the reason."""
-    cls = _class_with_op(kb, op_name)
-    if cls is None:
-        raise _Stop(Outcome.inaccessible(missing), ())
+def _callable(task: Task, cls: ir.ConceptUnit, op_name: str) -> ir.ConceptUnit:
+    """cls, when the task's caller may call op_name on it; otherwise stop
+    Inaccessible with the access reason."""
     access = ir.check_access(task.caller_domain, f"<{task.caller_domain}>", cls, op_name)
     if not access:
         raise _Stop(Outcome.inaccessible(access.reason), ())
     return cls
+
+
+def _offering(
+    task: Task, kb: Sequence[ir.ConceptUnit], op_name: str, missing: str
+) -> ir.ConceptUnit:
+    """The first class with op_name, which the task's caller must be
+    allowed to call; with none, stop Inaccessible saying what is missing."""
+    cls = _class_with_op(kb, op_name)
+    if cls is None:
+        raise _Stop(Outcome.inaccessible(missing), ())
+    return _callable(task, cls, op_name)
 
 
 def _attempt(
@@ -377,8 +383,9 @@ def _count_once(
     knowledge base offers: a counting operation, or a fitting replay.
     A recount repeats lookups that passed on the same entities, so only
     its attempt can stop, with the trace so far."""
-    if _class_with_op(kb, "Counting") is not None:
-        unit = _offering(task, kb, "Counting", "")
+    unit = _class_with_op(kb, "Counting")
+    if unit is not None:
+        _callable(task, unit, "Counting")
         return _attempt(
             itp.execute, kb, unit, "Counting", [], world, task.caller_domain, so_far=so_far
         )
@@ -511,7 +518,7 @@ def _run_heap_compare(task: Task, kb: Sequence[ir.ConceptUnit]):
         and _unit_named(kb, "Set") is not None
         and [p.type_ref for p in mapper.operation("OneToOneMap").params] == ["Set", "Set"]
     ):
-        mapper = _offering(task, kb, "OneToOneMap", "")
+        _callable(task, mapper, "OneToOneMap")
         set_a = itp.build_unit_value(kb, "Set", task.world, "heap_a")
         set_b = itp.build_unit_value(kb, "Set", task.world, "heap_b")
         trace = _attempt(
