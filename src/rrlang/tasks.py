@@ -302,11 +302,8 @@ def _driver(name: str) -> ir.ConceptUnit:
 def _class_with_op(kb: Sequence[ir.ConceptUnit], op_name: str) -> ir.ConceptUnit | None:
     for unit in kb:
         if unit.kind is ir.UnitKind.CLASS and unit.name != ir.GLOBALS_UNIT:
-            try:
-                unit.operation(op_name)
-            except ir.UnknownMember:
-                continue
-            return unit
+            if any(op.name == op_name for op in unit.operations):
+                return unit
     return None
 
 
@@ -357,7 +354,9 @@ def _attempt(
         raise _Stop(Outcome.failed(str(exc)), _shift_trace(so_far)) from None
 
 
-def _replay_candidate(kb: Sequence[ir.ConceptUnit], world: World) -> ir.ConceptUnit | None:
+def _replay_candidate(
+    kb: Sequence[ir.ConceptUnit], world: World
+) -> ir.ConceptUnit | None:
     """A recording applies when every entity it names is in the scene."""
     for unit in kb:
         if unit.kind is not ir.UnitKind.INSTANCE:
