@@ -302,8 +302,9 @@ def _driver(name: str) -> ir.ConceptUnit:
 def _class_with_op(kb: Sequence[ir.ConceptUnit], op_name: str) -> ir.ConceptUnit | None:
     for unit in kb:
         if unit.kind is ir.UnitKind.CLASS and unit.name != ir.GLOBALS_UNIT:
-            if any(op.name == op_name for op in unit.operations):
-                return unit
+            for op in unit.operations:
+                if op.name == op_name:
+                    return unit
     return None
 
 
