@@ -615,13 +615,21 @@ def _grow_episode(rng):
     return domain, world, trace, replay_world
 
 
-def test_recordings_replay_alike_walked_and_compiled():
-    """200 recorded episodes: the first, walked replay and the second,
-    compiled replay give the same result or the same error. An episode
-    that names an entity outside its scene is refused when recorded."""
+# sha256 over the repr of both replays' outcomes of every recording in
+# test_recordings_replay_to_frozen_outcomes, in order, frozen from the
+# tree walker (first replay) and the closure tier (second replay).
+_RECORDINGS_DIGEST = "2016ec2ded665d1d9017d9f65320659e2c8d923671da3c049bb9cb1a94ce3411"
+
+
+def test_recordings_replay_to_frozen_outcomes():
+    """200 recorded episodes, each replayed twice: both replays give the
+    same result or the same error, and together they hash to the frozen
+    digest. An episode that names an entity outside its scene is
+    refused when recorded."""
     rng = random.Random(20)
     kb = kbmod.KnowledgeBase()
     kinds = set()
+    digest = hashlib.sha256()
     for _ in range(200):
         domain, world, trace, replay_world = _grow_episode(rng)
         if any(event.arg == "GHOST" for event in trace):
@@ -639,10 +647,12 @@ def test_recordings_replay_alike_walked_and_compiled():
                 outcomes.append((type(exc).__name__, str(exc)))
             else:
                 outcomes.append((None, r.trace, r.value, r.steps, r.world))
+            digest.update(repr(outcomes[-1]).encode())
         assert itp.compiled_body(op) is not None
         assert outcomes[0] == outcomes[1], unit.name
         kinds.add(outcomes[0][0])
     assert kinds == {None, "KbError", "SetupMismatch"}
+    assert digest.hexdigest() == _RECORDINGS_DIGEST
 
 
 def test_only_a_script_is_walked_on_its_first_call():
