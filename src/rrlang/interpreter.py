@@ -25,25 +25,17 @@ at entry so every operation gets a fresh view of the collections.
 
 Each primitive verb has one definition, a function in `_PRIMITIVES`
 (see "Primitive verbs" below), and every way of running a verb calls
-it. Operation bodies run on one of two tiers with identical results,
-steps and errors, chosen by the body's shape and its call count. Both
-share that verb table and one expression evaluator, the closure
-compiler `_compile_expr`:
-
-* the tree walker plays a script, a body of setup facts and atomic
-  actions only (`ir.is_script`), on its first call. Scripts are
-  replayed recordings, and most run once, so compiling them would cost
-  more than walking them. The walker is one loop, `_Machine.exec_block`,
-  which counts each statement's step, checks setup facts, looks a name
-  operand up directly and compiles any other operand in place, and
-  calls the action's verb;
-* every other body, and a script from its second call on, runs as
-  Python closures compiled once per Operation (see "Closure tier"
-  below). Node kinds, verb definitions and name scopes are settled at
-  compile time, and each access decision is kept per call site. The
-  compiled body is stored on the Operation object itself, so it lives
-  and dies with the operation: there is no global cache to hold
-  knowledge bases alive.
+it. Every operation body runs as Python closures, compiled on its
+first call (see "Closures" below). Node kinds and verb definitions
+are settled at compile time; a name is resolved when it runs, first
+among the locals, then the unit's own attributes, then Globals; and
+each access decision is kept per call site. The compiled body is
+stored on the Operation object itself, and the closure of a setup fact
+or an action on its statement node, so both live and die with the
+program they run: there is no global cache to hold knowledge bases
+alive. Recordings in one knowledge base share their statement nodes
+(see kb.py), so a recording's first replay mostly reuses closures that
+earlier recordings compiled.
 
 `eval_primitive` runs one verb in isolation, through the same table.
 """
@@ -328,7 +320,6 @@ class _Machine:
         self,
         kb: Sequence[ConceptUnit],
         world: World,
-        caller_domain: str,
         step_limit: int,
     ):
         self.units: dict[str, ConceptUnit] = {u.name: u for u in kb}
@@ -337,7 +328,6 @@ class _Machine:
         self.containers = {name: list(members) for name, members in world.containers.items()}
         self.rng_seed = world.rng_seed
         self.rng = random.Random(world.rng_seed)
-        self.caller_domain = caller_domain
         self.step_limit = step_limit
         self.steps = 0
         self.trace: list[TraceEvent] = []
@@ -509,17 +499,17 @@ class _Machine:
 
     # -- setup facts
 
-    def check_setup(self, stmt: SetupStmt, frame: _Frame) -> None:
+    def check_setup(self, pred: str, args: tuple[str, ...], frame: _Frame) -> None:
         ids = []
-        for name in stmt.args:
+        for name in args:
             value = self.lookup(frame, name)
             if not isinstance(value, EntityVal):
-                raise SetupMismatch(f"{stmt.pred}: {name!r} is not an entity")
+                raise SetupMismatch(f"{pred}: {name!r} is not an entity")
             ids.append(value.entity)
-        if stmt.pred in ("In", "On"):
+        if pred in ("In", "On"):
             for eid in ids:
                 if eid not in self.entities:
-                    raise SetupMismatch(f"{stmt.pred}: {eid!r} is not in the scene")
+                    raise SetupMismatch(f"{pred}: {eid!r} is not in the scene")
             return
         # InLine holds only for the whole container, in order, arranged in a line
         if not ids:
@@ -568,34 +558,6 @@ class _Machine:
 
     # -- statements
 
-    def exec_block(self, frame: _Frame, op: ir.Operation) -> None:
-        """Walk op's body, a script (see ir.is_script), one step per statement.
-
-        A name operand is looked up directly; any other operand is
-        compiled in place by _compile_expr, the one expression evaluator.
-        An action then runs its verb's one definition in _PRIMITIVES.
-        """
-        lookup = self.lookup
-        for stmt in op.body:
-            if self.steps < self.step_limit:
-                self.steps += 1
-            else:
-                self.tick()
-            if stmt.__class__ is SetupStmt:
-                self.check_setup(stmt, frame)
-                continue
-            recv = stmt.recv
-            recv = (
-                lookup(frame, recv.name) if recv.__class__ is NameExpr
-                else _compile_expr(recv, _Scope(op))(self, frame)
-            )
-            args = [
-                lookup(frame, a.name) if a.__class__ is NameExpr
-                else _compile_expr(a, _Scope(op))(self, frame)
-                for a in stmt.args
-            ]
-            _PRIMITIVES[stmt.verb](self, recv, args)
-
     @staticmethod
     def _default_local(type_ref: str) -> Value:
         if type_ref == "int":
@@ -617,7 +579,7 @@ class _Machine:
             raise UnboundName(exc.args[0]) from exc
 
     def invoke(self, target: ConceptUnit, op: ir.Operation, args: list[Value]) -> Value:
-        """Bind args and run op's body on whichever tier it has reached."""
+        """Bind args and run op's compiled body."""
         if len(args) != len(op.params):
             raise TypeMismatch(
                 f"{target.name}.{op.name} takes {len(op.params)} arguments, got {len(args)}"
@@ -633,16 +595,13 @@ class _Machine:
                     if isinstance(fval, SeqVal):
                         fval.pos = 0
             locals_map[param.name] = value
-        code = _tier(op)
+        code = _compiled(op)
         self.call_depth += 1
         if self.call_depth > _CALL_DEPTH_LIMIT:
             self.call_depth -= 1
             raise StepLimitExceeded("operation call depth exceeded")
         frame = _Frame(target, locals_map, attrs)
         try:
-            if code is None:
-                self.exec_block(frame, op)
-                return NOTHING
             value = code(self, frame)
             return NOTHING if value is None else value
         finally:
@@ -698,10 +657,10 @@ class _Machine:
 # Primitive verbs
 #
 # Each primitive verb is one function (machine, receiver, argument
-# values) -> Value, defined here and nowhere else: the walker, the
-# closure tier and eval_primitive all call it through _PRIMITIVES. A
-# function takes the well-typed case first and raises its own error
-# otherwise. The arguments come as a tuple, or as a list from the walker.
+# values) -> Value, defined here and nowhere else: compiled bodies and
+# eval_primitive both call it through _PRIMITIVES. A function takes the
+# well-typed case first and raises its own error otherwise. The
+# arguments come as a tuple.
 
 def _move(m, recv, args):
     trace = m.trace
@@ -836,59 +795,39 @@ _PRIMITIVES = _VerbTable(
 
 
 # ---------------------------------------------------------------------------
-# Closure tier
+# Closures
 #
 # An operation's body is compiled into nested Python closures on its
-# first call, or on its second if it is a script (see _tier). Every
-# closure takes (machine, frame). A statement closure returns None to
-# fall through and a Value to return from the operation, so `return`
-# needs no exception. Node kinds are dispatched once, at compile time,
-# and a primitive call looks its verb's one definition up then; the
-# machine's own helpers raise the same errors after the same steps.
+# first call (see _compiled). Every closure takes (machine, frame). A
+# statement closure returns None to fall through and a Value to return
+# from the operation, so `return` needs no exception. Node kinds are
+# dispatched once, at compile time, and a primitive call looks its
+# verb's one definition up then; the machine's own helpers raise the
+# same errors after the same steps. No closure depends on the body it
+# sits in, so a setup fact or an action keeps its closure on its own
+# node, and every body sharing that node reuses it.
 
-_TIER_ATTR = "_compiled_body"
-_WALKED = "walked once"
+_BODY_ATTR = "_compiled_body"
+_KEPT_ATTR = "_compiled"
 
 
-def _tier(op: ir.Operation):
-    """None while op should be walked, else its compiled body.
-
-    A script's first call walks, since a recording replayed once costs
-    more to compile than to walk; its second call compiles. Any other
-    body compiles on its first call. The closure is kept in the
-    Operation's own slot, so it lives and dies with the operation.
-    """
-    code = getattr(op, _TIER_ATTR, None)
-    if code is None and ir.is_script(op.body):
-        object.__setattr__(op, _TIER_ATTR, _WALKED)
-        return None
-    if code is None or code is _WALKED:
-        code = _compile_block(op.body, _Scope(op))
-        object.__setattr__(op, _TIER_ATTR, code)
+def _compiled(op: ir.Operation):
+    """op's compiled body, compiled on the first call and kept in the
+    Operation's own slot, so it lives and dies with the operation."""
+    code = getattr(op, _BODY_ATTR, None)
+    if code is None:
+        code = _compile_block(op.body)
+        object.__setattr__(op, _BODY_ATTR, code)
     return code
 
 
 def compiled_body(op: ir.Operation):
-    """The closure tier of op: None until a script's second call or any
-    other body's first."""
-    code = getattr(op, _TIER_ATTR, _WALKED)
-    return None if code is _WALKED else code
+    """The compiled body of op: None until its first call."""
+    return getattr(op, _BODY_ATTR, None)
 
 
-class _Scope:
-    """Which names of one body are parameters, always bound locally,
-    and which are declared locals, bound only once their declaration
-    has run."""
-
-    def __init__(self, op: ir.Operation):
-        self.params = frozenset(p.name for p in op.params)
-        self.declared = frozenset(
-            s.name for s in ir.walk(op.body) if isinstance(s, LocalDecl)
-        ) - self.params
-
-
-def _compile_block(body: Sequence[Stmt], scope: _Scope):
-    stmts = tuple(_compile_stmt(s, scope) for s in body)
+def _compile_block(body: Sequence[Stmt]):
+    stmts = tuple(_compile_stmt(s) for s in body)
 
     def block(m, f):
         for stmt in stmts:
@@ -904,20 +843,27 @@ def _compile_block(body: Sequence[Stmt], scope: _Scope):
     return block
 
 
-def _compile_stmt(stmt: Stmt, scope: _Scope):
+def _compile_stmt(stmt: Stmt):
     kind = type(stmt)
-    if kind is ActionStmt:
-        return _compile_primitive(stmt.verb, stmt.recv, stmt.args, scope, None)
+    if kind is ActionStmt or kind is SetupStmt:
+        code = getattr(stmt, _KEPT_ATTR, None)
+        if code is None:
+            if kind is ActionStmt:
+                code = _compile_primitive(stmt.verb, stmt.recv, stmt.args, None)
+            else:
+                code = _compile_setup(stmt.pred, stmt.args)
+            object.__setattr__(stmt, _KEPT_ATTR, code)
+        return code
     if kind is AssignStmt:
-        return _compile_assign(stmt, scope)
+        return _compile_assign(stmt)
     if kind is CallStmt:
-        return _compile_call(stmt.recv, stmt.op, stmt.args, scope, None)
+        return _compile_call(stmt.recv, stmt.op, stmt.args, None)
     if kind is WhileStmt:
-        return _compile_while(stmt, scope)
+        return _compile_while(stmt)
     if kind is IfStmt:
-        cond = _compile_expr(stmt.cond, scope)
-        then = _compile_block(stmt.then, scope)
-        orelse = _compile_block(stmt.orelse, scope)
+        cond = _compile_expr(stmt.cond)
+        then = _compile_block(stmt.then)
+        orelse = _compile_block(stmt.orelse)
 
         def if_(m, f):
             c = cond(m, f)
@@ -942,20 +888,23 @@ def _compile_stmt(stmt: Stmt, scope: _Scope):
     if kind is ReturnStmt:
         if stmt.value is None:
             return lambda m, f: NOTHING
-        return _compile_expr(stmt.value, scope)  # a Value is never None
+        return _compile_expr(stmt.value)  # a Value is never None
     if kind is BlockStmt:
-        return _compile_block(stmt.body, scope)
-    if kind is SetupStmt:
-        def setup(m, f):
-            m.check_setup(stmt, f)
-
-        return setup
+        return _compile_block(stmt.body)
     return _raising(TypeMismatch, f"cannot execute {stmt!r}")
 
 
-def _compile_while(stmt: WhileStmt, scope: _Scope):
-    cond = _compile_expr(stmt.cond, scope)
-    body = tuple(_compile_stmt(s, scope) for s in stmt.body)
+def _compile_setup(pred: str, args: tuple[str, ...]):
+    # The closure is kept on the SetupStmt, so it must not hold the node.
+    def setup(m, f):
+        m.check_setup(pred, args, f)
+
+    return setup
+
+
+def _compile_while(stmt: WhileStmt):
+    cond = _compile_expr(stmt.cond)
+    body = tuple(_compile_stmt(s) for s in stmt.body)
 
     def while_(m, f):
         while True:
@@ -980,11 +929,11 @@ def _compile_while(stmt: WhileStmt, scope: _Scope):
     return while_
 
 
-def _compile_assign(stmt: AssignStmt, scope: _Scope):
-    value = _compile_expr(stmt.value, scope)
+def _compile_assign(stmt: AssignStmt):
+    value = _compile_expr(stmt.value)
     target = stmt.target
     if type(target) is not NameExpr:
-        recv = _compile_expr(target.recv, scope)
+        recv = _compile_expr(target.recv)
         field = target.name
 
         def set_field(m, f):
@@ -993,52 +942,37 @@ def _compile_assign(stmt: AssignStmt, scope: _Scope):
 
         return set_field
     name = target.name
-    if name in scope.params:
-        def set_param(m, f):
-            f.locals[name] = value(m, f)
-
-        return set_param
     site = [None]  # the unit last seen to own a writable `name`
-    if name in scope.declared:
-        def set_local(m, f):
-            v = value(m, f)
-            if name in f.locals:
-                f.locals[name] = v
-            elif name in f.attrs and site[0] is f.unit:
-                f.attrs[name] = v
-            else:
-                m.assign(f, name, v, site)
 
-        return set_local
-
-    def set_attr(m, f):
+    def set_name(m, f):
         v = value(m, f)
-        attrs = f.attrs
-        if name in attrs and site[0] is f.unit:
-            attrs[name] = v
+        if name in f.locals:
+            f.locals[name] = v
+        elif name in f.attrs and site[0] is f.unit:
+            f.attrs[name] = v
         else:
             m.assign(f, name, v, site)
 
-    return set_attr
+    return set_name
 
 
-def _compile_expr(expr: Expr, scope: _Scope):
+def _compile_expr(expr: Expr):
     kind = type(expr)
     if kind is NameExpr:
-        return _compile_name(expr.name, scope)
+        return _compile_name(expr.name)
     if kind is CallExpr:
         if expr.op in ir.PRIMITIVE_VERBS:
             if expr.recv is not None:
-                return _compile_primitive(expr.op, expr.recv, expr.args, scope, NOTHING)
+                return _compile_primitive(expr.op, expr.recv, expr.args, NOTHING)
             return _raising(TypeMismatch, f"{expr.op} needs a receiver")
         if expr.recv is None or type(expr.recv) is NameExpr:
             recv = None if expr.recv is None else expr.recv.name
-            return _compile_call(recv, expr.op, expr.args, scope, NOTHING)
+            return _compile_call(recv, expr.op, expr.args, NOTHING)
         return _raising(UnboundName, f"operation {expr.op!r} needs a unit receiver")
     elif kind is FieldExpr:
-        return _compile_field(expr, scope)
+        return _compile_field(expr)
     elif kind is BinExpr:
-        return _compile_binop(expr, scope)
+        return _compile_binop(expr)
     elif kind is IntExpr:
         constant = IntVal(expr.value)
         return lambda m, f: constant
@@ -1048,7 +982,7 @@ def _compile_expr(expr: Expr, scope: _Scope):
     elif kind is NullExpr:
         return lambda m, f: NOTHING
     elif kind is NotExpr:
-        operand = _compile_expr(expr.operand, scope)
+        operand = _compile_expr(expr.operand)
 
         def not_(m, f):
             v = operand(m, f)
@@ -1072,15 +1006,15 @@ def _raising(error: type[ExecError], message: str):
     return fail
 
 
-def _compile_name(name: str, scope: _Scope):
-    if name in scope.params:
-        return lambda m, f: f.locals[name]
+def _compile_name(name: str):
+    """A name, resolved when it runs: a local (a parameter, or a
+    declaration that has run), else an own attribute, else Globals."""
     site = [(None, None)]
-    declared = name in scope.declared
 
     def load(m, f):
-        if declared and name in f.locals:
-            return f.locals[name]
+        locals_map = f.locals
+        if name in locals_map:
+            return locals_map[name]
         attrs = f.attrs
         if name in attrs:
             return attrs[name]
@@ -1094,8 +1028,8 @@ def _compile_name(name: str, scope: _Scope):
     return load
 
 
-def _compile_field(expr: FieldExpr, scope: _Scope):
-    recv = _compile_expr(expr.recv, scope)
+def _compile_field(expr: FieldExpr):
+    recv = _compile_expr(expr.recv)
     name = expr.name
     site = [(None, None)]
 
@@ -1112,14 +1046,14 @@ def _compile_field(expr: FieldExpr, scope: _Scope):
     return field
 
 
-def _compile_binop(expr: BinExpr, scope: _Scope):
+def _compile_binop(expr: BinExpr):
     op = expr.op
-    left = _compile_expr(expr.left, scope)
+    left = _compile_expr(expr.left)
     if op in ("==", "!=") and type(expr.right) is NullExpr:
         # x == NULL holds exactly when x is Nothing (see values_equal)
         hit, miss = (_TRUE, _FALSE) if op == "==" else (_FALSE, _TRUE)
         return lambda m, f: hit if left(m, f) is NOTHING else miss
-    right = _compile_expr(expr.right, scope)
+    right = _compile_expr(expr.right)
     if op == "==":
         return lambda m, f: _TRUE if values_equal(left(m, f), right(m, f)) else _FALSE
     if op == "!=":
@@ -1156,13 +1090,13 @@ _INT_OPS = {
 }
 
 
-def _compile_primitive(verb: str, recv_expr: Expr, arg_exprs, scope: _Scope, done):
+def _compile_primitive(verb: str, recv_expr: Expr, arg_exprs, done):
     """A primitive call through its verb's one definition, with one
     closure per arity. done is None for a statement, which yields None,
     and NOTHING for an expression, which yields the verb's value."""
     run = _PRIMITIVES[verb]
-    recv = _compile_expr(recv_expr, scope)
-    args = tuple(_compile_expr(a, scope) for a in arg_exprs)
+    recv = _compile_expr(recv_expr)
+    args = tuple(_compile_expr(a) for a in arg_exprs)
     if not args:
         def primitive(m, f):
             value = run(m, recv(m, f), ())
@@ -1183,14 +1117,11 @@ def _compile_primitive(verb: str, recv_expr: Expr, arg_exprs, scope: _Scope, don
     return primitive
 
 
-def _compile_call(recv_name: str | None, op_name: str, arg_exprs, scope: _Scope, done):
+def _compile_call(recv_name: str | None, op_name: str, arg_exprs, done):
     """An operation call by a statement (done is None) or an expression;
     a receiver name that is bound as a local or attribute, or names no
     unit, is reported before any argument is evaluated."""
-    args = tuple(_compile_expr(a, scope) for a in arg_exprs)
-    may_be_local = recv_name is not None and (
-        recv_name in scope.params or recv_name in scope.declared
-    )
+    args = tuple(_compile_expr(a) for a in arg_exprs)
     site = [(None, None, None)]  # (caller, target, operation) last resolved here
 
     def call(m, f):
@@ -1199,7 +1130,7 @@ def _compile_call(recv_name: str | None, op_name: str, arg_exprs, scope: _Scope,
             target = caller
         else:
             target = m.units.get(recv_name)
-            if target is None or recv_name in f.attrs or (may_be_local and recv_name in f.locals):
+            if target is None or recv_name in f.attrs or recv_name in f.locals:
                 if done is None:
                     raise UnboundName(f"unknown unit {recv_name!r}")
                 raise UnboundName(f"operation {op_name!r} needs a unit receiver")
@@ -1238,7 +1169,7 @@ def execute(
     """
     if step_limit <= 0:
         raise ValueError("step_limit must be positive")
-    machine = _Machine(kb, world, caller_domain, step_limit)
+    machine = _Machine(kb, world, step_limit)
     if target.name not in machine.units:
         machine.units[target.name] = target
     caller_name = caller_unit if caller_unit is not None else f"<{caller_domain}>"
@@ -1285,7 +1216,7 @@ def eval_primitive(
     """Run one primitive in isolation; the world is only consulted, and
     TakeAway mutates a throwaway copy. Collection receivers mutate in
     place. The draw sequence restarts from world.rng_seed each call."""
-    machine = _Machine((), world, "<primitive>", DEFAULT_STEP_LIMIT)
+    machine = _Machine((), world, DEFAULT_STEP_LIMIT)
     value = _PRIMITIVES[verb](machine, recv, tuple(args))
     event = machine.trace[0] if machine.trace else None
     return event, value
@@ -1303,6 +1234,6 @@ def build_unit_value(
             members = world.containers.get(container)
             if members is None:
                 raise UnboundName(f"world has no container {container!r}")
-            machine = _Machine(kb, world, "<builder>", DEFAULT_STEP_LIMIT)
+            machine = _Machine(kb, world, DEFAULT_STEP_LIMIT)
             return machine.build_unit_value(unit, tuple(members))
     raise UnboundName(f"no class {cls_name!r} in the knowledge base")

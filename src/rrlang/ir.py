@@ -324,6 +324,10 @@ Expr = (
 class SetupStmt:
     """Scene fact recorded in a level-I body, checked against the world."""
 
+    # The interpreter keeps the statement's compiled closure here (see
+    # interpreter._compile_stmt), shared by every body holding the node.
+    __slots__ = ("_compiled",)
+
     pred: str
     args: tuple[str, ...]
 
@@ -335,6 +339,8 @@ class SetupStmt:
 @record
 class ActionStmt:
     """Primitive action or collection manipulation in statement position."""
+
+    __slots__ = ("_compiled",)  # the compiled closure, as on SetupStmt
 
     verb: str
     recv: Expr
@@ -435,8 +441,9 @@ IMPLICIT_OP = "Replay"
 
 @record
 class Operation:
-    # The interpreter keeps the operation's compiled body here (see
-    # interpreter._tier), so it lives and dies with the operation.
+    # The interpreter keeps the operation's compiled body here, from
+    # its first call on (see interpreter._compiled), so it lives and
+    # dies with the operation.
     __slots__ = ("_compiled_body",)
 
     name: str

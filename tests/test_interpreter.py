@@ -375,7 +375,7 @@ class TestNumerals:
     @pytest.mark.parametrize("level", ("E1", "E2", "E3"))
     def test_twenty_objects_still_count(self, level, e1, e2_kb, e3_kb):
         units, target, domain = self._counting(level, e1, e2_kb, e3_kb)
-        for _ in range(2):  # walked, then compiled
+        for _ in range(2):  # the first call compiles, the second reuses it
             r = itp.execute(units, target, "Counting", [], apples_world(20), domain)
             assert r.value == itp.IntVal(20)
             assert verbs(r.trace, "Said") == list(NUMERALS)

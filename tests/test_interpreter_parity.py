@@ -1,21 +1,23 @@
-"""Both execution tiers reproduce the frozen tree-walker results.
+"""Compiled bodies reproduce the frozen tree-walker results.
 
 interpreter_parity.tsv holds, for every (task, level) at seeds 0-16,
 the outcome kind, the reason, the sha256 of the trace and the steps of
 each `execute` the run made. It was generated by the tree-walking
 interpreter before tiered execution existed, so it is the reference
-both tiers are held to. Regenerate it only for an intended change of
+compiled bodies are held to. Regenerate it only for an intended change of
 behaviour:
 
     PYTHONPATH=src python tests/test_interpreter_parity.py
 
 Every cell runs twice on the same fresh copies of the canonical units:
-the first run walks each recorded script on its first call and compiles
-every other body, the second runs the compiled bodies throughout.
+the first run compiles each body on its first call, the second runs
+the compiled bodies throughout. The tree walker itself is gone; its
+frozen outcomes below and in the TSV stay the reference.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 import sys
@@ -39,13 +41,9 @@ HEADER = (
 
 
 def fresh(units):
-    """Copies of units whose Operation objects have never run."""
-    return [
-        ir.replace(
-            u, operations=tuple(ir.replace(op) for op in u.operations)
-        )
-        for u in units
-    ]
+    """Copies of units that have never run: no Operation holds a compiled
+    body and no statement a kept closure."""
+    return copy.deepcopy(list(units))
 
 
 def record(task_id, seed, units):
@@ -478,7 +476,7 @@ _SCRIPT_ATTRS = (
 
 def _script(*body, attrs=(), params=()):
     """A script probe: a body of setup facts and actions over named
-    scene entities, walked on its first call."""
+    scene entities, the shape of a level I recording."""
     return _probe(None, body, attrs=_SCRIPT_ATTRS + tuple(attrs), params=params)[1]
 
 
@@ -512,7 +510,7 @@ SCRIPT_PROBES = {
     "say-entity": _script(_act("Say", "APPLE1")),
     "point-to-token": _script(_act("PointTo", "one")),
     "point-to-parameter": _script(_act("PointTo", "a"), params=[ir.Param("a", "APPLE")]),
-    # a non-name operand is compiled in place by the walker
+    # an operand other than a name
     "say-next-word": _script(
         *(ir.ActionStmt("Say", _N("ME"), (ir.CallExpr(_N("words"), "Next", ()),)),) * 2,
         attrs=[_attr("words", "intList", ("one", "two"))],
@@ -555,18 +553,18 @@ def _outcome(run):
 
 @pytest.mark.parametrize("name", sorted(SCRIPT_PROBES))
 def test_script_outcomes_match_between_tiers(name):
-    """Scripts: the walked first run and the compiled second run both
-    report the frozen outcome."""
+    """Scripts: the first run, which compiles, and the second, which
+    reuses the compiled body, both report the walker's frozen outcome."""
     units = fresh(SCRIPT_PROBES[name])
     probe = units[0]
     run = probe.operation("Run")
     args = SCRIPT_ARGS.get(name, [])
     outcomes = []
-    for compiled in (False, True):
+    for _ in range(2):
         outcomes.append(_outcome(
             lambda: itp.execute(units, probe, "Run", args, _SCRIPT_WORLD, "numbers", step_limit=50)
         ))
-        assert (itp.compiled_body(run) is not None) is compiled
+        assert itp.compiled_body(run) is not None
     assert outcomes[0] == outcomes[1] == SCRIPT_OUTCOMES[name]
 
 
@@ -655,17 +653,36 @@ def test_recordings_replay_to_frozen_outcomes():
     assert digest.hexdigest() == _RECORDINGS_DIGEST
 
 
-def test_only_a_script_is_walked_on_its_first_call():
-    """A body of setup facts and actions waits for its second call to
-    compile; any other body compiles on its first."""
+def test_every_body_compiles_on_its_first_call(monkeypatch):
+    """A script and a branching body both compile on their first call.
+    A second recording in the same knowledge base compiles no statement
+    of its own: it reuses the closures kept on the nodes it shares with
+    the first."""
     _, script = _probe(None, [ir.ActionStmt("Move", _I(0), ())])
     _, branching = _probe(None, [ir.IfStmt(_B(False), (), ())])
     world = itp.World({"ME": ("Person", None)}, {}, {}, 0)
-    for units, compiled_after in ((script, (False, True)), (branching, (True, True))):
+    for units in (script, branching):
         run = units[0].operation("Run")
-        for expected in compiled_after:
-            itp.execute(units, units[0], "Run", [], world, "numbers")
-            assert (itp.compiled_body(run) is not None) is expected
+        assert itp.compiled_body(run) is None
+        itp.execute(units, units[0], "Run", [], world, "numbers")
+        assert itp.compiled_body(run) is not None
+
+    compiled = []
+    for name in ("_compile_primitive", "_compile_setup"):
+        real = getattr(itp, name)
+        monkeypatch.setattr(
+            itp, name, lambda *args, real=real: compiled.append(args) or real(*args)
+        )
+    kb = kbmod.KnowledgeBase()
+    domain, world, trace, _ = _grow_episode(random.Random(3))
+    first = kb.record_instance(trace, world, domain)
+    second = kb.record_instance(trace, world, domain)
+    assert itp.replay_instance((first,), first, world).trace == trace
+    assert len(compiled) == len(set(first.operations[0].body))
+    compiled.clear()
+    assert itp.replay_instance((second,), second, world).trace == trace
+    assert compiled == []
+    assert itp.compiled_body(second.operations[0]) is not None
 
 
 def test_shared_operation_rechecks_access_for_a_new_caller():
