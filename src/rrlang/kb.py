@@ -4,9 +4,10 @@ reached, plus the experience log that drives advancement.
 Redescription appends; it never replaces. A knowledge base therefore
 keeps an instance recording alongside the class that grew out of it,
 keyed by (name, level). Recordings in one knowledge base share their
-immutable nodes (constants, names and statements) and never their
-operations: each Operation carries its own compiled body, and a
-recording's first replay walks it.
+immutable nodes (constants, names and statements), recorded or
+loaded, and never their operations: each Operation carries its own
+compiled body, and a recording's first replay compiles it from the
+statement closures its shared nodes keep.
 
 On disk a knowledge base is a directory: one canonical .rr file per
 unit and a manifest.tsv index whose rows are either
@@ -141,8 +142,7 @@ class KnowledgeBase:
     # (pred, args) and an ActionStmt by (verb, agent, arg); a record's
     # own hash would recurse through its fields. It grows with the
     # names and verbs seen, not with the episodes. Operations and units
-    # are never shared: a shared Operation would carry one recording's
-    # compiled body into another's first replay.
+    # are never shared: each Operation keeps its own compiled body.
 
     def _const(self, name: str, type_ref: str) -> ir.Attribute:
         key = (name, type_ref)
@@ -261,6 +261,37 @@ class KnowledgeBase:
             (),
         )
         return self.add_unit(unit)
+
+    def _shared(self, unit: ir.ConceptUnit) -> ir.ConceptUnit:
+        """A parsed level-I unit with the nodes a recording would share
+        taken from the table: private self-named constants, setup facts,
+        and actions on a named agent with one name argument. Anything
+        else is kept as parsed."""
+        if unit.level is not ir.Level.I:
+            return unit
+        attrs = tuple(
+            self._const(a.name, a.type_ref)
+            if a.visibility is ir.Visibility.PRIVATE and a.const == ir.Literal(a.name)
+            else a
+            for a in unit.attributes
+        )
+        ops = []
+        for op in unit.operations:
+            body = []
+            for stmt in op.body:
+                kind = stmt.__class__
+                if kind is ir.SetupStmt:
+                    stmt = self._setup(stmt.pred, stmt.args)
+                elif (
+                    kind is ir.ActionStmt
+                    and stmt.recv.__class__ is ir.NameExpr
+                    and len(stmt.args) == 1
+                    and stmt.args[0].__class__ is ir.NameExpr
+                ):
+                    stmt = self._action(stmt.verb, stmt.recv.name, stmt.args[0].name)
+                body.append(stmt)
+            ops.append(ir.replace(op, body=tuple(body)))
+        return ir.replace(unit, attributes=attrs, operations=tuple(ops))
 
     # -- advancement -------------------------------------------------
 
@@ -403,7 +434,7 @@ class KnowledgeBase:
                         str(manifest),
                     )
                 try:
-                    kb.add_unit(unit)
+                    kb.add_unit(kb._shared(unit))
                 except DuplicateUnit as exc:
                     raise ManifestError(str(exc), str(manifest)) from exc
             elif parts[0] == "log" and len(parts) == 5:

@@ -238,8 +238,9 @@ class TestSharedNodes:
         assert pairs and all(a is b for a, b in pairs)
 
     def test_operations_and_units_stay_distinct(self):
-        # An Operation holds its execution tier, so a shared one would
-        # make the second recording's first replay run compiled.
+        # An Operation holds its compiled body, so each recording
+        # compiles its own on its first replay; only the statement
+        # closures kept on the shared nodes are reused.
         kb = kbmod.KnowledgeBase()
         world, trace = counting_scene(4)
         first = kb.record_instance(trace, world, "apples")
@@ -274,6 +275,57 @@ class TestSharedNodes:
             kb.record_instance(trace, world, domain)
         gc.collect()
         assert (len(gc.get_objects()) - before) / 200 < 20
+
+    def test_a_loaded_knowledge_base_shares_its_nodes(self, tmp_path):
+        kb = kbmod.KnowledgeBase()
+        world, trace = counting_scene(4)
+        for _ in range(2):
+            kb.record_instance(trace, world, "apples")
+        loaded = kbmod.KnowledgeBase.load(kb.save(tmp_path / "kb"))
+        first, second = (loaded.unit(f"Counting_apples_{i}") for i in (1, 2))
+        third = loaded.record_instance(trace, world, "apples")
+        assert ir.units_equal(first, kb.unit("Counting_apples_1"))
+        for other in (second, third):
+            pairs = list(zip(recorded_nodes(first), recorded_nodes(other), strict=True))
+            assert pairs and all(a is b for a, b in pairs)
+        assert first.operations[0] is not second.operations[0]
+
+    def test_loading_keeps_a_constant_bound_to_another_name(self, tmp_path):
+        text = (
+            "@level(I)\n@domain(apples)\ninstance Counting_apples_1 {\n"
+            "    private:\n        const Person ME;\n        const Apple A = APPLE1;\n"
+            "        const Apple APPLE1;\n        ME.PointTo(A);\n        ME.PointTo(APPLE1);\n}\n"
+        )
+        (tmp_path / "Counting_apples_1_I.rr").write_text(text, encoding="utf-8")
+        (tmp_path / kbmod.MANIFEST).write_text(
+            "unit\tCounting_apples_1\tI\tapples\tCounting_apples_1_I.rr\n", encoding="utf-8"
+        )
+        unit = kbmod.KnowledgeBase.load(tmp_path).unit("Counting_apples_1")
+        assert unit.attribute("A").const == ir.Literal("APPLE1")
+        assert unit.attribute("APPLE1").const == ir.Literal("APPLE1")
+        world, _ = counting_scene(1)
+        pointed = [e.arg for e in itp.replay_instance([unit], unit, world).trace]
+        assert pointed == ["APPLE1", "APPLE1"]
+
+    def test_replayed_recordings_are_freed_by_reference_counting(self):
+        # No closure kept on a shared node holds that node, a unit or an
+        # operation, so dropping the knowledge base frees everything
+        # without the cycle collector.
+        scenes = [counting_scene(size) for size in (2, 3, 5)]
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            kb = kbmod.KnowledgeBase()
+            for i in range(30):
+                world, trace = scenes[i % len(scenes)]
+                unit = kb.record_instance(trace, world, "apples")
+                itp.replay_instance([unit], unit, world)
+            del kb, unit, world, trace
+            after = len(gc.get_objects())
+        finally:
+            gc.enable()
+        assert after == before
 
 
 def push_to_mastery(kb, unit_name):
