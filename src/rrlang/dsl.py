@@ -325,11 +325,14 @@ class _Parser:
     def _at_section_header(self) -> bool:
         return self.peek()[1] in ("private", "protected", "public") and self.at(":", 1)
 
+    # A type name opens a member declaration; `return` opens a statement.
+
     def _at_attribute(self) -> bool:
         if self.at_word("const"):
             return True
         return (
             self.at("ident")
+            and not self.at_word("return")
             and self.at("ident", 1)
             and (self.at(";", 2) or self.at(",", 2) or self.at("=", 2))
         )
@@ -337,7 +340,12 @@ class _Parser:
     def _at_operation(self) -> bool:
         if self.at_word("void") and self.at("ident", 1) and self.at("(", 2):
             return True
-        return self.at("ident") and self.at("ident", 1) and self.at("(", 2)
+        return (
+            self.at("ident")
+            and not self.at_word("return")
+            and self.at("ident", 1)
+            and self.at("(", 2)
+        )
 
     # -- members
 
