@@ -370,6 +370,24 @@ class TestRouting:
         assert outcome == tasks.Outcome.failed("picked the smaller figure")
         assert trace == ()
 
+    def test_without_a_numeral_order_t6_fetches_a_set_value(self, kb_by_level, monkeypatch):
+        # With no OrdinalNumber to answer directly, T6 fetches through the
+        # E3 FetchObjects(Set, int), whose first argument is a Set unit
+        # value; the fetch then fails inside Counting.
+        built = []
+        real = itp.build_unit_value
+
+        def spy(kb, cls_name, world, container):
+            built.append((cls_name, container))
+            return real(kb, cls_name, world, container)
+
+        monkeypatch.setattr(itp, "build_unit_value", spy)
+        units = [u for u in kb_by_level[ir.Level.E3] if u.name != "OrdinalNumber"]
+        for seed in range(3):
+            outcome, trace = tasks.run(tasks.build_task("T6", seed), units)
+            assert outcome == tasks.Outcome.failed("operation 'GetNext' needs a unit receiver")
+        assert built == [("Set", "group_a")] * 3
+
     @pytest.mark.parametrize("level", ir.LEVELS, ids=lambda lv: lv.name)
     @pytest.mark.parametrize("task_id", tasks.TASK_IDS)
     def test_level_filter_is_the_matrix_slice(self, canonical_kb, kb_by_level, task_id, level):
