@@ -827,7 +827,7 @@ def compiled_body(op: ir.Operation):
 
 
 def _compile_block(body: Sequence[Stmt]):
-    stmts = tuple(_compile_stmt(s) for s in body)
+    stmts = tuple([_compile_stmt(s) for s in body])
 
     def block(m, f):
         for stmt in stmts:
@@ -904,7 +904,7 @@ def _compile_setup(pred: str, args: tuple[str, ...]):
 
 def _compile_while(stmt: WhileStmt):
     cond = _compile_expr(stmt.cond)
-    body = tuple(_compile_stmt(s) for s in stmt.body)
+    body = tuple([_compile_stmt(s) for s in stmt.body])
 
     def while_(m, f):
         while True:
