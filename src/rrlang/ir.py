@@ -517,13 +517,9 @@ def walk(body: Iterable[Stmt]):
             yield from walk(stmt.orelse)
 
 
+# The straight-line shape of a level I recording: setup facts and
+# atomic actions only.
 _SCRIPT_STATEMENTS = frozenset((SetupStmt, ActionStmt))
-
-
-def is_script(body: Iterable[Stmt]) -> bool:
-    """Whether body is a script: setup facts and atomic actions only, the
-    straight-line shape of a level I recording."""
-    return _SCRIPT_STATEMENTS.issuperset(map(type, body))
 
 
 def iter_statements(unit: ConceptUnit):
@@ -599,7 +595,7 @@ def validate(unit: ConceptUnit) -> list[Diagnostic]:
                 bad("i-private", "level I members are private", op.name)
             if op.params or op.returns is not None:
                 bad("i-script", "a recording takes no parameters and returns nothing", op.name)
-            if not is_script(op.body):
+            if not _SCRIPT_STATEMENTS.issuperset(map(type, op.body)):
                 bad(
                     "i-straight-line",
                     "recordings hold only setup facts and atomic actions",
