@@ -595,14 +595,14 @@ class _Machine:
                     if isinstance(fval, SeqVal):
                         fval.pos = 0
             locals_map[param.name] = value
-        code = _compiled(op)
+        stmts = _compiled(op)
         self.call_depth += 1
         if self.call_depth > _CALL_DEPTH_LIMIT:
             self.call_depth -= 1
             raise StepLimitExceeded("operation call depth exceeded")
         frame = _Frame(target, locals_map, attrs)
         try:
-            value = code(self, frame)
+            value = _run(stmts, self, frame)
             return NOTHING if value is None else value
         finally:
             self.call_depth -= 1
@@ -797,10 +797,10 @@ _PRIMITIVES = _VerbTable(
 # ---------------------------------------------------------------------------
 # Closures
 #
-# An operation's body is compiled into nested Python closures on its
-# first call (see _compiled). Every closure takes (machine, frame). A
-# statement closure returns None to fall through and a Value to return
-# from the operation, so `return` needs no exception. Node kinds are
+# An operation's body is compiled into a tuple of statement closures on
+# its first call (see _compiled), which _run plays. Every closure takes
+# (machine, frame). A statement closure returns None to fall through and
+# a Value to return from the operation, so `return` needs no exception. Node kinds are
 # dispatched once, at compile time, and a primitive call looks its
 # verb's one definition up then; the machine's own helpers raise the
 # same errors after the same steps. No closure depends on the body it
@@ -814,11 +814,11 @@ _KEPT_ATTR = "_compiled"
 def _compiled(op: ir.Operation):
     """op's compiled body, compiled on the first call and kept in the
     Operation's own slot, so it lives and dies with the operation."""
-    code = getattr(op, _BODY_ATTR, None)
-    if code is None:
-        code = _compile_block(op.body)
-        object.__setattr__(op, _BODY_ATTR, code)
-    return code
+    stmts = getattr(op, _BODY_ATTR, None)
+    if stmts is None:
+        stmts = _compile_body(op.body)
+        object.__setattr__(op, _BODY_ATTR, stmts)
+    return stmts
 
 
 def compiled_body(op: ir.Operation):
@@ -826,21 +826,22 @@ def compiled_body(op: ir.Operation):
     return getattr(op, _BODY_ATTR, None)
 
 
-def _compile_block(body: Sequence[Stmt]):
-    stmts = tuple([_compile_stmt(s) for s in body])
+def _compile_body(body: Sequence[Stmt]) -> tuple:
+    # A setup fact or an action met before brings its kept closure.
+    return tuple([getattr(s, _KEPT_ATTR, None) or _compile_stmt(s) for s in body])
 
-    def block(m, f):
-        for stmt in stmts:
-            if m.steps < m.step_limit:
-                m.steps += 1
-            else:
-                m.tick()
-            out = stmt(m, f)
-            if out is not None:
-                return out
-        return None
 
-    return block
+def _run(stmts: tuple, m: _Machine, f: _Frame):
+    """Play compiled statements, one step each, up to a returned Value."""
+    for stmt in stmts:
+        if m.steps < m.step_limit:
+            m.steps += 1
+        else:
+            m.tick()
+        out = stmt(m, f)
+        if out is not None:
+            return out
+    return None
 
 
 def _compile_stmt(stmt: Stmt):
@@ -862,14 +863,14 @@ def _compile_stmt(stmt: Stmt):
         return _compile_while(stmt)
     if kind is IfStmt:
         cond = _compile_expr(stmt.cond)
-        then = _compile_block(stmt.then)
-        orelse = _compile_block(stmt.orelse)
+        then = _compile_body(stmt.then)
+        orelse = _compile_body(stmt.orelse)
 
         def if_(m, f):
             c = cond(m, f)
             if c.__class__ is not BoolVal:
                 raise TypeMismatch("if needs a Boolean condition")
-            return then(m, f) if c.value else orelse(m, f)
+            return _run(then, m, f) if c.value else _run(orelse, m, f)
 
         return if_
     if kind is LocalDecl:
@@ -890,7 +891,8 @@ def _compile_stmt(stmt: Stmt):
             return lambda m, f: NOTHING
         return _compile_expr(stmt.value)  # a Value is never None
     if kind is BlockStmt:
-        return _compile_block(stmt.body)
+        stmts = _compile_body(stmt.body)
+        return lambda m, f: _run(stmts, m, f)
     return _raising(TypeMismatch, f"cannot execute {stmt!r}")
 
 
@@ -904,7 +906,7 @@ def _compile_setup(pred: str, args: tuple[str, ...]):
 
 def _compile_while(stmt: WhileStmt):
     cond = _compile_expr(stmt.cond)
-    body = tuple([_compile_stmt(s) for s in stmt.body])
+    body = _compile_body(stmt.body)
 
     def while_(m, f):
         while True:
