@@ -510,6 +510,9 @@ SCRIPT_PROBES = {
     "say-entity": _script(_act("Say", "APPLE1")),
     "point-to-token": _script(_act("PointTo", "one")),
     "point-to-parameter": _script(_act("PointTo", "a"), params=[ir.Param("a", "APPLE")]),
+    "setup-on-parameter": _script(
+        ir.SetupStmt("In", ("who", "ROOM1")), params=[ir.Param("who", "Person")]
+    ),
     # an operand other than a name
     "say-next-word": _script(
         *(ir.ActionStmt("Say", _N("ME"), (ir.CallExpr(_N("words"), "Next", ()),)),) * 2,
@@ -518,7 +521,10 @@ SCRIPT_PROBES = {
 }
 
 # The arguments Run takes in the script probes that declare parameters.
-SCRIPT_ARGS = {"point-to-parameter": [itp.EntityVal("APPLE2")]}
+SCRIPT_ARGS = {
+    "point-to-parameter": [itp.EntityVal("APPLE2")],
+    "setup-on-parameter": [itp.EntityVal("ME")],
+}
 
 # Each script probe's outcome, frozen from the tree walker.
 SCRIPT_OUTCOMES = {
@@ -539,6 +545,7 @@ SCRIPT_OUTCOMES = {
     "say-entity": ("TypeMismatch", "Say takes one sound token"),
     "point-to-token": ("TypeMismatch", "PointTo takes one entity"),
     "point-to-parameter": (None, "Nothing", 1, "1\tPointedTo\tAPPLE2\n"),
+    "setup-on-parameter": (None, "Nothing", 1, ""),
     "say-next-word": (None, "Nothing", 2, "1\tSaid\tone\n2\tSaid\ttwo\n"),
 }
 
