@@ -799,13 +799,14 @@ _PRIMITIVES = _VerbTable(
 #
 # An operation's body is compiled into a tuple of statement closures on
 # its first call (see _compiled), which _run plays. Every closure takes
-# (machine, frame). A statement closure returns None to fall through and
-# a Value to return from the operation, so `return` needs no exception. Node kinds are
-# dispatched once, at compile time, and a primitive call looks its
-# verb's one definition up then; the machine's own helpers raise the
-# same errors after the same steps. No closure depends on the body it
-# sits in, so a setup fact or an action keeps its closure on its own
-# node, and every body sharing that node reuses it.
+# (machine, frame). A statement closure returns None to fall through
+# and a Value to return from the operation, so `return` needs no
+# exception. Node kinds are dispatched once, at compile time, and a
+# primitive call looks its verb's one definition up then; the machine's
+# own helpers raise the same errors after the same steps. No closure
+# depends on the body it sits in, so a setup fact or an action keeps
+# its closure on its own node, and every body sharing that node reuses
+# it.
 
 _BODY_ATTR = "_compiled_body"
 _KEPT_ATTR = "_compiled"
@@ -846,14 +847,12 @@ def _run(stmts: tuple, m: _Machine, f: _Frame):
 
 def _compile_stmt(stmt: Stmt):
     kind = type(stmt)
-    if kind is ActionStmt or kind is SetupStmt:
-        code = getattr(stmt, _KEPT_ATTR, None)
-        if code is None:
-            if kind is ActionStmt:
-                code = _compile_primitive(stmt.verb, stmt.recv, stmt.args, None)
-            else:
-                code = _compile_setup(stmt.pred, stmt.args)
-            object.__setattr__(stmt, _KEPT_ATTR, code)
+    if kind is ActionStmt or kind is SetupStmt:  # kept on the node
+        if kind is ActionStmt:
+            code = _compile_primitive(stmt.verb, stmt.recv, stmt.args, None)
+        else:
+            code = _compile_setup(stmt.pred, stmt.args)
+        object.__setattr__(stmt, _KEPT_ATTR, code)
         return code
     if kind is AssignStmt:
         return _compile_assign(stmt)

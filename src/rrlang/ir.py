@@ -325,7 +325,7 @@ class SetupStmt:
     """Scene fact recorded in a level-I body, checked against the world."""
 
     # The interpreter keeps the statement's compiled closure here (see
-    # interpreter._compile_stmt), shared by every body holding the node.
+    # interpreter._compile_body), shared by every body holding the node.
     __slots__ = ("_compiled",)
 
     pred: str
