@@ -4,8 +4,8 @@ interpreter_parity.tsv holds, for every (task, level) at seeds 0-16,
 the outcome kind, the reason, the sha256 of the trace and the steps of
 each `execute` the run made. It was generated by the tree-walking
 interpreter before tiered execution existed, so it is the reference
-compiled bodies are held to. Regenerate it only for an intended change of
-behaviour:
+compiled bodies are held to. Regenerate it only for an intended change
+of behaviour:
 
     PYTHONPATH=src python tests/test_interpreter_parity.py
 
