@@ -330,6 +330,153 @@ class TestPrimitives:
                 assert "unknown primitive" not in str(exc), verb
 
 
+def equality_groups():
+    """Fresh values of every kind, grouped so that two values are equal
+    exactly when they sit in the same group: scalars by kind and
+    payload, collections and unit values by identity."""
+    seq = lambda: itp.SeqVal([itp.EntityVal("A")])
+    unit = lambda: itp.UnitVal("Set", {"result": itp.IntVal(0)})
+    return [
+        [itp.IntVal(1), itp.IntVal(1)],
+        [itp.IntVal(0)],
+        [itp.BoolVal(True), itp.BoolVal(True)],
+        [itp.BoolVal(False)],
+        [itp.TokenVal("A"), itp.TokenVal("A")],
+        [itp.EntityVal("A"), itp.EntityVal("A")],
+        [seq()],
+        [seq()],
+        [unit()],
+        [unit()],
+        [itp.NOTHING, itp.Nothing()],
+    ]
+
+
+_EQUALITY_PROBE = """@level(E2)
+@domain(numbers)
+class Eq {
+    private:
+        const Sound S = APPLE1;
+        const Apple E = APPLE1;
+        const Apple F = APPLE1;
+        objectList a;
+        objectList b;
+    public:
+        Boolean IntVsBool() {
+            return 1 == TRUE;
+        }
+        Boolean IntVsBoolDiffer() {
+            return 1 != TRUE;
+        }
+        Boolean IntVsInt() {
+            return 1 == 1;
+        }
+        Boolean TokenVsEntity() {
+            return S == E;
+        }
+        Boolean EntityVsEntity() {
+            return E == F;
+        }
+        Boolean EntityVsNothing() {
+            return E != NULL;
+        }
+        Boolean SeqVsSeq() {
+            return a == b;
+        }
+        Boolean SeqVsItself() {
+            return a == a;
+        }
+}
+"""
+
+
+class TestValueEquality:
+    def test_equal_exactly_within_a_group(self):
+        groups = equality_groups()
+        for i, group in enumerate(groups):
+            for a in group:
+                for j, others in enumerate(groups):
+                    for b in others:
+                        assert (a == b) is (i == j), (a, b)
+                        assert (a != b) is (i != j), (a, b)
+
+    def test_cross_kind_payloads_are_unequal(self):
+        assert itp.IntVal(1) != itp.BoolVal(True)
+        assert itp.TokenVal("A") != itp.EntityVal("A")
+        assert itp.IntVal(0) != itp.NOTHING
+
+    @pytest.mark.parametrize("op, expected", [
+        ("IntVsBool", False),
+        ("IntVsBoolDiffer", True),
+        ("IntVsInt", True),
+        ("TokenVsEntity", False),
+        ("EntityVsEntity", True),
+        ("EntityVsNothing", True),
+        ("SeqVsSeq", False),
+        ("SeqVsItself", True),
+    ])
+    def test_the_language_compares_alike(self, op, expected):
+        unit = dsl.parse(_EQUALITY_PROBE)[0]
+        world = apples_world(1)
+        res = itp.execute([unit], unit, op, [], world, caller_domain="numbers")
+        assert res.value == itp.BoolVal(expected)
+
+
+class TestDelete:
+    def delete(self, seq, value):
+        _, out = itp.eval_primitive("Delete", seq, [value], banana_world(1))
+        assert out is itp.NOTHING
+
+    def test_an_equal_element_that_is_another_object_goes(self):
+        s = itp.SeqVal([itp.EntityVal("A"), itp.EntityVal("B")])
+        self.delete(s, itp.EntityVal("B"))
+        assert s.items == [itp.EntityVal("A")]
+
+    def test_only_the_first_of_two_equal_elements_goes(self):
+        first, second = itp.TokenVal("A"), itp.TokenVal("A")
+        s = itp.SeqVal([first, itp.TokenVal("B"), second])
+        self.delete(s, itp.TokenVal("A"))
+        assert s.items == [itp.TokenVal("B"), itp.TokenVal("A")]
+        assert s.items[1] is second
+
+    def test_another_kind_with_the_same_payload_stays(self):
+        s = itp.SeqVal([itp.EntityVal("A"), itp.IntVal(1)])
+        self.delete(s, itp.TokenVal("A"))
+        self.delete(s, itp.BoolVal(True))
+        assert s.items == [itp.EntityVal("A"), itp.IntVal(1)]
+
+    def test_collections_go_by_identity(self):
+        inner = itp.SeqVal([itp.EntityVal("A")])
+        s = itp.SeqVal([inner])
+        self.delete(s, itp.SeqVal([itp.EntityVal("A")]))
+        assert s.items == [inner]
+        self.delete(s, inner)
+        assert s.items == []
+
+    def cursor_after_two(self):
+        s = itp.SeqVal([itp.EntityVal(e) for e in "ABCD"])
+        w = banana_world(1)
+        itp.eval_primitive("First", s, [], w)
+        itp.eval_primitive("Next", s, [], w)
+        assert s.pos == 2  # on C
+        return s
+
+    @pytest.mark.parametrize("gone, pos, following", [
+        ("A", 1, "C"), ("B", 1, "C"), ("C", 2, "D"), ("D", 2, "C"),
+    ])
+    def test_the_cursor_moves_back_only_past_a_removed_element(self, gone, pos, following):
+        s = self.cursor_after_two()
+        self.delete(s, itp.EntityVal(gone))
+        assert s.pos == pos
+        _, value = itp.eval_primitive("Next", s, [], banana_world(1))
+        assert value == itp.EntityVal(following)
+
+    def test_no_match_changes_nothing(self):
+        s = self.cursor_after_two()
+        before = list(s.items)
+        self.delete(s, itp.EntityVal("Z"))
+        assert s.items == before and s.pos == 2
+
+
 class TestLimits:
     def test_unknown_operation_is_unbound(self, e1):
         with pytest.raises(itp.UnboundName):
