@@ -96,18 +96,6 @@ class World:
     containers: Mapping[str, tuple[str, ...]]
     rng_seed: int = 0
 
-    def __init__(
-        self,
-        entities: Mapping[str, tuple[str, str | None]],
-        arrangements: Mapping[str, str],
-        containers: Mapping[str, tuple[str, ...]],
-        rng_seed: int = 0,
-    ):
-        set_field(self, "entities", entities)
-        set_field(self, "arrangements", arrangements)
-        set_field(self, "containers", containers)
-        set_field(self, "rng_seed", rng_seed)
-
 
 def validate_world(world: World) -> list[str]:
     problems = []
@@ -205,26 +193,21 @@ NOTHING = Nothing()
 _TRUE = BoolVal(True)
 _FALSE = BoolVal(False)
 
+# Values compare with Python's ==, which == and Delete use: a record
+# equals one of its own kind with the same payload, so a cross-kind
+# comparison is False, not an error, and `item != NULL` holds for every
+# entity. Collections and unit values compare by identity, and Nothing
+# is a singleton.
 Value = IntVal | BoolVal | TokenVal | EntityVal | SeqVal | UnitVal | Nothing
 
 
-def values_equal(a: Value, b: Value) -> bool:
-    """Equality used by == and Delete: same kind and same payload.
-
-    Cross-kind comparison is False, not an error; `item != NULL` relies
-    on an entity never equalling Nothing. Collections and unit values
-    compare by identity, and Nothing is a singleton.
-    """
-    kind = type(a)
-    if kind is not type(b):
-        return False
-    if kind is EntityVal:
-        return a.entity == b.entity
-    if kind is TokenVal:
-        return a.token == b.token
-    if kind is IntVal or kind is BoolVal:
-        return a.value == b.value
-    return a is b
+def _default_value(type_ref: str) -> Value:
+    """The starting value of a declared slot that binds nothing else."""
+    if type_ref == "int":
+        return IntVal(0)
+    if type_ref == "Boolean":
+        return _FALSE
+    return NOTHING
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +236,6 @@ class ExecResult:
     value: Value
     steps: int
     world: World  # post-execution snapshot; the input world is untouched
-
-    def __init__(self, trace: tuple[TraceEvent, ...], value: Value, steps: int, world: World):
-        set_field(self, "trace", trace)
-        set_field(self, "value", value)
-        set_field(self, "steps", steps)
-        set_field(self, "world", world)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +316,10 @@ class _Machine:
 
     def snapshot_world(self) -> World:
         return World(
-            entities=dict(self.entities),
-            arrangements=dict(self.arrangements),
-            containers={name: tuple(members) for name, members in self.containers.items()},
-            rng_seed=self.rng_seed,
+            dict(self.entities),
+            dict(self.arrangements),
+            {name: tuple(members) for name, members in self.containers.items()},
+            self.rng_seed,
         )
 
     def tick(self) -> None:
@@ -399,12 +376,8 @@ class _Machine:
                 if kind == "Person":
                     return EntityVal(eid)
             raise BindingMismatch(f"{unit.name}.{attr.name}: world has no Person")
-        if t == "int":
-            return IntVal(0)
-        if t == "Boolean":
-            return BoolVal(False)
-        if t in ir.TOKEN_TYPES:
-            return NOTHING
+        if t in ir.SCALAR_TYPES or t in ir.TOKEN_TYPES:
+            return _default_value(t)
         if t in self.units:
             cls = self.units[t]
             cname = None
@@ -435,12 +408,8 @@ class _Machine:
                 fields[attr.name] = self._literal_value(attr)
             elif ir.is_collection_type(attr.type_ref):
                 fields[attr.name] = SeqVal([EntityVal(eid) for eid in members])
-            elif attr.type_ref == "int":
-                fields[attr.name] = IntVal(0)
-            elif attr.type_ref == "Boolean":
-                fields[attr.name] = BoolVal(False)
             else:
-                fields[attr.name] = NOTHING
+                fields[attr.name] = _default_value(attr.type_ref)
         return UnitVal(cls.name, fields)
 
     # -- name resolution
@@ -555,16 +524,6 @@ class _Machine:
         if cls is not None and cls.attribute(name).is_const:
             raise TypeMismatch(f"{recv.cls}.{name} is constant")
         recv.fields[name] = value
-
-    # -- statements
-
-    @staticmethod
-    def _default_local(type_ref: str) -> Value:
-        if type_ref == "int":
-            return IntVal(0)
-        if type_ref == "Boolean":
-            return BoolVal(False)
-        return NOTHING
 
     # -- operation calls
 
@@ -749,13 +708,13 @@ def _delete(m, recv, args):
     the cursor on the element it was on."""
     if recv.__class__ is SeqVal:
         if len(args) == 1:
-            value = args[0]
-            for i, item in enumerate(recv.items):
-                if values_equal(item, value):
-                    del recv.items[i]
-                    if i < recv.pos:
-                        recv.pos -= 1
-                    break
+            try:
+                i = recv.items.index(args[0])
+            except ValueError:
+                return NOTHING
+            del recv.items[i]
+            if i < recv.pos:
+                recv.pos -= 1
             return NOTHING
         raise TypeMismatch("Delete takes one element")
     raise TypeMismatch("Delete needs an ordered collection receiver")
@@ -879,7 +838,7 @@ def _compile_stmt(stmt: Stmt):
                 f.locals[name] = SeqVal([])
 
             return declare_seq
-        initial = _Machine._default_local(stmt.type_ref)
+        initial = _default_value(stmt.type_ref)
 
         def declare(m, f):
             f.locals[name] = initial
@@ -1051,14 +1010,14 @@ def _compile_binop(expr: BinExpr):
     op = expr.op
     left = _compile_expr(expr.left)
     if op in ("==", "!=") and type(expr.right) is NullExpr:
-        # x == NULL holds exactly when x is Nothing (see values_equal)
+        # x == NULL holds exactly when x is Nothing, which equals only itself
         hit, miss = (_TRUE, _FALSE) if op == "==" else (_FALSE, _TRUE)
         return lambda m, f: hit if left(m, f) is NOTHING else miss
     right = _compile_expr(expr.right)
     if op == "==":
-        return lambda m, f: _TRUE if values_equal(left(m, f), right(m, f)) else _FALSE
+        return lambda m, f: _TRUE if left(m, f) == right(m, f) else _FALSE
     if op == "!=":
-        return lambda m, f: _FALSE if values_equal(left(m, f), right(m, f)) else _TRUE
+        return lambda m, f: _FALSE if left(m, f) == right(m, f) else _TRUE
     compute = _INT_OPS.get(op)
     if compute is None:
         return lambda m, f: _binop_error(op, left(m, f), right(m, f))
@@ -1181,12 +1140,7 @@ def execute(
     if not visibility_probe:
         raise AccessViolation(visibility_probe.reason)
     value = machine.invoke(target, machine.resolve_call(None, target, op), list(args))
-    return ExecResult(
-        trace=tuple(machine.trace),
-        value=value,
-        steps=machine.steps,
-        world=machine.snapshot_world(),
-    )
+    return ExecResult(tuple(machine.trace), value, machine.steps, machine.snapshot_world())
 
 
 def replay_instance(

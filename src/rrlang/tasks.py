@@ -32,7 +32,7 @@ from .interpreter import (
     TraceEvent,
     World,
 )
-from .ir import record, set_field
+from .ir import record
 
 # Sizes for the candy-heap comparison; the scenario only fixes that
 # they differ slightly.
@@ -48,13 +48,9 @@ class Outcome:
     kind: str  # Solved | Failed | Inaccessible
     reason: str = ""
 
-    def __init__(self, kind: str, reason: str = ""):
-        set_field(self, "kind", kind)
-        set_field(self, "reason", reason)
-
     @staticmethod
     def solved() -> "Outcome":
-        return Outcome("Solved")
+        return Outcome("Solved", "")
 
     @staticmethod
     def failed(reason: str) -> "Outcome":
@@ -628,9 +624,6 @@ def build_task(task_id: str, seed: int = 0) -> Task:
     if row is None:
         raise UnknownTaskId(f"unknown task id {task_id!r}")
     world = row.build_world(seed)
-    problems = itp.validate_world(world)
-    if problems:
-        raise UnknownTaskId(f"{task_id}: malformed world: {problems[0]}")
     caller_domain = row.caller_domain or next(iter(world.containers))
     return Task(task_id, seed, row.description, world, caller_domain, row.query)
 
