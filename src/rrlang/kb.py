@@ -325,7 +325,9 @@ class KnowledgeBase:
 
         Chains are rooted at recorded experience: a domain with neither
         instances nor an E1 class does not advance on its own. Inputs
-        stay stored; only new units are appended."""
+        stay stored; only new units are appended. A chain whose pass
+        refuses its input stays as it is: its report has no outputs, and
+        its one dropped entry is the refusal."""
         reports: list[PhaseReport] = []
         for domain in self.domains():
             chain = self._chain(domain)
@@ -339,26 +341,34 @@ class KnowledgeBase:
             ]
             if not redescription.mastery_check(records, threshold):
                 continue
-            if not e1:
-                if len(instances) < 2:
-                    continue
-                unit, report = redescription.antiunify_instances(instances)
-                self.add_unit(unit)
-                reports.append(report)
-            elif e2 is None:
-                (unit, shared), report = redescription.generalize_to_e2(e1[0])
-                self.add_unit(unit)
-                if self.unit(shared.name, shared.level) is None:
-                    self.add_unit(shared)
-                reports.append(report)
-            elif e3 is None:
-                units, report = redescription.decompose_to_e3(
-                    e2, shared=self.globals_unit
-                )
-                for unit in units:
-                    if self.unit(unit.name, unit.level) is None:
-                        self.add_unit(unit)
-                reports.append(report)
+            try:
+                if not e1:
+                    if len(instances) < 2:
+                        continue
+                    unit, report = redescription.antiunify_instances(instances)
+                    self.add_unit(unit)
+                    reports.append(report)
+                elif e2 is None:
+                    (unit, shared), report = redescription.generalize_to_e2(e1[0])
+                    self.add_unit(unit)
+                    if self.unit(shared.name, shared.level) is None:
+                        self.add_unit(shared)
+                    reports.append(report)
+                elif e3 is None:
+                    units, report = redescription.decompose_to_e3(
+                        e2, shared=self.globals_unit
+                    )
+                    for unit in units:
+                        if self.unit(unit.name, unit.level) is None:
+                            self.add_unit(unit)
+                    reports.append(report)
+            except redescription.RedescriptionError as exc:
+                # Every pass refuses before it adds a unit, and the other
+                # domains climb on.
+                phase = 1 if not e1 else 2 if e2 is None else 3
+                inputs = tuple(u.name for u in (instances, e1[:1], [e2])[phase - 1])
+                refusal = f"{type(exc).__name__}: {exc}"
+                reports.append(PhaseReport(phase, inputs, (), (), (refusal,)))
         return reports
 
     # -- integrity ---------------------------------------------------

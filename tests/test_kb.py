@@ -381,6 +381,38 @@ class TestAdvance:
         assert kb.unit("Counting", Level.E3) is not None
         assert kb.advance() == []
 
+    def test_a_refused_chain_stays_and_the_others_climb(self):
+        # One apple shows no repeated routine, so phase 1 refuses apples.
+        kb = kbmod.KnowledgeBase()
+        for domain, kind, sizes in (("apples", "Apple", (1, 3)), ("pencils", "Pencil", (3, 4))):
+            for size in sizes:
+                world, trace = counting_scene(size, domain, kind)
+                kb.record_instance(trace, world, domain)
+        for unit in list(kb):
+            push_to_mastery(kb, unit.name)
+        apples = [u for u in kb if u.domain == "apples"]
+        refusal = rd.PhaseReport(
+            1, ("Counting_apples_1", "Counting_apples_2"), (), (),
+            ("NoCommonSkeleton: Counting_apples_1: script is not one repeated routine",),
+        )
+
+        first = kb.advance()
+        assert first[0] == refusal
+        assert [(r.phase, r.outputs) for r in first[1:]] == [(1, ("CountingPencils",))]
+        assert kb.unit("CountingPencils", Level.E1) is not None
+        assert [u for u in kb if u.domain == "apples"] == apples
+
+        for phase in (2, 3):
+            reports = kb.advance()
+            assert reports[0] == refusal
+            assert [r.phase for r in reports[1:]] == [phase]
+        assert kb.unit("Counting", Level.E3) is not None
+
+        size = len(kb)
+        assert kb.advance() == [refusal]
+        assert len(kb) == size
+        assert [u for u in kb if u.domain == "apples"] == apples
+
     def test_without_mastery_nothing_moves(self):
         kb = fresh_kb_with_episode()
         kb.record_outcome("CountingApples", "T1", "Solved")
