@@ -193,11 +193,11 @@ NOTHING = Nothing()
 _TRUE = BoolVal(True)
 _FALSE = BoolVal(False)
 
-# Values compare with Python's ==, which == and Delete use: a record
-# equals one of its own kind with the same payload, so a cross-kind
-# comparison is False, not an error, and `item != NULL` holds for every
-# entity. Collections and unit values compare by identity, and Nothing
-# is a singleton.
+# The language's == and != and the Delete verb compare values with
+# Python's ==: a record equals one of its own kind with the same payload,
+# so a cross-kind comparison is False, not an error, and `item != NULL`
+# holds for every entity. Collections and unit values compare by
+# identity, and Nothing is a singleton.
 Value = IntVal | BoolVal | TokenVal | EntityVal | SeqVal | UnitVal | Nothing
 
 
