@@ -50,17 +50,6 @@ class CapabilityMatrix:
     cells: dict[tuple[ir.Level, str], Outcome]
     seeds_used: tuple[int, ...]
 
-    def outcome(self, level: ir.Level, task_id: str) -> Outcome:
-        return self.cells[(level, task_id)]
-
-    @property
-    def is_complete(self) -> bool:
-        return all(
-            (level, task_id) in self.cells
-            for level in ir.LEVELS
-            for task_id in tasks.TASK_IDS
-        )
-
 
 def build_matrix(
     kb_by_level: Mapping[ir.Level, Sequence[ir.ConceptUnit]],

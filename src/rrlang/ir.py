@@ -4,18 +4,16 @@ A concept unit is an instance or class with attributes, operations, and
 friend declarations. Units sit on a four-step representational ladder
 (I, E1, E2, E3); each level carries a structural discipline that
 ``validate`` checks. ``check_access`` decides member visibility between
-units, and ``level_metrics`` summarizes a unit set for the growth
-invariants. Every value type of the package, from syntax nodes to
-the units themselves, is a frozen slotted record built by ``record``
-and copied with changes by ``replace``.
+units. Every value type of the package, from syntax nodes to the units
+themselves, is a frozen slotted record built by ``record`` and copied
+with changes by ``replace``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -689,69 +687,6 @@ def kb_by_level(units: Iterable[ConceptUnit]) -> dict[Level, list[ConceptUnit]]:
 
 
 # ---------------------------------------------------------------------------
-# Metrics
-
-@record
-class LevelMetrics:
-    unit_count: int
-    operation_count: int
-    param_count: int
-    const_count: int
-    visibility_histogram: Mapping[Visibility, int]
-    loop_count: int
-
-    def public_fraction(self) -> float:
-        total = sum(self.visibility_histogram.values())
-        if total == 0:
-            return 0.0
-        return self.visibility_histogram.get(Visibility.PUBLIC, 0) / total
-
-    def private_count(self) -> int:
-        return self.visibility_histogram.get(Visibility.PRIVATE, 0)
-
-
-def level_metrics(units: Sequence[ConceptUnit]) -> LevelMetrics:
-    histogram: Counter[Visibility] = Counter()
-    ops = 0
-    params = 0
-    consts = 0
-    loops = 0
-    for unit in units:
-        for attr in unit.attributes:
-            histogram[attr.visibility] += 1
-            if attr.is_const:
-                consts += 1
-        for op in unit.operations:
-            histogram[op.visibility] += 1
-            ops += 1
-            params += len(op.params)
-        loops += loop_count(unit)
-    return LevelMetrics(
-        unit_count=len(units),
-        operation_count=ops,
-        param_count=params,
-        const_count=consts,
-        visibility_histogram=dict(histogram),
-        loop_count=loops,
-    )
-
-
-def entity_const_count(units: Sequence[ConceptUnit]) -> int:
-    """Constants bound to world entities (the episodic residue of a recording)."""
-    count = 0
-    for unit in units:
-        for attr in unit.attributes:
-            if not attr.is_const:
-                continue
-            if attr.type_ref in TOKEN_TYPES or attr.type_ref in SCALAR_TYPES:
-                continue
-            if is_collection_type(attr.type_ref):
-                continue
-            count += 1
-    return count
-
-
-# ---------------------------------------------------------------------------
 # Access control
 
 @record
@@ -790,65 +725,3 @@ def check_access(
         f"(domain {target.domain!r}) is hidden from {caller_unit} (domain {caller_domain!r})",
     )
 
-
-# ---------------------------------------------------------------------------
-# Structural comparison
-
-def _expr_calls(expr: Expr):
-    if isinstance(expr, CallExpr):
-        yield expr
-        if expr.recv is not None:
-            yield from _expr_calls(expr.recv)
-        for arg in expr.args:
-            yield from _expr_calls(arg)
-    elif isinstance(expr, FieldExpr):
-        yield from _expr_calls(expr.recv)
-    elif isinstance(expr, NotExpr):
-        yield from _expr_calls(expr.operand)
-    elif isinstance(expr, BinExpr):
-        yield from _expr_calls(expr.left)
-        yield from _expr_calls(expr.right)
-
-
-def _stmt_exprs(stmt: Stmt):
-    if isinstance(stmt, ActionStmt):
-        yield stmt.recv
-        yield from stmt.args
-    elif isinstance(stmt, AssignStmt):
-        yield stmt.target
-        yield stmt.value
-    elif isinstance(stmt, WhileStmt):
-        yield stmt.cond
-    elif isinstance(stmt, IfStmt):
-        yield stmt.cond
-    elif isinstance(stmt, CallStmt):
-        yield from stmt.args
-    elif isinstance(stmt, ReturnStmt):
-        if stmt.value is not None:
-            yield stmt.value
-
-
-def call_graph(units: Sequence[ConceptUnit]) -> set[tuple[str, str, str, str]]:
-    """Edges (caller unit, caller op, callee unit, callee op).
-
-    Self-calls and calls through an explicit unit-name receiver are edges;
-    primitive verbs are not.
-    """
-    unit_names = {u.name for u in units}
-    edges: set[tuple[str, str, str, str]] = set()
-    for unit in units:
-        for op in unit.operations:
-            for stmt in walk(op.body):
-                if isinstance(stmt, CallStmt):
-                    callee_unit = stmt.recv if stmt.recv is not None else unit.name
-                    if callee_unit in unit_names or stmt.recv is None:
-                        edges.add((unit.name, op.name, callee_unit, stmt.op))
-                for expr in _stmt_exprs(stmt):
-                    for call in _expr_calls(expr):
-                        if call.op in PRIMITIVE_VERBS:
-                            continue
-                        if call.recv is None:
-                            edges.add((unit.name, op.name, unit.name, call.op))
-                        elif isinstance(call.recv, NameExpr) and call.recv.name in unit_names:
-                            edges.add((unit.name, op.name, call.recv.name, call.op))
-    return edges

@@ -137,8 +137,8 @@ def check_principles(trace: Sequence[TraceEvent], world: World) -> PrincipleRepo
     """Read the counting principles off one trace.
 
     The targets are the world's first container. Order and object
-    irrelevance have no flag of their own: principles_across reads
-    them off the three flags of many runs."""
+    irrelevance have no flag of their own: they are these three flags
+    holding over runs that differ in order or in object kind."""
     targets = next(iter(world.containers.values()), ())
     pointed = [e.arg for e in trace if e.verb == "PointedTo"]
     said = [e.arg for e in trace if e.verb == "Said"]
@@ -153,21 +153,6 @@ def check_principles(trace: Sequence[TraceEvent], world: World) -> PrincipleRepo
         one_to_one=one_to_one,
         stable_order=stable_order,
         cardinality=cardinality,
-    )
-
-
-def principles_across(
-    runs: Sequence[tuple[Sequence[TraceEvent], World]],
-) -> PrincipleReport:
-    """Combine per-run reports: a principle holds when it holds in every
-    run. Order irrelevance is `one_to_one and cardinality` over runs
-    that differ in order; object irrelevance is `cardinality` over runs
-    that differ in object kind."""
-    reports = [check_principles(trace, world) for trace, world in runs]
-    return PrincipleReport(
-        one_to_one=all(r.one_to_one for r in reports),
-        stable_order=all(r.stable_order for r in reports),
-        cardinality=all(r.cardinality for r in reports),
     )
 
 

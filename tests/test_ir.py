@@ -1,4 +1,6 @@
-"""Structure, level discipline, access control, and metrics."""
+"""Structure, level discipline, access control, and chain growth."""
+
+from collections import Counter
 
 import pytest
 
@@ -203,38 +205,54 @@ class TestAccess:
             ir.check_access("apples", "<apples>", e3_units["Set"], "nope")
 
 
+def visibilities(units):
+    """How many members of units have each visibility."""
+    return Counter(m.visibility for u in units for m in (*u.attributes, *u.operations))
+
+
+def public_fraction(units):
+    counts = visibilities(units)
+    return counts[ir.Visibility.PUBLIC] / sum(counts.values())
+
+
 class TestChainMetrics:
     def test_visibility_shifts_toward_public(self, kb_by_level, levels):
         privates = []
         publics = []
         for level in levels:
-            metrics = ir.level_metrics(kb_by_level[level])
-            histogram = metrics.visibility_histogram
-            total = sum(histogram.values())
-            privates.append(histogram.get(ir.Visibility.PRIVATE, 0) / total)
-            publics.append(metrics.public_fraction())
+            counts = visibilities(kb_by_level[level])
+            privates.append(counts[ir.Visibility.PRIVATE] / sum(counts.values()))
+            publics.append(public_fraction(kb_by_level[level]))
         assert privates == sorted(privates, reverse=True)
         assert publics == sorted(publics)
 
     def test_each_pass_moves_some_visibility(self, kb_by_level, levels):
         for lower, higher in zip(levels, levels[1:]):
-            a = ir.level_metrics(kb_by_level[lower])
-            b = ir.level_metrics(kb_by_level[higher])
+            a, b = kb_by_level[lower], kb_by_level[higher]
             assert (
-                b.private_count() < a.private_count()
-                or b.public_fraction() > a.public_fraction()
+                visibilities(b)[ir.Visibility.PRIVATE] < visibilities(a)[ir.Visibility.PRIVATE]
+                or public_fraction(b) > public_fraction(a)
             )
 
     def test_episodic_residue_shrinks(self, kb_by_level, levels):
-        counts = [ir.entity_const_count(kb_by_level[level]) for level in levels]
+        # Constants bound to world entities: neither tokens, scalars nor collections.
+        counts = [
+            sum(
+                1
+                for u in kb_by_level[level]
+                for a in u.attributes
+                if a.is_const
+                and a.type_ref not in ir.TOKEN_TYPES | ir.SCALAR_TYPES
+                and not ir.is_collection_type(a.type_ref)
+            )
+            for level in levels
+        ]
         assert counts[0] > 0
         assert counts == sorted(counts, reverse=True)
 
     def test_structure_grows(self, kb_by_level, levels):
         units = [len(kb_by_level[level]) for level in levels]
-        ops = [
-            ir.level_metrics(kb_by_level[level]).operation_count for level in levels
-        ]
+        ops = [sum(len(u.operations) for u in kb_by_level[level]) for level in levels]
         assert units == sorted(units)
         assert ops == sorted(ops)
 
@@ -248,14 +266,6 @@ class TestComparison:
             + (ir.replace(unit.attributes[-1], type_ref="Foot"),),
         )
         assert poked != unit
-
-    def test_call_graph_names_cross_unit_calls(self, fixture_units, globals_unit):
-        units = list(fixture_units["counting_e3"]) + [globals_unit]
-        graph = ir.call_graph(units)
-        assert any(
-            caller == "Counting" and callee == "OrdinalNumber" and op == "GetNext"
-            for caller, _, callee, op in graph
-        )
 
 
 class TestIterStatements:

@@ -155,7 +155,7 @@ def test_every_class_is_a_record():
     }
     assert not any(dataclasses.is_dataclass(cls) for cls in defined)
     records = {cls for cls in defined if hasattr(cls, "__match_args__")}
-    assert len(records) == 44
+    assert len(records) == 43
     assert all("__dict__" not in vars(cls) for cls in records)
 
 

@@ -139,14 +139,6 @@ class TestPrinciples:
         assert not report.one_to_one
         assert not report.cardinality
 
-    def test_across_runs_all_must_hold(self):
-        runs = [(self.good_trace(), self.world()), ((), self.world())]
-        combined = tasks.principles_across(runs)
-        assert not (combined.one_to_one and combined.cardinality)
-        assert not combined.cardinality
-        solo = tasks.principles_across([(self.good_trace(), self.world())])
-        assert solo.one_to_one and solo.cardinality
-
 
 class TestSuccessJudges:
     @pytest.mark.parametrize("task_id", tasks.TASK_IDS)
