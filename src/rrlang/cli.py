@@ -81,10 +81,10 @@ def _cmd_redescribe(args: argparse.Namespace) -> int:
     produced: list[ir.ConceptUnit] = []
     if args.auto:
         reports = kb.advance(threshold=args.threshold)
-        if not reports:
-            print("nothing to redescribe: mastery not reached or chain complete")
-        for report in reports:
+        for report in reports:  # a refused chain reports without outputs
             sys.stdout.write(redescription.format_report(report))
+        if not any(report.outputs for report in reports):
+            print("nothing to redescribe: mastery not reached, chain complete or refused")
     elif args.phase == 1:
         by_domain: dict[str, list[ir.ConceptUnit]] = {}
         for unit in kb:

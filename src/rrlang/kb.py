@@ -427,6 +427,12 @@ class KnowledgeBase:
             parts = line.split("\t")
             if parts[0] == "unit" and len(parts) == 5:
                 _, name, level_name, domain, filename = parts
+                if Path(filename).name != filename or filename == "..":
+                    raise ManifestError(
+                        f"line {lineno}: file {filename!r} is not a plain name"
+                        " inside the knowledge base",
+                        str(manifest),
+                    )
                 try:
                     text = (root / filename).read_text(encoding="utf-8")
                 except OSError as exc:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rrlang import cli, dsl, kb as kbmod
+from rrlang import cli, dsl, interpreter as itp, ir, kb as kbmod
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +28,25 @@ def cleanup_trace(out):
 @pytest.fixture()
 def kb_dir(tmp_path):
     return str(kbmod.KnowledgeBase.canonical().save(tmp_path / "kb"))
+
+
+def episode_kb(tmp_path, sizes, solved=("T1", "T2", "T3")):
+    """A saved knowledge base of apple counting episodes, one per size,
+    with the solved tasks logged on the first episode."""
+    kb = kbmod.KnowledgeBase()
+    for size in sizes:
+        ids = tuple(f"APPLE{i}" for i in range(1, size + 1))
+        entities = {"ME": ("Person", None), "HAND": ("Hand", None)}
+        entities.update((eid, ("Apple", "apples")) for eid in ids)
+        world = itp.World(entities, {"apples": "Line"}, {"apples": ids}, 0)
+        events = []
+        for eid, numeral in zip(ids, ir.NUMERALS):
+            events += [("Moved", None), ("PointedTo", eid), ("Said", numeral)]
+        trace = tuple(itp.TraceEvent(i, v, a) for i, (v, a) in enumerate(events, 1))
+        kb.record_instance(trace, world, "apples")
+    for task_id in solved:
+        kb.record_outcome("Counting_apples_1", task_id, "Solved")
+    return str(kb.save(tmp_path / "episodes"))
 
 
 class TestParse:
@@ -187,6 +206,65 @@ class TestRedescribe:
         assert code == 0
         loaded = kbmod.KnowledgeBase.load(out_dir)
         assert loaded.unit("Set") is not None
+
+    def test_auto_fires_and_prints_its_report(self, capsys, tmp_path):
+        kb_dir = episode_kb(tmp_path, (3, 4))
+        code, out, _ = run_cli(capsys, "redescribe", "--auto", "--kb", kb_dir)
+        assert code == 0
+        assert out.splitlines() == [
+            "phase\t1",
+            "input\tCounting_apples_1",
+            "input\tCounting_apples_2",
+            "output\tCountingApples",
+            "rule\tloop_roll\tperiod=3 counts=3/4",
+            "rule\tbind_agent\tME -> p",
+            "rule\tbind_items\tApple -> APP_Set app_set",
+            "rule\tbind_numerals\tSound succession -> numlist.Next()",
+            "dropped\tInLine(APPLE1, APPLE2, APPLE3)",
+        ]
+
+    def test_auto_accepts_a_lower_threshold(self, capsys, tmp_path):
+        kb_dir = episode_kb(tmp_path, (3, 4), solved=("T1", "T2"))
+        _, out, _ = run_cli(capsys, "redescribe", "--auto", "--kb", kb_dir)
+        assert "nothing to redescribe" in out
+        code, out, _ = run_cli(capsys, "redescribe", "--auto", "--threshold", "2", "--kb", kb_dir)
+        assert code == 0
+        assert "output\tCountingApples" in out.splitlines()
+
+    def test_auto_with_only_a_refusal_has_nothing_to_redescribe(self, capsys, tmp_path):
+        kb_dir = episode_kb(tmp_path, (1, 3))
+        code, out, _ = run_cli(capsys, "redescribe", "--auto", "--kb", kb_dir)
+        assert code == 0
+        lines = out.splitlines()
+        assert "dropped\tNoCommonSkeleton: Counting_apples_1: script is not one repeated routine" in lines
+        assert lines[-1].startswith("nothing to redescribe")
+
+    def test_phase_one_folds_the_episodes(self, capsys, tmp_path):
+        kb_dir = episode_kb(tmp_path, (3, 4), solved=())
+        code, out, _ = run_cli(capsys, "redescribe", "--phase", "1", "--kb", kb_dir)
+        assert code == 0
+        assert out.startswith("phase\t1\n")
+        assert "\nclass CountingApples {\n" in out
+
+    def test_out_directory_stores_a_unit_the_kb_lacked(self, capsys, tmp_path):
+        kb_dir = episode_kb(tmp_path, (3, 4), solved=())
+        out_dir = tmp_path / "next"
+        code, _, _ = run_cli(
+            capsys, "redescribe", "--phase", "1", "--kb", kb_dir, "--out", str(out_dir)
+        )
+        assert code == 0
+        assert kbmod.KnowledgeBase.load(kb_dir).unit("CountingApples") is None
+        loaded = kbmod.KnowledgeBase.load(out_dir)
+        assert loaded.unit("CountingApples", ir.Level.E1) is not None
+        assert len(loaded) == 3
+
+    @pytest.mark.parametrize("phase, complaint", [
+        ("2", "no E1 class to generalize"), ("3", "no E2 class to decompose"),
+    ])
+    def test_a_phase_without_its_input_class(self, capsys, tmp_path, phase, complaint):
+        kb_dir = episode_kb(tmp_path, (3, 4), solved=())
+        code, out, err = run_cli(capsys, "redescribe", "--phase", phase, "--kb", kb_dir)
+        assert (code, out, err) == (1, "", complaint + "\n")
 
     def test_phase_and_auto_exclude_each_other(self, capsys):
         code, _, err = run_cli(capsys, "redescribe", "--phase", "1", "--auto")

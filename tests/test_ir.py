@@ -93,11 +93,75 @@ class TestMemberLookup:
         assert unit.member_visibility("Counting") is ir.Visibility.PROTECTED
 
 
+def _rules(unit):
+    return {d.rule for d in ir.validate(unit)}
+
+
+def _with_op(unit, index=0, **changes):
+    ops = list(unit.operations)
+    ops[index] = ir.replace(ops[index], **changes)
+    return ir.replace(unit, operations=tuple(ops))
+
+
+def _with_attr(unit, index=0, **changes):
+    attrs = list(unit.attributes)
+    attrs[index] = ir.replace(attrs[index], **changes)
+    return ir.replace(unit, attributes=tuple(attrs))
+
+
+# Each case breaks one rule of a fixture unit: the case id names the
+# rule, the fixture and the unit's index in it say what is broken.
+_BROKEN = [
+    pytest.param("counting_apples_e1", 0, lambda u: ir.replace(
+        u, attributes=u.attributes + u.attributes[-1:]),
+        "duplicate-member", id="duplicate-member-attribute"),
+    pytest.param("counting_e2", 0, lambda u: ir.replace(
+        u, operations=u.operations + u.operations[-1:]),
+        "duplicate-member", id="duplicate-member-operation"),
+    pytest.param("counting_e2", 0, lambda u: _with_op(
+        u, params=u.operations[0].params * 2),
+        "duplicate-param", id="duplicate-param"),
+    pytest.param("counting_e2", 0, lambda u: _with_op(
+        u, body=(ir.replace(u.operations[0].body[0], body=()),)),
+        "empty-loop", id="empty-loop"),
+    pytest.param("counting_e2", 0, lambda u: _with_op(
+        u, body=(ir.SetupStmt("In", ("p", "ROOM1")), *u.operations[0].body)),
+        "setup-above-i", id="setup-above-i"),
+    pytest.param("counting_apples_e1", 0, lambda u: ir.replace(
+        u, friends=(ir.GLOBALS_UNIT,)),
+        "friends-below-e2", id="friends-below-e2"),
+    pytest.param("globals", 0, lambda u: ir.replace(u, operations=_unit().operations),
+        "globals-shape", id="globals-shape-operations"),
+    pytest.param("globals", 0, lambda u: _with_attr(u, const=None),
+        "globals-shape", id="globals-shape-variable"),
+    pytest.param("globals", 0, lambda u: _with_attr(u, visibility=ir.Visibility.PROTECTED),
+        "globals-shape", id="globals-shape-hidden"),
+    pytest.param("counting_apples_i", 0, lambda u: _with_attr(
+        u, visibility=ir.Visibility.PUBLIC),
+        "i-private", id="i-private-attribute"),
+    pytest.param("counting_apples_e1", 0, lambda u: ir.replace(
+        u, kind=ir.UnitKind.INSTANCE),
+        "e1-kind", id="e1-kind"),
+    pytest.param("counting_e2", 0, lambda u: ir.replace(u, kind=ir.UnitKind.INSTANCE),
+        "e2-kind", id="e2-kind"),
+    pytest.param("counting_e2", 0, lambda u: _with_op(u, visibility=ir.Visibility.PROTECTED),
+        "e2-op-visibility", id="e2-op-visibility"),
+    pytest.param("counting_e2", 0, lambda u: ir.replace(u, operations=u.operations[:1]),
+        "e2-modularity", id="e2-modularity"),
+    pytest.param("counting_e3", 0, lambda u: _with_op(u, visibility=ir.Visibility.PROTECTED),
+        "e3-public", id="e3-public-operation"),
+]
+
+
 class TestLevelDiscipline:
     def test_fixtures_validate(self, fixture_units):
         for name, units in fixture_units.items():
             for unit in units:
                 assert ir.validate(unit) == [], (name, unit.name)
+
+    @pytest.mark.parametrize("fixture, index, tamper, rule", _BROKEN)
+    def test_each_rule_names_itself(self, fixture_units, fixture, index, tamper, rule):
+        assert _rules(tamper(fixture_units[fixture][index])) == {rule}
 
     def test_e1_needs_a_loop(self):
         unit = _unit(operations=(
@@ -106,19 +170,17 @@ class TestLevelDiscipline:
                 (ir.ReturnStmt(ir.IntExpr(0)),),
             ),
         ))
-        assert any(d.rule == "e1-loop" or "loop" in d.message for d in ir.validate(unit))
+        assert _rules(unit) == {"e1-loop"}
 
     def test_e1_rejects_public_operations(self):
-        bad = _unit(operations=(
-            ir.replace(_unit().operations[0], visibility=ir.Visibility.PUBLIC),
-        ))
-        assert ir.validate(bad)
+        bad = _with_op(_unit(), visibility=ir.Visibility.PUBLIC)
+        assert _rules(bad) == {"e1-op-visibility"}
 
     def test_e1_needs_a_variable_attribute(self):
         bad = _unit(attributes=(
             ir.Attribute("k", "Sound", ir.Visibility.PRIVATE, ir.Literal("K")),
         ))
-        assert ir.validate(bad)
+        assert _rules(bad) == {"e1-var"}
 
     def test_instance_rejects_loops(self):
         bad = _unit(
@@ -129,7 +191,7 @@ class TestLevelDiscipline:
             ),
             operations=_unit().operations,
         )
-        assert ir.validate(bad)
+        assert _rules(bad) == {"i-private", "i-script", "i-straight-line"}
 
     def test_e2_attributes_at_most_protected(self, fixture_units):
         e2 = fixture_units["counting_e2"][0]
@@ -140,19 +202,11 @@ class TestLevelDiscipline:
                 for a in e2.attributes
             ),
         )
-        assert ir.validate(bad)
+        assert _rules(bad) == {"e2-attr-visibility"}
 
     def test_e3_everything_public(self, e3_units):
-        unit = e3_units["Set"]
-        bad = ir.replace(
-            unit,
-            attributes=(
-                ir.replace(
-                    unit.attributes[0], visibility=ir.Visibility.PROTECTED
-                ),
-            ) + unit.attributes[1:],
-        )
-        assert ir.validate(bad)
+        bad = _with_attr(e3_units["Set"], visibility=ir.Visibility.PROTECTED)
+        assert _rules(bad) == {"e3-public"}
 
 
 class TestValidateSet:

@@ -546,7 +546,15 @@ class TestPersistence:
          "CountingApples_I.rr disagrees with the manifest about 'CountingApples'"),
         (lambda rows: [*rows, rows[0]], "CountingApples at I already stored"),
         (lambda rows: [*rows, "log\tX\tT1\tSolved\tsoon"], "line 8: tick 'soon' is not an integer"),
-    ], ids=["unit-not-defined", "level-mismatch", "duplicate-unit", "tick-not-integer"])
+        (lambda rows: [rows[0].replace("\tCountingApples_I.rr", "\t/etc/hostname"), *rows[1:]],
+         "line 1: file '/etc/hostname' is not a plain name inside the knowledge base"),
+        (lambda rows: [rows[0].replace("\tCountingApples_I.rr", "\tkb/CountingApples_I.rr"),
+                       *rows[1:]],
+         "line 1: file 'kb/CountingApples_I.rr' is not a plain name"),
+        (lambda rows: [*rows[:2], rows[2].replace("\tCounting_E2.rr", "\t.."), *rows[3:]],
+         "line 3: file '..' is not a plain name"),
+    ], ids=["unit-not-defined", "level-mismatch", "duplicate-unit", "tick-not-integer",
+            "absolute-file", "file-in-a-subdirectory", "file-is-the-parent"])
     def test_inconsistent_manifest_names_the_fault(self, tmp_path, tamper, complaint):
         root = kbmod.KnowledgeBase.canonical().save(tmp_path / "kb")
         manifest = root / kbmod.MANIFEST
