@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from rrlang import dsl, ir, kb as kbmod
+
+# A larger example budget for CI (pytest --hypothesis-profile=ci). The
+# climb property test draws half of it, 500 climbs against tier-1's 50.
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,11 @@
 """Knowledge base: storage, episodic recording, advancement, persistence."""
 
 import gc
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from rrlang import dsl, interpreter as itp, ir, kb as kbmod, redescription as rd, tasks
 
@@ -196,9 +199,10 @@ class TestRecording:
         assert kb.log[1].outcome == "Failed"
 
 
-def counting_scene(size, domain="apples", kind="Apple"):
+def counting_scene(size, domain="apples", kind="Apple", move=True, restate=True):
     """A world of size objects in a line and a demonstration over it:
-    move, point and say the next numeral per object, then the total."""
+    move (unless not move), point and say the next numeral per object,
+    then the total (unless not restate)."""
     entities = {
         "ME": ("Person", None),
         "HAND": ("Hand", None),
@@ -210,8 +214,8 @@ def counting_scene(size, domain="apples", kind="Apple"):
     world = itp.World(entities, {domain: "Line"}, {domain: ids}, 0)
     events = []
     for eid, numeral in zip(ids, ir.NUMERALS):
-        events += [("Moved", None), ("PointedTo", eid), ("Said", numeral)]
-    events.append(("Said", ir.NUMERALS[size - 1]))
+        events += [("Moved", None)] * move + [("PointedTo", eid), ("Said", numeral)]
+    events += [("Said", ir.NUMERALS[size - 1])] * restate
     return world, tuple(itp.TraceEvent(i, v, a) for i, (v, a) in enumerate(events, 1))
 
 
@@ -464,6 +468,66 @@ class TestAdvance:
         assert dsl.print_canonical([e2]).text == dsl.fixture_source("counting_e2").text
         e3 = [kb.unit(n, Level.E3) for n in ("OrdinalNumber", "Set", "Counting")]
         assert dsl.print_canonical(e3).text == dsl.fixture_source("counting_e3").text
+
+
+def push_all_to_mastery(kb):
+    for unit in list(kb):
+        push_to_mastery(kb, unit.name)
+
+
+# Domain names include the shared "numbers" the later levels move into
+# and two that title-case differently from their object kind.
+_CLIMB_KINDS = {
+    "apples": "Apple", "pencils": "Pencil", "candy_heaps": "Candy",
+    "numbers": "Marble", "tasks": "Cup",
+}
+_episodes = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(_CLIMB_KINDS)),
+        st.integers(1, 20),
+        st.booleans(),  # Move before each point
+        st.booleans(),  # the total restated
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestClimbProperty:
+    # Each example is a whole climb, so the test draws half the loaded
+    # profile's budget: 50 by default, more under CI's "ci" profile.
+    @seed(3)
+    @settings(max_examples=settings.default.max_examples // 2, deadline=None)
+    @given(_episodes)
+    def test_any_episode_set_climbs_and_persists(self, episodes):
+        kb = kbmod.KnowledgeBase()
+        for domain, size, move, restate in episodes:
+            world, trace = counting_scene(size, domain, _CLIMB_KINDS[domain], move, restate)
+            unit = kb.record_instance(trace, world, domain)
+            replayed = itp.replay_instance((unit,), unit, world)
+            assert [(e.verb, e.arg) for e in replayed.trace] == [
+                (e.verb, e.arg) for e in trace
+            ]
+
+        # Each chain fires at most three phases, one per advance.
+        for _ in range(4):
+            push_all_to_mastery(kb)
+            if not any(report.outputs for report in kb.advance()):
+                break
+        else:
+            pytest.fail("advance still fires after three phases per chain")
+
+        with tempfile.TemporaryDirectory() as tmp:
+            first = kb.save(Path(tmp) / "first")
+            loaded = kbmod.KnowledgeBase.load(first)
+            second = loaded.save(Path(tmp) / "second")
+            listing = lambda root: {p.name: p.read_bytes() for p in root.iterdir()}
+            assert listing(second) == listing(first)
+
+        push_all_to_mastery(loaded)
+        size = len(loaded)
+        loaded.advance()
+        assert len(loaded) == size
 
 
 class TestPersistence:
