@@ -97,58 +97,58 @@ def _rules(unit):
     return {d.rule for d in ir.validate(unit)}
 
 
-def _with_op(unit, index=0, **changes):
-    ops = list(unit.operations)
-    ops[index] = ir.replace(ops[index], **changes)
-    return ir.replace(unit, operations=tuple(ops))
+def _with_op(unit, **changes):
+    """unit with its first operation changed."""
+    first, *rest = unit.operations
+    return ir.replace(unit, operations=(ir.replace(first, **changes), *rest))
 
 
-def _with_attr(unit, index=0, **changes):
-    attrs = list(unit.attributes)
-    attrs[index] = ir.replace(attrs[index], **changes)
-    return ir.replace(unit, attributes=tuple(attrs))
+def _with_attr(unit, **changes):
+    """unit with its first attribute changed."""
+    first, *rest = unit.attributes
+    return ir.replace(unit, attributes=(ir.replace(first, **changes), *rest))
 
 
-# Each case breaks one rule of a fixture unit: the case id names the
-# rule, the fixture and the unit's index in it say what is broken.
+# Each case tampers with the first unit of a fixture so that validate
+# reports exactly one rule.
 _BROKEN = [
-    pytest.param("counting_apples_e1", 0, lambda u: ir.replace(
+    pytest.param("counting_apples_e1", lambda u: ir.replace(
         u, attributes=u.attributes + u.attributes[-1:]),
         "duplicate-member", id="duplicate-member-attribute"),
-    pytest.param("counting_e2", 0, lambda u: ir.replace(
+    pytest.param("counting_e2", lambda u: ir.replace(
         u, operations=u.operations + u.operations[-1:]),
         "duplicate-member", id="duplicate-member-operation"),
-    pytest.param("counting_e2", 0, lambda u: _with_op(
+    pytest.param("counting_e2", lambda u: _with_op(
         u, params=u.operations[0].params * 2),
         "duplicate-param", id="duplicate-param"),
-    pytest.param("counting_e2", 0, lambda u: _with_op(
+    pytest.param("counting_e2", lambda u: _with_op(
         u, body=(ir.replace(u.operations[0].body[0], body=()),)),
         "empty-loop", id="empty-loop"),
-    pytest.param("counting_e2", 0, lambda u: _with_op(
+    pytest.param("counting_e2", lambda u: _with_op(
         u, body=(ir.SetupStmt("In", ("p", "ROOM1")), *u.operations[0].body)),
         "setup-above-i", id="setup-above-i"),
-    pytest.param("counting_apples_e1", 0, lambda u: ir.replace(
+    pytest.param("counting_apples_e1", lambda u: ir.replace(
         u, friends=(ir.GLOBALS_UNIT,)),
         "friends-below-e2", id="friends-below-e2"),
-    pytest.param("globals", 0, lambda u: ir.replace(u, operations=_unit().operations),
+    pytest.param("globals", lambda u: ir.replace(u, operations=_unit().operations),
         "globals-shape", id="globals-shape-operations"),
-    pytest.param("globals", 0, lambda u: _with_attr(u, const=None),
+    pytest.param("globals", lambda u: _with_attr(u, const=None),
         "globals-shape", id="globals-shape-variable"),
-    pytest.param("globals", 0, lambda u: _with_attr(u, visibility=ir.Visibility.PROTECTED),
+    pytest.param("globals", lambda u: _with_attr(u, visibility=ir.Visibility.PROTECTED),
         "globals-shape", id="globals-shape-hidden"),
-    pytest.param("counting_apples_i", 0, lambda u: _with_attr(
+    pytest.param("counting_apples_i", lambda u: _with_attr(
         u, visibility=ir.Visibility.PUBLIC),
         "i-private", id="i-private-attribute"),
-    pytest.param("counting_apples_e1", 0, lambda u: ir.replace(
+    pytest.param("counting_apples_e1", lambda u: ir.replace(
         u, kind=ir.UnitKind.INSTANCE),
         "e1-kind", id="e1-kind"),
-    pytest.param("counting_e2", 0, lambda u: ir.replace(u, kind=ir.UnitKind.INSTANCE),
+    pytest.param("counting_e2", lambda u: ir.replace(u, kind=ir.UnitKind.INSTANCE),
         "e2-kind", id="e2-kind"),
-    pytest.param("counting_e2", 0, lambda u: _with_op(u, visibility=ir.Visibility.PROTECTED),
+    pytest.param("counting_e2", lambda u: _with_op(u, visibility=ir.Visibility.PROTECTED),
         "e2-op-visibility", id="e2-op-visibility"),
-    pytest.param("counting_e2", 0, lambda u: ir.replace(u, operations=u.operations[:1]),
+    pytest.param("counting_e2", lambda u: ir.replace(u, operations=u.operations[:1]),
         "e2-modularity", id="e2-modularity"),
-    pytest.param("counting_e3", 0, lambda u: _with_op(u, visibility=ir.Visibility.PROTECTED),
+    pytest.param("counting_e3", lambda u: _with_op(u, visibility=ir.Visibility.PROTECTED),
         "e3-public", id="e3-public-operation"),
 ]
 
@@ -159,9 +159,9 @@ class TestLevelDiscipline:
             for unit in units:
                 assert ir.validate(unit) == [], (name, unit.name)
 
-    @pytest.mark.parametrize("fixture, index, tamper, rule", _BROKEN)
-    def test_each_rule_names_itself(self, fixture_units, fixture, index, tamper, rule):
-        assert _rules(tamper(fixture_units[fixture][index])) == {rule}
+    @pytest.mark.parametrize("fixture, tamper, rule", _BROKEN)
+    def test_each_rule_names_itself(self, fixture_units, fixture, tamper, rule):
+        assert _rules(tamper(fixture_units[fixture][0])) == {rule}
 
     def test_e1_needs_a_loop(self):
         unit = _unit(operations=(
