@@ -280,6 +280,9 @@ class NumeralsExhausted(ExecError):
 # ---------------------------------------------------------------------------
 # Machine
 
+_VALUE_ATTR = "_value"  # a const Attribute's slot for its bound value
+
+
 class _Frame:
     """One operation activation: the running unit, its locals, and the
     unit's attribute frame, bound once at call entry."""
@@ -304,7 +307,7 @@ class _Machine:
         self.arrangements = dict(world.arrangements)
         self.containers = {name: list(members) for name, members in world.containers.items()}
         self.rng_seed = world.rng_seed
-        self.rng = random.Random(world.rng_seed)
+        self.rng: random.Random | None = None  # built on the first draw
         self.step_limit = step_limit
         self.steps = 0
         self.trace: list[TraceEvent] = []
@@ -340,15 +343,24 @@ class _Machine:
         return frame
 
     def _literal_value(self, attr: ir.Attribute) -> Value:
-        lit = attr.const
-        if lit.value.__class__ is not str:  # every constant of a recording is a symbol
+        """The const attr's bound literal, built on its first binding and
+        kept on the node (see "Binding rules"); a symbol list is kept as
+        its tokens and binds as a fresh sequence over them."""
+        value = getattr(attr, _VALUE_ATTR, None)
+        if value is None:
+            lit = attr.const
             if lit.is_int:
-                return IntVal(lit.value)
-            if lit.is_symbols:
-                return SeqVal([TokenVal(sym) for sym in lit.value])
-        if attr.type_ref in ir.TOKEN_TYPES or attr.type_ref in ir.SCALAR_TYPES:
-            return TokenVal(lit.value)
-        return EntityVal(lit.value)
+                value = IntVal(lit.value)
+            elif lit.is_symbols:
+                value = tuple([TokenVal(sym) for sym in lit.value])
+            elif attr.type_ref in ir.TOKEN_TYPES or attr.type_ref in ir.SCALAR_TYPES:
+                value = TokenVal(lit.value)
+            else:
+                value = EntityVal(lit.value)
+            object.__setattr__(attr, _VALUE_ATTR, value)
+        if value.__class__ is tuple:
+            return SeqVal(list(value))
+        return value
 
     def _bind_attribute(self, unit: ConceptUnit, attr: ir.Attribute, used: set[str]):
         if attr.const is not None:
@@ -568,48 +580,48 @@ class _Machine:
 
     def _check_param(self, target: ConceptUnit, op_name: str, param: ir.Param, value: Value) -> None:
         t = param.type_ref
-        where = f"{target.name}.{op_name}({param.name}: {t})"
-
-        def reject(got: str) -> None:
-            raise TypeMismatch(f"{where} does not accept {got}")
-
+        got = None  # what a refused argument is; the message is built only then
         if t == "int":
             if not isinstance(value, IntVal):
-                reject(type(value).__name__)
+                got = type(value).__name__
         elif t == "Boolean":
             if not isinstance(value, BoolVal):
-                reject(type(value).__name__)
+                got = type(value).__name__
         elif t in ir.TOKEN_TYPES:
             if not isinstance(value, TokenVal):
-                reject(type(value).__name__)
+                got = type(value).__name__
         elif t in ir.AGENT_TYPES or t in ir.ELEMENT_TYPES:
             if not isinstance(value, EntityVal):
-                reject(type(value).__name__)
+                got = type(value).__name__
             else:
                 kind = self.entities.get(value.entity, ("?", None))[0]
                 want = "Person" if t in ir.AGENT_TYPES else ir.ELEMENT_TYPES[t]
                 if want is not None and kind != want:
-                    reject(f"a {kind} entity")
+                    got = f"a {kind} entity"
         elif t in ir.SET_TYPES or t in ir.LIST_TYPES:
             if not isinstance(value, SeqVal):
-                reject(type(value).__name__)
+                got = type(value).__name__
             else:
                 elem = ir.collection_element(t)
                 if elem == ir.TOKEN_ELEM:
                     if any(not isinstance(item, TokenVal) for item in value.items):
-                        reject("a collection of non-tokens")
+                        got = "a collection of non-tokens"
                 elif elem is not None:
                     for item in value.items:
                         if not isinstance(item, EntityVal):
-                            reject("a collection of non-entities")
+                            got = "a collection of non-entities"
+                            break
                         kind = self.entities.get(item.entity, ("?", None))[0]
                         if kind != elem:
-                            reject(f"a collection holding {kind} entities")
+                            got = f"a collection holding {kind} entities"
+                            break
         elif t in self.units:
             if not isinstance(value, UnitVal) or value.cls != t:
-                reject(type(value).__name__)
+                got = type(value).__name__
         else:
-            raise TypeMismatch(f"{where}: unknown parameter type")
+            raise TypeMismatch(f"{target.name}.{op_name}({param.name}: {t}): unknown parameter type")
+        if got is not None:
+            raise TypeMismatch(f"{target.name}.{op_name}({param.name}: {t}) does not accept {got}")
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +735,10 @@ def _delete(m, recv, args):
 def _select_one_random(m, recv, args):
     if recv.__class__ is SeqVal:
         if recv.items:
-            return m.rng.choice(recv.items)
+            rng = m.rng
+            if rng is None:
+                rng = m.rng = random.Random(m.rng_seed)
+            return rng.choice(recv.items)
         raise EmptyCollection("SelectOneRandom on an empty collection")
     raise TypeMismatch("SelectOneRandom needs an ordered collection receiver")
 

@@ -424,6 +424,11 @@ Stmt = (
 class Attribute:
     """Named member datum. Consts carry exactly one literal, vars none."""
 
+    # The interpreter keeps a const's bound value here from its first
+    # binding on (see interpreter._Machine._literal_value), so every run
+    # and every recording sharing the node binds the same one.
+    __slots__ = ("_value",)
+
     name: str
     type_ref: TypeRef
     visibility: Visibility

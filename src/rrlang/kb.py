@@ -184,8 +184,8 @@ class KnowledgeBase:
         """Code one episode independently: constants for everything the
         episode touched or its setup facts name, setup predicates from
         the scene, and the actions verbatim. An event that names an
-        entity the scene lacks is refused before anything is stored or
-        shared."""
+        entity the scene lacks, or that no action codes, is refused
+        before anything is stored or shared."""
         if not trace:
             raise EmptyTrace("nothing happened; there is no episode to record")
         # insertion-ordered sets: first mention order, one entry each
@@ -204,6 +204,8 @@ class KnowledgeBase:
                     pointed[event.arg] = None
                 else:
                     taken[event.arg] = None
+            elif event.verb not in _VERB_FOR_EVENT:
+                raise KbError(f"cannot code a {event.verb} event into an episode")
         agent = next(
             (e for e, (kind, _) in world.entities.items() if kind in ir.AGENT_TYPES),
             None,
@@ -239,11 +241,8 @@ class KnowledgeBase:
         if line is not None:
             body.append(self._setup("InLine", line))
         for event in trace:
-            verb = _VERB_FOR_EVENT.get(event.verb)
-            if verb is None:
-                raise KbError(f"cannot code a {event.verb} event into an episode")
             arg = event.arg if event.arg is not None else hand
-            body.append(self._action(verb, agent, arg))
+            body.append(self._action(_VERB_FOR_EVENT[event.verb], agent, arg))
 
         ordinal = 1 + self._instance_counts.get(domain, 0)
         # Positional, in field order: keyword construction takes the

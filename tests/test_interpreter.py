@@ -1,5 +1,8 @@
 """Execution semantics: replay, leveled counting, errands, failure modes."""
 
+import copy
+import pickle
+
 import pytest
 
 from rrlang import dsl, interpreter as itp, ir, tasks
@@ -551,3 +554,123 @@ class TestTraceFormat:
         assert text.endswith("\n")
         assert lines[0].split("\t")[0] == "1"
         assert all(len(line.split("\t")) == 3 for line in lines)
+
+
+def probe_unit(attrs):
+    """An E2 class with the given attribute lines whose operation Go
+    returns 0, so a call only binds its frame."""
+    return dsl.parse(
+        "@level(E2)\n@domain(numbers)\nclass Probe {\n    private:\n"
+        + "".join(f"        {line}\n" for line in attrs)
+        + "    public:\n        int Go() {\n            return Zero();\n        }\n"
+        + "        int Zero() {\n            return 0;\n        }\n}\n"
+    )[0]
+
+
+def with_body(instance, *stmts):
+    """The recorded instance with its script replaced by stmts."""
+    (op,) = instance.operations
+    return ir.replace(instance, operations=(ir.replace(op, body=stmts),))
+
+
+class TestBindingErrors:
+    def test_a_set_attribute_needs_a_container(self):
+        unit = probe_unit(["objectSet items;"])
+        world = itp.World({"ME": ("Person", None)}, {}, {}, 0)
+        with pytest.raises(itp.BindingMismatch) as err:
+            itp.execute([unit], unit, "Go", [], world, caller_domain="numbers")
+        assert type(err.value) is itp.BindingMismatch
+        assert str(err.value) == "Probe.items: no container to bind"
+
+    def test_an_agent_attribute_needs_a_person(self):
+        unit = probe_unit(["Person p;"])
+        world = itp.World({"HAND": ("Hand", None)}, {}, {}, 0)
+        with pytest.raises(itp.BindingMismatch) as err:
+            itp.execute([unit], unit, "Go", [], world, caller_domain="numbers")
+        assert type(err.value) is itp.BindingMismatch
+        assert str(err.value) == "Probe.p: world has no Person"
+
+    def test_an_empty_inline_fact_is_refused(self, instance):
+        unit = with_body(instance, ir.SetupStmt("InLine", ()))
+        with pytest.raises(itp.SetupMismatch) as err:
+            itp.replay_instance([unit], unit, apples_world(3))
+        assert type(err.value) is itp.SetupMismatch
+        assert str(err.value) == "InLine needs entities"
+
+    def test_an_inline_fact_outside_every_container_is_refused(self, instance):
+        unit = with_body(instance, ir.SetupStmt("InLine", ("APPLE1", "APPLE2")))
+        world = apples_world(3)
+        world = itp.World(world.entities, world.arrangements, {"apples": ("APPLE2", "APPLE3")}, 0)
+        with pytest.raises(itp.SetupMismatch) as err:
+            itp.replay_instance([unit], unit, world)
+        assert type(err.value) is itp.SetupMismatch
+        assert str(err.value) == "InLine: 'APPLE1' is not in any container"
+
+    def test_build_unit_value_needs_the_container(self, e3_kb):
+        with pytest.raises(itp.UnboundName) as err:
+            itp.build_unit_value(e3_kb, "Set", heaps_world(), "heap_c")
+        assert type(err.value) is itp.UnboundName
+        assert str(err.value) == "world has no container 'heap_c'"
+
+    def test_build_unit_value_needs_the_class(self, e3_kb):
+        with pytest.raises(itp.UnboundName) as err:
+            itp.build_unit_value(e3_kb, "Heap", heaps_world(), "heap_a")
+        assert type(err.value) is itp.UnboundName
+        assert str(err.value) == "no class 'Heap' in the knowledge base"
+
+
+class TestKeptValues:
+    """A const's bound value is kept on its Attribute node; a symbol list
+    binds as a fresh sequence over the kept tokens each time."""
+
+    def test_consecutive_runs_each_count_from_one(self, kb_by_level):
+        units = kb_by_level[ir.Level.E3]
+        counting = next(u for u in units if u.name == "Counting")
+        runs = [
+            itp.execute(units, counting, "Counting", [], apples_world(5, seed=4), caller_domain="apples")
+            for _ in range(2)
+        ]
+        assert runs[0].trace == runs[1].trace
+        assert verbs(runs[0].trace, "Said") == list(NUMERALS[:5])
+
+    def test_a_list_binding_moves_alone(self, e3_kb):
+        ordinal = next(u for u in e3_kb if u.name == "OrdinalNumber")
+        world = apples_world(1)
+        machine = itp._Machine(e3_kb, world, itp.DEFAULT_STEP_LIMIT)
+        first = machine.build_unit_value(ordinal, ())
+        moved = first.fields["numlist"]
+        itp.eval_primitive("Next", moved, [], world)
+        itp.eval_primitive("Delete", moved, [itp.TokenVal("TWO")], world)
+        second = machine.build_unit_value(ordinal, ()).fields["numlist"]
+        assert (moved.pos, len(moved.items)) == (1, 19)
+        assert (second.pos, len(second.items)) == (0, 20)
+        assert second.items[:2] == [itp.TokenVal("ONE"), itp.TokenVal("TWO")]
+        assert second.items[0] is moved.items[0]
+
+    def test_a_scalar_const_binds_to_one_object_across_runs(self, instance):
+        frames = [
+            itp._Machine([instance], apples_world(3), itp.DEFAULT_STEP_LIMIT).unit_frame(instance)
+            for _ in range(2)
+        ]
+        assert frames[0]["ME"] == itp.EntityVal("ME")
+        assert frames[0]["ME"] is frames[1]["ME"]
+        assert frames[0]["ONE"] is frames[1]["ONE"]
+
+    def test_a_replaced_literal_binds_anew(self, instance):
+        machine = itp._Machine([instance], apples_world(3), itp.DEFAULT_STEP_LIMIT)
+        one = instance.attribute("ONE")
+        assert machine._literal_value(one) == itp.TokenVal("ONE")
+        two = ir.replace(one, const=ir.Literal("TWO"))
+        assert machine._literal_value(two) == itp.TokenVal("TWO")
+        assert machine._literal_value(one) == itp.TokenVal("ONE")
+        assert not hasattr(copy.copy(one), "_value")
+        assert not hasattr(pickle.loads(pickle.dumps(one)), "_value")
+
+    def test_the_generator_is_built_on_the_first_draw(self, instance, e1):
+        world = apples_world(3, seed=5)
+        replay = itp._Machine([instance], world, itp.DEFAULT_STEP_LIMIT)
+        replay.invoke(instance, instance.operation(ir.IMPLICIT_OP), [])
+        assert len(replay.trace) == 10 and replay.rng is None
+        count = itp._Machine([e1], world, itp.DEFAULT_STEP_LIMIT)
+        count.invoke(e1, e1.operation("Counting"), [])
+        assert count.rng is not None

@@ -159,6 +159,25 @@ class TestRecording:
         assert len(kb) == 0 and kb._nodes == {}
         assert kb.record_instance(trace, four_apple_world(), "apples").name == "Counting_apples_1"
 
+    def test_an_event_no_action_codes_is_refused_before_sharing(self):
+        kb = kbmod.KnowledgeBase()
+        events = [("PointedTo", "APPLE1"), ("Said", "ONE"), ("Jumped", None)]
+        trace = tuple(itp.TraceEvent(i, v, a) for i, (v, a) in enumerate(events, 1))
+        with pytest.raises(kbmod.KbError, match="^cannot code a Jumped event into an episode$"):
+            kb.record_instance(trace, four_apple_world(), "apples")
+        assert len(kb) == 0 and kb._nodes == {}
+
+    def test_a_scene_without_an_agent_is_refused_before_sharing(self):
+        kb = kbmod.KnowledgeBase()
+        world = four_apple_world()
+        entities = {eid: kind for eid, kind in world.entities.items() if eid != "ME"}
+        world = itp.World(entities, world.arrangements, world.containers, 0)
+        with pytest.raises(
+            kbmod.KbError, match="^the scene lacks an agent to attribute the actions to$"
+        ):
+            kb.record_instance(replay_four_apples(None), world, "apples")
+        assert len(kb) == 0 and kb._nodes == {}
+
     def test_an_entity_taken_away_unpointed_is_bound_and_replays(self):
         kb = kbmod.KnowledgeBase()
         entities = {"ME": ("Person", None), "HAND": ("Hand", None), "TABLE1": ("Table", None)}
