@@ -8,8 +8,11 @@ world is never changed.
 
 Binding rules, applied when a unit's attribute frame materializes:
 
-* a const attribute takes its bound literal (symbol lists become
-  ordered sequences with a fresh cursor);
+* a const attribute takes its bound literal. The value is built on its
+  first binding and kept on the Attribute node, so later runs, and
+  recordings sharing the node, reuse it: a scalar binds as that one
+  frozen object, and a symbol list binds as a fresh sequence (own
+  items, fresh cursor) over the kept tokens;
 * a set-typed variable snapshots the world's first container, and the
   container's entities must all match the declared element kind;
 * a list-typed variable starts empty;
@@ -38,6 +41,8 @@ alive. Recordings in one knowledge base share their statement nodes
 earlier recordings compiled.
 
 `eval_primitive` runs one verb in isolation, through the same table.
+The random generator of a run is built from the world's seed on its
+first draw, so a run that never draws builds none.
 """
 
 from __future__ import annotations

@@ -54,9 +54,13 @@ def record(cls):
     ``ActionStmt`` nodes that parsing or recording builds for nearly
     every line of a knowledge base.
     Names the class lists in ``__slots__`` become extra slots outside
-    the fields: no ``__init__``, equality, hash, repr, copy or
-    ``replace`` sees them, and they start unset. Nothing is generated
-    or compiled, which keeps importing the package cheap.
+    the fields: no ``__init__``, equality, hash, repr, copy, ``pickle``
+    or ``replace`` sees them, and they start unset. The interpreter
+    keeps what it derives from a node there, once per node: the
+    compiled body of an ``Operation``, the closure of a ``SetupStmt``
+    or ``ActionStmt``, and the bound value of a const ``Attribute``.
+    Nothing is generated or compiled, which keeps importing the package
+    cheap.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
     ns = dict(cls.__dict__)
@@ -425,8 +429,9 @@ class Attribute:
     """Named member datum. Consts carry exactly one literal, vars none."""
 
     # The interpreter keeps a const's bound value here from its first
-    # binding on (see interpreter._Machine._literal_value), so every run
-    # and every recording sharing the node binds the same one.
+    # binding on (see interpreter._Machine._literal_value), so it lives
+    # and dies with the node; every run and every recording sharing the
+    # node binds the same one. A var never sets it.
     __slots__ = ("_value",)
 
     name: str
