@@ -73,8 +73,8 @@ from .ir import (
     SetupStmt,
     Stmt,
     WhileStmt,
+    field_setters,
     record,
-    set_field,
 )
 
 ARRANGEMENTS = ("Line", "Square", "Circle", "Scattered")
@@ -125,7 +125,10 @@ class IntVal:
     value: int
 
     def __init__(self, value: int):
-        set_field(self, "value", value)
+        _set_int(self, value)
+
+
+(_set_int,) = field_setters(IntVal)
 
 
 @record
@@ -133,7 +136,10 @@ class BoolVal:
     value: bool
 
     def __init__(self, value: bool):
-        set_field(self, "value", value)
+        _set_bool(self, value)
+
+
+(_set_bool,) = field_setters(BoolVal)
 
 
 @record
@@ -141,7 +147,10 @@ class TokenVal:
     token: str
 
     def __init__(self, token: str):
-        set_field(self, "token", token)
+        _set_token(self, token)
+
+
+(_set_token,) = field_setters(TokenVal)
 
 
 @record
@@ -149,7 +158,10 @@ class EntityVal:
     entity: str
 
     def __init__(self, entity: str):
-        set_field(self, "entity", entity)
+        _set_entity(self, entity)
+
+
+(_set_entity,) = field_setters(EntityVal)
 
 
 class SeqVal:
@@ -225,9 +237,12 @@ class TraceEvent:
     arg: str | None = None
 
     def __init__(self, seq: int, verb: str, arg: str | None = None):
-        set_field(self, "seq", seq)
-        set_field(self, "verb", verb)
-        set_field(self, "arg", arg)
+        _set_seq(self, seq)
+        _set_verb(self, verb)
+        _set_arg(self, arg)
+
+
+_set_seq, _set_verb, _set_arg = field_setters(TraceEvent)
 
 
 def format_trace(trace: Sequence[TraceEvent]) -> str:
@@ -308,8 +323,10 @@ class _Machine:
         step_limit: int,
     ):
         self.units: dict[str, ConceptUnit] = {u.name: u for u in kb}
-        self.entities = dict(world.entities)
-        self.arrangements = dict(world.arrangements)
+        # Read in place: no verb writes entities or arrangements. The
+        # containers are copied, since TakeAway writes them.
+        self.entities = world.entities
+        self.arrangements = world.arrangements
         self.containers = {name: list(members) for name, members in world.containers.items()}
         self.rng_seed = world.rng_seed
         self.rng: random.Random | None = None  # built on the first draw
@@ -324,8 +341,8 @@ class _Machine:
 
     def snapshot_world(self) -> World:
         return World(
-            dict(self.entities),
-            dict(self.arrangements),
+            self.entities,
+            self.arrangements,
             {name: tuple(members) for name, members in self.containers.items()},
             self.rng_seed,
         )

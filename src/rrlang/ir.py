@@ -11,17 +11,12 @@ with changes by ``replace``.
 
 from __future__ import annotations
 
-from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 
 # ---------------------------------------------------------------------------
 # Records
-
-# Hand-written record __init__s set their fields with this.
-set_field = object.__setattr__
-
 
 class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a record."""
@@ -46,13 +41,16 @@ def record(cls):
     record from its fields positionally. The generic ``__init__`` takes
     the fields positionally or by keyword, and is fastest given all of
     them positionally. A class that writes its own ``__init__`` keeps it
-    and sets its fields with ``set_field``. Only values built in hot
-    loops do, since the generic one takes about twice as long for one
-    field (CPython 3.11, timeit): the interpreter's ``IntVal``,
-    ``BoolVal``, ``TokenVal``, ``EntityVal`` and ``TraceEvent``, built
-    many times per run, and the ``NameExpr``, ``SetupStmt`` and
-    ``ActionStmt`` nodes that parsing or recording builds for nearly
-    every line of a knowledge base.
+    and fills its slots through the slot descriptors' ``__set__``, bound
+    once after the class is built (``field_setters``). That skips the
+    lookup of ``object.__setattr__`` and its name argument: a
+    ``TraceEvent`` built that way takes 372 ns against 523 ns (CPython
+    3.11, min of 40). Only values built in hot loops write their own,
+    since the generic one takes about twice as long for one field: the
+    interpreter's ``IntVal``, ``BoolVal``, ``TokenVal``, ``EntityVal``
+    and ``TraceEvent``, built many times per run, and the ``NameExpr``,
+    ``SetupStmt`` and ``ActionStmt`` nodes that parsing or recording
+    builds for nearly every line of a knowledge base.
     Names the class lists in ``__slots__`` become extra slots outside
     the fields: no ``__init__``, equality, hash, repr, copy, ``pickle``
     or ``replace`` sees them, and they start unset. The interpreter
@@ -112,9 +110,15 @@ def replace(obj, /, **changes):
     return type(obj)(*values)
 
 
+def field_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot descriptor of record cls, in
+    field order: what a hand-written ``__init__`` fills its slots with."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__match_args__)
+
+
 def _generic_init(cls, names: tuple[str, ...], defaults: dict):
     """An ``__init__`` for record cls that sets each field through its slot."""
-    setters = tuple(cls.__dict__[name].__set__ for name in names)
+    setters = field_setters(cls)
     count = len(names)
     title = f"{cls.__qualname__}()"
 
@@ -145,29 +149,98 @@ def _generic_init(cls, names: tuple[str, ...], defaults: dict):
     return __init__
 
 
-class Level(Enum):
+class _VocabularyType(type):
+    """The type of a vocabulary: it turns each public name the class
+    spells into a member, iterates the members in declaration order and
+    finds one by name (``Level["E1"]``). It has no ``__getattr__``."""
+
+    def __new__(meta, name, bases, ns):
+        spelled = [(key, ns.pop(key)) for key in list(ns) if not key.startswith("_")]
+        cls = super().__new__(meta, name, bases, {"__slots__": (), **ns})
+        members = []
+        for rank, (key, value) in enumerate(spelled):
+            member = object.__new__(cls)
+            for setter, field in zip(_MEMBER_SETTERS, (key, value, rank)):
+                setter(member, field)
+            setattr(cls, key, member)
+            members.append(member)
+        cls._members = tuple(members)
+        cls._by_name = {member.name: member for member in cls._members}
+        cls._by_value = {member.value: member for member in cls._members}
+        return cls
+
+    def __iter__(cls):
+        return iter(cls._members)
+
+    def __getitem__(cls, name: str):
+        return cls._by_name[name]
+
+
+class Vocabulary(metaclass=_VocabularyType):
+    """A closed set of named constants, one frozen singleton each.
+
+    A subclass spells its members as class attributes, ``NAME =
+    "value"``; each becomes an instance with the slots ``name``,
+    ``value`` and ``rank`` (its place in declaration order). A member
+    is found by name with ``Cls["NAME"]`` and by spelled value with
+    ``Cls("value")``; the class iterates its members in order. Repr and
+    str are Enum's (``<Level.E1: 'E1'>``, ``Level.E1``), assignment and
+    deletion are refused with ``FrozenInstanceError``, and ``copy``,
+    ``deepcopy`` and ``pickle`` return the same member, so members
+    compare, hash and test with ``is`` by identity.
+
+    It replaces ``enum.Enum``, whose type has a ``__getattr__`` on
+    CPython 3.10 and 3.11 (``EnumMeta``/``EnumType``) that sends every
+    class attribute read, ``Level.I`` included, through a Python-level
+    hook: 160 ns against 25 ns for a plain class attribute (3.11.7),
+    and whose ``.name`` and ``.value`` are Python properties (190-225
+    ns against 10 ns for a slot). ``validate`` alone reads about 40
+    members per recording. 3.12 and later have no such hook, so the
+    gain there is smaller.
+    """
+
+    __slots__ = ("name", "value", "rank")
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
+
+    def __new__(cls, value):
+        try:
+            return cls._by_value[value]
+        except KeyError:
+            raise ValueError(f"{value!r} is not a valid {cls.__qualname__}") from None
+
+    def __reduce__(self):
+        return self.__class__, (self.value,)
+
+    def __repr__(self) -> str:
+        return f"<{self.__class__.__qualname__}.{self.name}: {self.value!r}>"
+
+    def __str__(self) -> str:
+        return f"{self.__class__.__qualname__}.{self.name}"
+
+
+_MEMBER_SETTERS = tuple(Vocabulary.__dict__[name].__set__ for name in Vocabulary.__slots__)
+
+
+class Level(Vocabulary):
+    """The representational ladder, bottom up; ``rank`` orders it."""
+
     I = "I"
     E1 = "E1"
     E2 = "E2"
     E3 = "E3"
 
-    @property
-    def rank(self) -> int:
-        return _LEVEL_RANK[self]
+
+LEVELS: tuple[Level, ...] = tuple(Level)
 
 
-_LEVEL_RANK = {Level.I: 0, Level.E1: 1, Level.E2: 2, Level.E3: 3}
-
-LEVELS: tuple[Level, ...] = (Level.I, Level.E1, Level.E2, Level.E3)
-
-
-class Visibility(Enum):
+class Visibility(Vocabulary):
     PRIVATE = "private"
     PROTECTED = "protected"
     PUBLIC = "public"
 
 
-class UnitKind(Enum):
+class UnitKind(Vocabulary):
     INSTANCE = "instance"
     CLASS = "class"
 
@@ -277,7 +350,10 @@ class NameExpr:
     name: str
 
     def __init__(self, name: str):
-        set_field(self, "name", name)
+        _set_name_name(self, name)
+
+
+(_set_name_name,) = field_setters(NameExpr)
 
 
 @record
@@ -340,8 +416,11 @@ class SetupStmt:
     args: tuple[str, ...]
 
     def __init__(self, pred: str, args: tuple[str, ...]):
-        set_field(self, "pred", pred)
-        set_field(self, "args", args)
+        _set_setup_pred(self, pred)
+        _set_setup_args(self, args)
+
+
+_set_setup_pred, _set_setup_args = field_setters(SetupStmt)
 
 
 @record
@@ -355,9 +434,12 @@ class ActionStmt:
     args: tuple[Expr, ...]
 
     def __init__(self, verb: str, recv: Expr, args: tuple[Expr, ...]):
-        set_field(self, "verb", verb)
-        set_field(self, "recv", recv)
-        set_field(self, "args", args)
+        _set_action_verb(self, verb)
+        _set_action_recv(self, recv)
+        _set_action_args(self, args)
+
+
+_set_action_verb, _set_action_recv, _set_action_args = field_setters(ActionStmt)
 
 
 @record

@@ -206,17 +206,21 @@ class KnowledgeBase:
                     taken[event.arg] = None
             elif event.verb not in _VERB_FOR_EVENT:
                 raise KbError(f"cannot code a {event.verb} event into an episode")
-        agent = next(
-            (e for e, (kind, _) in world.entities.items() if kind in ir.AGENT_TYPES),
-            None,
-        )
-        hand = next(
-            (e for e, (kind, _) in world.entities.items() if kind == "Hand"), None
-        )
+        # the first agent and hand, and every room and table, in one pass
+        agent = hand = None
+        rooms: list[str] = []
+        tables: list[str] = []
+        for eid, (kind, _) in world.entities.items():
+            if kind == "Room":
+                rooms.append(eid)
+            elif kind == "Table":
+                tables.append(eid)
+            elif kind == "Hand" and hand is None:
+                hand = eid
+            elif kind in ir.AGENT_TYPES and agent is None:
+                agent = eid
         if agent is None or hand is None:
             raise KbError("the scene lacks an agent to attribute the actions to")
-        rooms = [e for e, (kind, _) in world.entities.items() if kind == "Room"]
-        tables = [e for e, (kind, _) in world.entities.items() if kind == "Table"]
 
         group = world.entities[next(iter(pointed))][1] if pointed else None
         line = None

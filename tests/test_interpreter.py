@@ -279,9 +279,26 @@ class TestIsolation:
     def test_input_world_never_mutates(self, e3_kb):
         errand = dsl.load_fixture("fetch_objects")[0]
         world = banana_world(6, seed=0)
-        before = {k: tuple(v) for k, v in world.containers.items()}
-        itp.execute(e3_kb + [errand], errand, "BringFive", [], world, caller_domain="tasks")
-        assert {k: tuple(v) for k, v in world.containers.items()} == before
+        before = copy.deepcopy(world)
+        res = itp.execute(e3_kb + [errand], errand, "BringFive", [], world, caller_domain="tasks")
+        assert [e.verb for e in res.trace].count("TookAway") == 5
+        assert world.entities == before.entities
+        assert world.arrangements == before.arrangements
+        assert world.containers == before.containers
+        # a run writes only containers
+        assert res.world.containers != world.containers
+        assert res.world.entities == world.entities
+        assert res.world.arrangements == world.arrangements
+
+    def test_a_target_outside_the_kb_runs_as_one_inside_it(self, e3_kb):
+        errand = dsl.load_fixture("fetch_objects")[0]
+        world = banana_world(6, seed=0)
+        inside = itp.execute(e3_kb + [errand], errand, "BringFive", [], world, caller_domain="tasks")
+        outside = itp.execute(e3_kb, errand, "BringFive", [], world, caller_domain="tasks")
+        assert outside.trace == inside.trace
+        assert outside.value == inside.value
+        assert outside.steps == inside.steps
+        assert outside.world == inside.world
 
     def test_result_world_is_a_fresh_snapshot(self, e2_kb):
         e2 = e2_kb[0]

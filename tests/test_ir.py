@@ -1,10 +1,12 @@
 """Structure, level discipline, access control, and chain growth."""
 
+import copy
+import pickle
 from collections import Counter
 
 import pytest
 
-from rrlang import dsl, ir
+from rrlang import dsl, ir, kb as kbmod
 
 
 def _unit(**overrides):
@@ -55,6 +57,67 @@ def _unit(**overrides):
     )
     base.update(overrides)
     return ir.ConceptUnit(**base)
+
+
+_DUPLICATES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "replace": ir.replace,
+}
+
+
+class TestVocabulary:
+    @pytest.mark.parametrize("duplicate", list(_DUPLICATES.values()), ids=list(_DUPLICATES))
+    def test_a_copied_unit_keeps_the_identical_members(self, duplicate):
+        twin = duplicate(_unit(level=ir.Level.E2))
+        assert twin.level is ir.Level.E2
+        assert twin.kind is ir.UnitKind.CLASS
+        assert twin.attributes[0].visibility is ir.Visibility.PRIVATE
+        assert twin.operations[0].visibility is ir.Visibility.PROTECTED
+
+    def test_a_saved_and_loaded_kb_keeps_the_identical_members(self, tmp_path):
+        loaded = kbmod.KnowledgeBase.load(kbmod.KnowledgeBase.canonical().save(tmp_path / "kb"))
+        e2 = loaded.unit("Counting", ir.Level.E2)
+        assert e2.level is ir.Level.E2 and e2.kind is ir.UnitKind.CLASS
+        assert e2.attributes[0].visibility is ir.Visibility.PROTECTED
+        instance = loaded.units_at(ir.Level.I)[0]
+        assert instance.kind is ir.UnitKind.INSTANCE
+        assert instance.attributes[0].visibility is ir.Visibility.PRIVATE
+
+    def test_levels_iterate_in_ladder_order_with_their_ranks(self):
+        assert list(ir.Level) == [ir.Level.I, ir.Level.E1, ir.Level.E2, ir.Level.E3]
+        assert ir.LEVELS == tuple(ir.Level)
+        assert [level.rank for level in ir.Level] == [0, 1, 2, 3]
+        assert list(ir.Visibility) == [
+            ir.Visibility.PRIVATE, ir.Visibility.PROTECTED, ir.Visibility.PUBLIC
+        ]
+
+    def test_lookup_by_name_and_by_spelled_value(self):
+        for vocabulary in (ir.Level, ir.Visibility, ir.UnitKind):
+            for member in vocabulary:
+                assert vocabulary[member.name] is member
+                assert vocabulary(member.value) is member
+        assert ir.Level["E1"] is ir.Level("E1") is ir.Level.E1
+        assert ir.Visibility("private") is ir.Visibility["PRIVATE"] is ir.Visibility.PRIVATE
+        with pytest.raises(KeyError):
+            ir.Level["E9"]
+        with pytest.raises(ValueError, match="'E9' is not a valid Level"):
+            ir.Level("E9")
+
+    def test_repr_and_str_are_enums(self):
+        assert repr(ir.Level.E1) == "<Level.E1: 'E1'>"
+        assert str(ir.Level.E1) == "Level.E1"
+        assert repr(ir.Visibility.PUBLIC) == "<Visibility.PUBLIC: 'public'>"
+        assert str(ir.UnitKind.INSTANCE) == "UnitKind.INSTANCE"
+
+    @pytest.mark.parametrize("field", ["name", "value", "rank"])
+    def test_members_are_frozen(self, field):
+        with pytest.raises(ir.FrozenInstanceError):
+            setattr(ir.Level.E1, field, "E9")
+        with pytest.raises(ir.FrozenInstanceError):
+            delattr(ir.Level.E1, field)
+        assert (ir.Level.E1.name, ir.Level.E1.value, ir.Level.E1.rank) == ("E1", "E1", 1)
 
 
 class TestLiteral:

@@ -17,9 +17,14 @@ MODULES = (ir, itp, dsl, tasks, redescription, kbmod, cli, capability)
 
 SAMPLES = [
     itp.IntVal(3),
+    itp.BoolVal(True),
+    itp.TokenVal("ONE"),
+    itp.EntityVal("APPLE1"),
     itp.TraceEvent(1, "Said", "ONE"),
     itp.World({"ME": ("Person", None)}, {}, {}, 7),
+    ir.NameExpr("x"),
     ir.BinExpr("+", ir.IntExpr(1), ir.NameExpr("x")),
+    ir.SetupStmt("InLine", ("APPLE1", "APPLE2")),
     ir.ActionStmt("Say", ir.NameExpr("ME"), (ir.NameExpr("ONE"),)),
     ir.NullExpr(),
     ir.Diagnostic("rule", "message", "Unit"),
