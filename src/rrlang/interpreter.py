@@ -3,8 +3,11 @@
 The world holds entities, their spatial arrangement by group, and named
 ordered containers. Execution runs operation bodies, enforces member
 visibility between units, emits a trace of observable events, and
-returns the result value plus a mutated copy of the world. The input
-world is never changed.
+returns the result value plus a fresh world. The input world is never
+changed: a run reads the world's entities and arrangements in place,
+since no verb writes them, and copies only its containers, which
+TakeAway writes. The fresh world passes the same entity and arrangement
+maps on.
 
 Binding rules, applied when a unit's attribute frame materializes:
 

@@ -6,7 +6,8 @@ friend declarations. Units sit on a four-step representational ladder
 ``validate`` checks. ``check_access`` decides member visibility between
 units. Every value type of the package, from syntax nodes to the units
 themselves, is a frozen slotted record built by ``record`` and copied
-with changes by ``replace``.
+with changes by ``replace``; the closed vocabularies (``Level``,
+``Visibility``, ``UnitKind``) are frozen singletons of ``Vocabulary``.
 """
 
 from __future__ import annotations
@@ -44,13 +45,14 @@ def record(cls):
     and fills its slots through the slot descriptors' ``__set__``, bound
     once after the class is built (``field_setters``). That skips the
     lookup of ``object.__setattr__`` and its name argument: a
-    ``TraceEvent`` built that way takes 372 ns against 523 ns (CPython
-    3.11, min of 40). Only values built in hot loops write their own,
-    since the generic one takes about twice as long for one field: the
-    interpreter's ``IntVal``, ``BoolVal``, ``TokenVal``, ``EntityVal``
-    and ``TraceEvent``, built many times per run, and the ``NameExpr``,
-    ``SetupStmt`` and ``ActionStmt`` nodes that parsing or recording
-    builds for nearly every line of a knowledge base.
+    ``TraceEvent`` built that way takes 308 ns against 450 ns (CPython
+    3.11.7, timeit, BENCH_19.json). Only values built in hot loops
+    write their own, since the generic one takes about twice as long
+    for one field: the interpreter's ``IntVal``, ``BoolVal``,
+    ``TokenVal``, ``EntityVal`` and ``TraceEvent``, built many times per
+    run, and the ``NameExpr``, ``SetupStmt`` and ``ActionStmt`` nodes
+    that parsing or recording builds for nearly every line of a
+    knowledge base.
     Names the class lists in ``__slots__`` become extra slots outside
     the fields: no ``__init__``, equality, hash, repr, copy, ``pickle``
     or ``replace`` sees them, and they start unset. The interpreter
@@ -192,11 +194,11 @@ class Vocabulary(metaclass=_VocabularyType):
     It replaces ``enum.Enum``, whose type has a ``__getattr__`` on
     CPython 3.10 and 3.11 (``EnumMeta``/``EnumType``) that sends every
     class attribute read, ``Level.I`` included, through a Python-level
-    hook: 160 ns against 25 ns for a plain class attribute (3.11.7),
-    and whose ``.name`` and ``.value`` are Python properties (190-225
-    ns against 10 ns for a slot). ``validate`` alone reads about 40
-    members per recording. 3.12 and later have no such hook, so the
-    gain there is smaller.
+    hook: 97 ns against 21 ns here (3.11.7, timeit, BENCH_19.json), and
+    whose ``.name`` and ``.value`` are Python properties: 118 ns against
+    9 ns for a slot. ``validate`` alone reads about 40 members per
+    recording. 3.12 and later have no such hook, so the gain there is
+    smaller: only the slots count.
     """
 
     __slots__ = ("name", "value", "rank")
@@ -350,10 +352,10 @@ class NameExpr:
     name: str
 
     def __init__(self, name: str):
-        _set_name_name(self, name)
+        _set_name_expr(self, name)
 
 
-(_set_name_name,) = field_setters(NameExpr)
+(_set_name_expr,) = field_setters(NameExpr)
 
 
 @record
