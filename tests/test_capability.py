@@ -108,6 +108,44 @@ class TestRendering:
             assert line == line.rstrip()
 
 
+# The full text verbalize gives for each E3 unit of counting_e3.rr. It
+# reads every const: a symbol list, the NO_OBLIGATORY and NO_IMPORTANT
+# flags, and a self-named sound.
+VERBALIZED = {
+    "Counting": (
+        "Counting is a fully public concept of the numbers domain.\n"
+        "It acts through a person called p.\n"
+        "It holds a set called set1.\n"
+        "It holds a set called set2.\n"
+        "It names a fixed sound ERROR.\n"
+        "It can Counting(), returning int.\n"
+        "It can Can_Match_Discretely(Set set1, Set set2), returning Boolean.\n"
+        "It can OneToOneMap(Set set1, Set set2), returning int.\n"
+        "It can FetchObjects(Set from_set, int k).\n"
+    ),
+    "OrdinalNumber": (
+        "OrdinalNumber is a fully public concept of the numbers domain.\n"
+        "It fixes the numlist as the ordered sequence ONE through TWENTY.\n"
+        "It tracks a number called the current.\n"
+        "It tracks a number called the pre.\n"
+        "It tracks a number called the succ.\n"
+        "It can GetPre(), returning int.\n"
+        "It can GetNext(), returning Sound.\n"
+        "It can GetCurrent(), returning int.\n"
+    ),
+    "Set": (
+        "Set is a fully public concept of the numbers domain.\n"
+        "It keeps an ordered collection called objlist.\n"
+        "It does not require that item type be similar.\n"
+        "It does not care about item sequence.\n"
+        "It does not care about item arrangement.\n"
+        "Its cardinal sum does not change when only the arrangement changes.\n"
+        "It tracks a number called the cardinal sum.\n"
+        "It declares no operations of its own.\n"
+    ),
+}
+
+
 class TestVerbalize:
     def test_ordinal_number_tells_its_sequence(self, e3_units):
         text = cap.verbalize(e3_units["OrdinalNumber"])
@@ -124,6 +162,10 @@ class TestVerbalize:
     def test_counting_lists_signatures(self, e3_units):
         text = cap.verbalize(e3_units["Counting"])
         assert "OneToOneMap(Set set1, Set set2), returning int." in text
+
+    @pytest.mark.parametrize("name", sorted(VERBALIZED))
+    def test_each_e3_unit_is_told_in_full(self, e3_units, name):
+        assert cap.verbalize(e3_units[name]) == VERBALIZED[name]
 
     def test_lower_levels_cannot_be_told(self):
         e1 = dsl.load_fixture("counting_apples_e1")[0]

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,24 @@ class TestMatrix:
         assert err
 
 
+    def test_missing_kb_directory_is_io_trouble(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-kb"
+        code, _, err = run_cli(capsys, "matrix", "--kb", str(missing))
+        assert code == 3
+        assert err.strip() == f"no knowledge base at {missing}"
+
+    def test_diff_lists_the_cells_that_drift(self, capsys, tmp_path):
+        kb = kbmod.KnowledgeBase()
+        for unit in kbmod.KnowledgeBase.canonical():
+            if unit.name != "OrdinalNumber":
+                kb.add_unit(unit)
+        root = kb.save(tmp_path / "kb")
+        code, out, err = run_cli(capsys, "matrix", "--diff", "--kb", str(root))
+        assert code == 1
+        assert out == ""
+        assert "E3 T1: got Failed, expected Solved" in err.splitlines()
+
+
 class TestRun:
     def test_solved_task_reports_and_saves_a_trace(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--task", "T1", "--level", "E2")
@@ -134,6 +153,13 @@ class TestRun:
         assert code == 0
         assert out.splitlines()[0].startswith("T3 at E3 (seed 4):")
         cleanup_trace(out)
+
+    def test_unwritable_trace_is_io_trouble(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        code, out, err = run_cli(capsys, "run", "--task", "T1", "--level", "E2")
+        assert code == 3
+        assert out == "T1 at E2 (seed 0): Solved\n"
+        assert err.startswith("cannot write trace: ")
 
     def test_unknown_task_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--task", "T99", "--level", "I")

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rrlang import dsl, ir
+from rrlang import dsl, interpreter as itp, ir
 
 ROUND_TRIP_SOURCE = """\
 @level(E1)
@@ -118,6 +118,24 @@ class TestErrorPositions:
         assert (error.line, error.column, error.expected, error.found) == position
 
 
+# One const of each literal form: an int, a self-named symbol, a symbol
+# and a symbol list. No fixture holds an int const.
+LITERALS_SOURCE = """\
+@level(E3)
+@domain(numbers)
+class Hold {
+    public:
+        const int k = 3;
+        const Sound ONE;
+        const Boolean flag = NO_IMPORTANT;
+        const intList numlist = [ONE, TWO];
+        int Get() {
+            return k;
+        }
+}
+"""
+
+
 class TestRoundTrip:
     def test_canonical_is_idempotent(self):
         units = dsl.parse(ROUND_TRIP_SOURCE)
@@ -129,6 +147,14 @@ class TestRoundTrip:
         plain = ROUND_TRIP_SOURCE.replace("result++;", "result = result + 1;")
         units = dsl.parse(plain)
         assert "result++;" in dsl.print_canonical(units).text
+
+    def test_every_literal_form_prints_back_and_binds(self):
+        units = dsl.parse(LITERALS_SOURCE)
+        assert dsl.print_canonical(units).text == LITERALS_SOURCE
+        world = itp.World({}, {}, {}, 0)
+        result = itp.execute(units, units[0], "Get", [], world, "numbers")
+        assert result.value == itp.IntVal(3)
+        assert repr(result.value) == "IntVal(value=3)"
 
 
 class TestDiagnostics:

@@ -186,6 +186,10 @@ _HIDING_GLOBALS = ir.ConceptUnit(
     ir.GLOBALS_UNIT, ir.UnitKind.CLASS, ir.Level.E3, "elsewhere",
     attributes=(ir.Attribute("secret", "int", ir.Visibility.PRIVATE),),
 )
+_HOLD = ir.ConceptUnit(
+    "Hold", ir.UnitKind.CLASS, ir.Level.E3, "numbers",
+    attributes=(_attr("k", "int", 3),), operations=(_op("Get", ir.ReturnStmt(_N("k"))),),
+)
 PROBES = {
     "if-not-boolean": _probe("TypeMismatch", [ir.IfStmt(_I(1), (), ())]),
     "while-not-boolean": _probe("TypeMismatch", [ir.WhileStmt(_I(1), ())]),
@@ -323,6 +327,20 @@ PROBES = {
         [ir.ReturnStmt(ir.CallExpr(_N("Other"), "Secret", ()))],
         attrs=[_attr("Other", "int")], others=[_SECRET],
     ),
+    # the unit value and call errors of a member of the other kind
+    "read-operation-as-field": _probe(
+        "UnboundName",
+        [ir.ReturnStmt(ir.FieldExpr(_N("o"), "Get"))],
+        attrs=[_attr("o", "Hold")], others=[_HOLD],
+    ),
+    "assign-constant-field": _probe(
+        "TypeMismatch",
+        [ir.AssignStmt(ir.FieldExpr(_N("o"), "k"), _I(2))],
+        attrs=[_attr("o", "Hold")], others=[_HOLD],
+    ),
+    "call-attribute-as-operation": _probe(
+        "UnboundName", [ir.CallStmt("Hold", "k", ())], others=[_HOLD]
+    ),
     "boolean-local-default": _probe(
         None, [ir.LocalDecl("b", "Boolean"), ir.ReturnStmt(_N("b"))]
     ),
@@ -352,11 +370,13 @@ PROBE_OUTCOMES = {
     "append-to-int": ("TypeMismatch", "Append needs an ordered collection receiver"),
     "append-two": ("TypeMismatch", "Append takes one element"),
     "assign-constant": ("TypeMismatch", "Probe.K is constant"),
+    "assign-constant-field": ("TypeMismatch", "Hold.k is constant"),
     "assign-parameter": (None, "IntVal(value=5)", 3, ""),
     "assign-unbound": ("UnboundName", "'nowhere' is not assignable in Probe"),
     "bare-return": (None, "Nothing", 1, ""),
     "boolean-local-default": (None, "BoolVal(value=False)", 2, ""),
     "call-arity": ("TypeMismatch", "Probe.Takes takes 0 arguments, got 1"),
+    "call-attribute-as-operation": ("UnboundName", "Hold has no operation 'k'"),
     "call-missing-operation": ("UnboundName", "Probe has no member 'Missing'"),
     "call-on-attribute": ("UnboundName", "operation 'Secret' needs a unit receiver"),
     "call-on-int": ("UnboundName", "operation 'Op' needs a unit receiver"),
@@ -405,6 +425,7 @@ PROBE_OUTCOMES = {
     "point-to-int": ("TypeMismatch", "PointTo takes one entity"),
     "primitive-without-receiver": ("TypeMismatch", "Next needs a receiver"),
     "read-missing-field": ("UnboundName", "Hiding has no member 'nowhere'"),
+    "read-operation-as-field": ("UnboundName", "Hold has no field 'Get'"),
     "read-private-field": ("AccessViolation", _HIDDEN.format("Hiding")),
     "read-private-global": ("AccessViolation", _HIDDEN.format("Globals")),
     "read-unbound": ("UnboundName", "'nowhere' is not bound in Probe"),
