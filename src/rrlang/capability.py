@@ -135,14 +135,14 @@ def verbalize(unit: ir.ConceptUnit) -> str:
     ]
     for attr in unit.attributes:
         spoken = _humanize(attr.name)
-        if attr.is_const and attr.const.is_symbols:
-            seq = attr.const.value
+        if isinstance(attr.const, tuple):
+            seq = attr.const
             lines.append(
                 f"It fixes the {spoken} as the ordered sequence {seq[0]} through {seq[-1]}."
             )
-        elif attr.is_const and attr.const.value == "NO_OBLIGATORY":
+        elif attr.const == "NO_OBLIGATORY":
             lines.append(f"It does not require that {spoken}.")
-        elif attr.is_const and attr.const.value == "NO_IMPORTANT":
+        elif attr.const == "NO_IMPORTANT":
             lines.append(f"It does not care about {spoken}.")
             if "arrangement" in spoken and scalar_names:
                 lines.append(

@@ -47,7 +47,6 @@ from .ir import (
     IntExpr,
     Level,
     ListExpr,
-    Literal,
     LocalDecl,
     NameExpr,
     NotExpr,
@@ -359,7 +358,7 @@ class _Parser:
         while self.at(","):
             self.take()
             names.append(self.member_name(spots, "an attribute name"))
-        literal: Literal | None = None
+        literal = None
         if self.at("="):
             eq = self.peek()
             if not is_const:
@@ -371,17 +370,17 @@ class _Parser:
         self.expect(";")
         out = []
         for nm in names:
-            bound = literal if literal is not None else (Literal(nm) if is_const else None)
+            bound = literal if literal is not None else (nm if is_const else None)
             out.append(Attribute(nm, type_ref, vis, bound))
         return out
 
-    def parse_literal(self) -> Literal:
+    def parse_literal(self) -> int | str | tuple[str, ...]:
         if self.at("int"):
-            return Literal(int(self.take()[1]))
+            return int(self.take()[1])
         if self.at("["):
-            return Literal(self.names("[", "]", "a symbol"))
+            return self.names("[", "]", "a symbol")
         if self.at("ident"):
-            return Literal(self.take()[1])
+            return self.take()[1]
         self.fail("a literal")
 
     def parse_operation(self, vis: Visibility, spots: dict) -> Operation:
@@ -620,18 +619,17 @@ def parse(src: SourceText | str) -> tuple[ConceptUnit, ...]:
 _INDENT = "    "
 
 
-def _literal_text(lit: Literal) -> str:
-    if lit.is_symbols:
-        return "[" + ", ".join(lit.value) + "]"
-    return str(lit.value)
+def _literal_text(lit: int | str | tuple[str, ...]) -> str:
+    if isinstance(lit, tuple):
+        return "[" + ", ".join(lit) + "]"
+    return str(lit)
 
 
 def _attr_line(attr: Attribute, depth: int) -> str:
     pad = _INDENT * depth
     decl = f"{attr.type_ref} {attr.name}"
     if attr.is_const:
-        assert attr.const is not None
-        if attr.const.is_symbol and attr.const.value == attr.name:
+        if attr.const == attr.name:
             return f"{pad}const {decl};"
         return f"{pad}const {decl} = {_literal_text(attr.const)};"
     return f"{pad}{decl};"

@@ -374,14 +374,14 @@ class _Machine:
         value = getattr(attr, _VALUE_ATTR, None)
         if value is None:
             lit = attr.const
-            if lit.is_int:
-                value = IntVal(lit.value)
-            elif lit.is_symbols:
-                value = tuple([TokenVal(sym) for sym in lit.value])
+            if isinstance(lit, int):
+                value = IntVal(lit)
+            elif isinstance(lit, tuple):
+                value = tuple([TokenVal(sym) for sym in lit])
             elif attr.type_ref in ir.TOKEN_TYPES or attr.type_ref in ir.SCALAR_TYPES:
-                value = TokenVal(lit.value)
+                value = TokenVal(lit)
             else:
-                value = EntityVal(lit.value)
+                value = EntityVal(lit)
             object.__setattr__(attr, _VALUE_ATTR, value)
         if value.__class__ is tuple:
             return SeqVal(list(value))
@@ -495,11 +495,11 @@ class _Machine:
         site: list | None = None,
     ) -> None:
         try:
-            access = ir.check_access(caller.domain, caller.name, target, member)
+            denied = ir.access_denied(caller.domain, caller.name, target, member)
         except ir.UnknownMember as exc:
             raise UnboundName(exc.args[0]) from exc
-        if not access:
-            raise AccessViolation(access.reason)
+        if denied is not None:
+            raise AccessViolation(denied)
         if site is not None:
             site[0] = (caller, target)
 
@@ -1174,11 +1174,11 @@ def execute(
         machine.units[target.name] = target
     caller_name = caller_unit if caller_unit is not None else f"<{caller_domain}>"
     try:
-        visibility_probe = ir.check_access(caller_domain, caller_name, target, op)
+        denied = ir.access_denied(caller_domain, caller_name, target, op)
     except ir.UnknownMember as exc:
         raise UnboundName(exc.args[0]) from exc
-    if not visibility_probe:
-        raise AccessViolation(visibility_probe.reason)
+    if denied is not None:
+        raise AccessViolation(denied)
     value = machine.invoke(target, machine.resolve_call(None, target, op), list(args))
     return ExecResult(tuple(machine.trace), value, machine.steps, machine.snapshot_world())
 

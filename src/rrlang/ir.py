@@ -3,7 +3,7 @@
 A concept unit is an instance or class with attributes, operations, and
 friend declarations. Units sit on a four-step representational ladder
 (I, E1, E2, E3); each level carries a structural discipline that
-``validate`` checks. ``check_access`` decides member visibility between
+``validate`` checks. ``access_denied`` decides member visibility between
 units. Every value type of the package, from syntax nodes to the units
 themselves, is a frozen slotted record built by ``record`` and copied
 with changes by ``replace``; the closed vocabularies (``Level``,
@@ -248,26 +248,7 @@ class UnitKind(Vocabulary):
 
 
 # ---------------------------------------------------------------------------
-# Literals and types
-
-@record
-class Literal:
-    """A bound constant value: an int, a symbol, or an ordered symbol list."""
-
-    value: int | str | tuple[str, ...]
-
-    @property
-    def is_int(self) -> bool:
-        return isinstance(self.value, int)
-
-    @property
-    def is_symbol(self) -> bool:
-        return isinstance(self.value, str)
-
-    @property
-    def is_symbols(self) -> bool:
-        return isinstance(self.value, tuple)
-
+# Types
 
 # Type references are nominal tags resolved against a flat registry.
 TypeRef = str
@@ -510,18 +491,20 @@ Stmt = (
 
 @record
 class Attribute:
-    """Named member datum. Consts carry exactly one literal, vars none."""
+    """Named member datum. ``const`` holds a const's literal as written:
+    an int, a symbol (a self-named const holds its own name) or a tuple
+    of symbols; a var holds None."""
 
-    # The interpreter keeps a const's bound value here from its first
-    # binding on (see interpreter._Machine._literal_value), so it lives
-    # and dies with the node; every run and every recording sharing the
-    # node binds the same one. A var never sets it.
+    # The interpreter keeps the value it binds a const to here from its
+    # first binding on (see interpreter._Machine._literal_value), so it
+    # lives and dies with the node; every run and every recording
+    # sharing the node binds the same one. A var never sets it.
     __slots__ = ("_value",)
 
     name: str
     type_ref: TypeRef
     visibility: Visibility
-    const: Literal | None = None
+    const: int | str | tuple[str, ...] | None = None
 
     @property
     def is_const(self) -> bool:
@@ -783,39 +766,28 @@ def kb_by_level(units: Iterable[ConceptUnit]) -> dict[Level, list[ConceptUnit]]:
 # ---------------------------------------------------------------------------
 # Access control
 
-@record
-class Access:
-    allowed: bool
-    reason: str
-
-    def __bool__(self) -> bool:
-        return self.allowed
-
-
-def check_access(
+def access_denied(
     caller_domain: str,
     caller_unit: str,
     target: ConceptUnit,
     member: str,
-) -> Access:
-    """Decide whether caller may touch target.member.
+) -> str | None:
+    """Why caller may not touch target.member, or None when it may.
 
     Private admits the owner and the owner's declared friends. Protected
     additionally admits units sharing the owner's domain tag. Public admits
     everyone. Raises UnknownMember for names the target does not declare.
     """
     visibility = target.member_visibility(member)
-    if visibility is Visibility.PUBLIC:
-        return Access(True, "public member")
-    if caller_unit == target.name:
-        return Access(True, "owning unit")
-    if caller_unit in target.friends:
-        return Access(True, f"declared friend of {target.name}")
-    if visibility is Visibility.PROTECTED and caller_domain == target.domain:
-        return Access(True, f"same domain {target.domain!r}")
-    return Access(
-        False,
+    if (
+        visibility is Visibility.PUBLIC
+        or caller_unit == target.name
+        or caller_unit in target.friends
+        or (visibility is Visibility.PROTECTED and caller_domain == target.domain)
+    ):
+        return None
+    return (
         f"{visibility.value} member of {target.name} "
-        f"(domain {target.domain!r}) is hidden from {caller_unit} (domain {caller_domain!r})",
+        f"(domain {target.domain!r}) is hidden from {caller_unit} (domain {caller_domain!r})"
     )
 

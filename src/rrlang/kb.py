@@ -148,9 +148,7 @@ class KnowledgeBase:
         key = (name, type_ref)
         node = self._nodes.get(key)
         if node is None:
-            node = self._nodes[key] = ir.Attribute(
-                name, type_ref, ir.Visibility.PRIVATE, ir.Literal(name)
-            )
+            node = self._nodes[key] = ir.Attribute(name, type_ref, ir.Visibility.PRIVATE, name)
         return node
 
     def _name(self, name: str) -> ir.NameExpr:
@@ -274,7 +272,7 @@ class KnowledgeBase:
             return unit
         attrs = tuple(
             self._const(a.name, a.type_ref)
-            if a.visibility is ir.Visibility.PRIVATE and a.const == ir.Literal(a.name)
+            if a.visibility is ir.Visibility.PRIVATE and a.const == a.name
             else a
             for a in unit.attributes
         )

@@ -34,11 +34,9 @@ from .ir import (
     BinExpr,
     CallExpr,
     ConceptUnit,
-    Expr,
     IntExpr,
     Level,
     LocalDecl,
-    Literal,
     NameExpr,
     NullExpr,
     Operation,
@@ -105,37 +103,6 @@ def repeat_period(items: Sequence) -> int | None:
     return None
 
 
-# ---------------------------------------------------------------------------
-# Small builders for generated bodies
-
-def _n(name: str) -> NameExpr:
-    return NameExpr(name)
-
-
-def _call(recv: Expr | None, op: str, *args: Expr) -> CallExpr:
-    return CallExpr(recv, op, tuple(args))
-
-
-def _act(recv: Expr, verb: str, *args: Expr) -> ActionStmt:
-    return ActionStmt(verb, recv, tuple(args))
-
-
-def _asgn(target: Expr, value: Expr) -> AssignStmt:
-    return AssignStmt(target, value)
-
-
-def _inc(name: str) -> AssignStmt:
-    return AssignStmt(_n(name), BinExpr("+", _n(name), IntExpr(1)))
-
-
-def _while(cond: Expr, *body: Stmt) -> WhileStmt:
-    return WhileStmt(cond, tuple(body))
-
-
-def _ne_null(name: str) -> BinExpr:
-    return BinExpr("!=", _n(name), NullExpr())
-
-
 def _title(domain: str) -> str:
     return domain[:1].upper() + domain[1:]
 
@@ -189,9 +156,9 @@ def antiunify_instances(
     elem_type = _elem_type_for(roles.item_kind)
     set_name = _set_attr_name(set_type)
 
-    attributes = [Attribute("numlist", "intList", Visibility.PRIVATE, Literal(ir.NUMERALS))]
+    attributes = [Attribute("numlist", "intList", Visibility.PRIVATE, ir.NUMERALS)]
     for cname, ctype in roles.carried:
-        attributes.append(Attribute(cname, ctype, Visibility.PRIVATE, Literal(cname)))
+        attributes.append(Attribute(cname, ctype, Visibility.PRIVATE, cname))
     attributes += [
         Attribute("p", "Person", Visibility.PRIVATE),
         Attribute(set_name, set_type, Visibility.PRIVATE),
@@ -203,14 +170,16 @@ def antiunify_instances(
         args = []
         for role in arg_roles:
             if role[0] == "const":
-                args.append(_n(role[1]))
+                args.append(NameExpr(role[1]))
             elif role[0] == "item":
-                args.append(_n("item"))
+                args.append(NameExpr("item"))
             else:  # numeral succession
-                args.append(_call(_n("numlist"), "Next"))
-        loop_body.append(_act(_n("p"), verb, *args))
-    loop_body.append(_inc("result"))
-    loop_body.append(_asgn(_n("item"), _call(_n(set_name), "Next")))
+                args.append(CallExpr(NameExpr("numlist"), "Next", ()))
+        loop_body.append(ActionStmt(verb, NameExpr("p"), tuple(args)))
+    loop_body += [
+        AssignStmt(NameExpr("result"), BinExpr("+", NameExpr("result"), IntExpr(1))),
+        AssignStmt(NameExpr("item"), CallExpr(NameExpr(set_name), "Next", ())),
+    ]
 
     counting = Operation(
         "Counting",
@@ -218,11 +187,11 @@ def antiunify_instances(
         "int",
         Visibility.PROTECTED,
         (
-            _asgn(_n("result"), IntExpr(0)),
+            AssignStmt(NameExpr("result"), IntExpr(0)),
             LocalDecl("item", elem_type),
-            _asgn(_n("item"), _call(_n(set_name), "First")),
-            _while(_ne_null("item"), *loop_body),
-            ReturnStmt(_n("result")),
+            AssignStmt(NameExpr("item"), CallExpr(NameExpr(set_name), "First", ())),
+            WhileStmt(BinExpr("!=", NameExpr("item"), NullExpr()), tuple(loop_body)),
+            ReturnStmt(NameExpr("result")),
         ),
     )
 
@@ -508,8 +477,7 @@ def _counting_roles(unit: ConceptUnit) -> tuple[Attribute, str | None]:
     numlist = agent = collection = result = None
     for attr in unit.attributes:
         if (
-            attr.is_const
-            and attr.const.is_symbols
+            isinstance(attr.const, tuple)
             and ir.collection_element(attr.type_ref) == ir.TOKEN_ELEM
         ):
             numlist = numlist or attr
@@ -601,7 +569,7 @@ def decompose_to_e3(
             attr = shared.attribute("numlist")
         except ir.UnknownMember:
             attr = None
-        if attr is not None and attr.is_const and attr.const.is_symbols:
+        if attr is not None and isinstance(attr.const, tuple):
             ordinal = ir.replace(ordinal, attributes=tuple(
                 ir.replace(a, const=attr.const) if a.name == "numlist" else a
                 for a in ordinal.attributes

@@ -304,9 +304,9 @@ class _Stop(Exception):
 def _callable(task: Task, cls: ir.ConceptUnit, op_name: str) -> ir.ConceptUnit:
     """cls, when the task's caller may call op_name on it; otherwise stop
     Inaccessible with the access reason."""
-    access = ir.check_access(task.caller_domain, f"<{task.caller_domain}>", cls, op_name)
-    if not access:
-        raise _Stop(Outcome.inaccessible(access.reason), ())
+    denied = ir.access_denied(task.caller_domain, f"<{task.caller_domain}>", cls, op_name)
+    if denied is not None:
+        raise _Stop(Outcome.inaccessible(denied), ())
     return cls
 
 
@@ -344,10 +344,9 @@ def _replay_candidate(
         if unit.kind is not ir.UnitKind.INSTANCE:
             continue
         needed = [
-            attr.const.value
+            attr.const
             for attr in unit.attributes
-            if attr.is_const
-            and attr.const.is_symbol
+            if isinstance(attr.const, str)
             and attr.type_ref not in ir.TOKEN_TYPES
             and attr.type_ref not in ir.SCALAR_TYPES
             and not ir.is_collection_type(attr.type_ref)
@@ -440,12 +439,12 @@ def _run_compare_figures(task: Task, kb: Sequence[ir.ConceptUnit]):
     # Direct route: a public numeral order answers without fetching.
     ordinal = _unit_named(kb, "OrdinalNumber")
     if ordinal is not None:
-        access = ir.check_access(
+        denied = ir.access_denied(
             task.caller_domain, f"<{task.caller_domain}>", ordinal, "numlist"
         )
-        attr = ordinal.attribute("numlist") if access else None
-        if attr is not None and attr.is_const and attr.const.is_symbols:
-            order = attr.const.value
+        attr = ordinal.attribute("numlist") if denied is None else None
+        if attr is not None and isinstance(attr.const, tuple):
+            order = attr.const
             if "FIVE" in order and "SEVEN" in order:
                 if order.index("SEVEN") > order.index("FIVE"):
                     return Outcome.solved(), ()

@@ -254,13 +254,13 @@ def test_7_visibility_is_enforced(canonical_kb):
     for case in cases:
         if len(case) == 3:
             unit, member, caller_domain = case
-            access = ir.check_access(caller_domain, f"<{caller_domain}>", unit, member.name)
+            denied = ir.access_denied(caller_domain, f"<{caller_domain}>", unit, member.name)
             if member.visibility is ir.Visibility.PUBLIC:
-                if not access:
+                if denied is not None:
                     public_violations += 1
             else:
                 nonpublic_total += 1
-                if not access:
+                if denied is not None:
                     nonpublic_denied += 1
         else:
             name, level, op, caller_domain, world, is_public = case

@@ -677,7 +677,7 @@ class TestKeptValues:
         machine = itp._Machine([instance], apples_world(3), itp.DEFAULT_STEP_LIMIT)
         one = instance.attribute("ONE")
         assert machine._literal_value(one) == itp.TokenVal("ONE")
-        two = ir.replace(one, const=ir.Literal("TWO"))
+        two = ir.replace(one, const="TWO")
         assert machine._literal_value(two) == itp.TokenVal("TWO")
         assert machine._literal_value(one) == itp.TokenVal("ONE")
         assert not hasattr(copy.copy(one), "_value")

@@ -158,8 +158,7 @@ def _probe(raises, body, *, attrs=(), extra_ops=(), others=(), params=()):
 
 
 def _attr(name, type_ref, const=None):
-    literal = None if const is None else ir.Literal(const)
-    return ir.Attribute(name, type_ref, ir.Visibility.PUBLIC, literal)
+    return ir.Attribute(name, type_ref, ir.Visibility.PUBLIC, const)
 
 
 def _op(name, *body, params=(), visibility=ir.Visibility.PUBLIC):

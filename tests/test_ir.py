@@ -120,14 +120,6 @@ class TestVocabulary:
         assert (ir.Level.E1.name, ir.Level.E1.value, ir.Level.E1.rank) == ("E1", "E1", 1)
 
 
-class TestLiteral:
-    def test_kinds(self):
-        assert ir.Literal(3).is_int
-        assert ir.Literal("APPLE1").is_symbol
-        assert ir.Literal(("ONE", "TWO")).is_symbols
-        assert not ir.Literal(3).is_symbol
-
-
 class TestTypeRegistry:
     def test_collections(self):
         assert ir.is_collection_type("APP_Set")
@@ -241,7 +233,7 @@ class TestLevelDiscipline:
 
     def test_e1_needs_a_variable_attribute(self):
         bad = _unit(attributes=(
-            ir.Attribute("k", "Sound", ir.Visibility.PRIVATE, ir.Literal("K")),
+            ir.Attribute("k", "Sound", ir.Visibility.PRIVATE, "K"),
         ))
         assert _rules(bad) == {"e1-var"}
 
@@ -250,7 +242,7 @@ class TestLevelDiscipline:
             kind=ir.UnitKind.INSTANCE,
             level=ir.Level.I,
             attributes=(
-                ir.Attribute("ME", "Person", ir.Visibility.PRIVATE, ir.Literal("ME")),
+                ir.Attribute("ME", "Person", ir.Visibility.PRIVATE, "ME"),
             ),
             operations=_unit().operations,
         )
@@ -295,31 +287,34 @@ class TestValidateSet:
 
 class TestAccess:
     def test_public_is_open(self, e3_units):
-        access = ir.check_access("zoology", "<zoology>", e3_units["Counting"], "Counting")
-        assert access
-        assert bool(access) is True
+        assert ir.access_denied("zoology", "<zoology>", e3_units["Counting"], "Counting") is None
 
     def test_protected_needs_same_domain(self, fixture_units):
         e1 = fixture_units["counting_apples_e1"][0]
-        assert ir.check_access("apples", "<apples>", e1, "Counting")
-        denied = ir.check_access("pencils", "<pencils>", e1, "Counting")
-        assert not denied
-        assert "pencils" in denied.reason
+        assert ir.access_denied("apples", "<apples>", e1, "Counting") is None
+        denied = ir.access_denied("pencils", "<pencils>", e1, "Counting")
+        assert denied == (
+            "protected member of CountingApples (domain 'apples') "
+            "is hidden from <pencils> (domain 'pencils')"
+        )
 
     def test_private_admits_owner_and_friends(self, fixture_units):
         e1 = fixture_units["counting_apples_e1"][0]
         assert e1.member_visibility("numlist") is ir.Visibility.PRIVATE
-        assert ir.check_access("apples", "apples-peer", e1, "numlist").allowed is False
-        assert ir.check_access("anything", e1.name, e1, "numlist")
+        assert ir.access_denied("apples", "apples-peer", e1, "numlist") == (
+            "private member of CountingApples (domain 'apples') "
+            "is hidden from apples-peer (domain 'apples')"
+        )
+        assert ir.access_denied("anything", e1.name, e1, "numlist") is None
 
     def test_declared_friend_may_touch_private(self, fixture_units):
         e2 = fixture_units["counting_e2"][0]
         assert "Globals" in e2.friends
-        assert ir.check_access("zoology", "Globals", e2, "result")
+        assert ir.access_denied("zoology", "Globals", e2, "result") is None
 
     def test_unknown_member_raises(self, e3_units):
         with pytest.raises(ir.UnknownMember):
-            ir.check_access("apples", "<apples>", e3_units["Set"], "nope")
+            ir.access_denied("apples", "<apples>", e3_units["Set"], "nope")
 
 
 def visibilities(units):

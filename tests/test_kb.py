@@ -239,9 +239,9 @@ def counting_scene(size, domain="apples", kind="Apple", move=True, restate=True)
 
 
 def recorded_nodes(unit):
-    """Every attribute, literal, statement and name a recording holds."""
+    """Every attribute, statement and name a recording holds."""
     (op,) = unit.operations
-    nodes = list(unit.attributes) + [a.const for a in unit.attributes] + list(op.body)
+    nodes = list(unit.attributes) + list(op.body)
     for stmt in op.body:
         if isinstance(stmt, ir.ActionStmt):
             nodes += [stmt.recv, *stmt.args]
@@ -324,8 +324,8 @@ class TestSharedNodes:
             "unit\tCounting_apples_1\tI\tapples\tCounting_apples_1_I.rr\n", encoding="utf-8"
         )
         unit = kbmod.KnowledgeBase.load(tmp_path).unit("Counting_apples_1")
-        assert unit.attribute("A").const == ir.Literal("APPLE1")
-        assert unit.attribute("APPLE1").const == ir.Literal("APPLE1")
+        assert unit.attribute("A").const == "APPLE1"
+        assert unit.attribute("APPLE1").const == "APPLE1"
         world, _ = counting_scene(1)
         pointed = [e.arg for e in itp.replay_instance([unit], unit, world).trace]
         assert pointed == ["APPLE1", "APPLE1"]

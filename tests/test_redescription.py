@@ -347,7 +347,7 @@ class TestDecompose:
     def test_shared_numerals_replace_the_ordinal_list(self):
         e1 = dsl.load_fixture("counting_apples_e1")[0]
         (e2, globals_unit), _ = rd.generalize_to_e2(e1)
-        ten = ir.Literal(ir.NUMERALS[:10])
+        ten = ir.NUMERALS[:10]
         shared = ir.replace(
             globals_unit,
             attributes=(ir.replace(globals_unit.attribute("numlist"), const=ten),),
@@ -362,8 +362,8 @@ class TestDecompose:
         (e2, _), _ = rd.generalize_to_e2(e1)
         units, report = rd.decompose_to_e3(e2)
         numlist = units[0].attribute("numlist").const
-        assert numlist == ir.Literal(ir.NUMERALS)
-        assert len(numlist.value) == 20
+        assert numlist == ir.NUMERALS
+        assert len(numlist) == 20
         assert report.inputs == (e2.name,)
 
 

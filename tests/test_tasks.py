@@ -351,7 +351,7 @@ class TestRouting:
             if unit.name != "OrdinalNumber":
                 return unit
             attrs = tuple(
-                ir.replace(a, const=ir.replace(a.const, value=a.const.value[::-1]))
+                ir.replace(a, const=a.const[::-1])
                 if a.name == "numlist" else a
                 for a in unit.attributes
             )
