@@ -154,7 +154,6 @@ class TestRoundTrip:
         world = itp.World({}, {}, {}, 0)
         result = itp.execute(units, units[0], "Get", [], world, "numbers")
         assert result.value == itp.IntVal(3)
-        assert repr(result.value) == "IntVal(value=3)"
 
 
 class TestDiagnostics:

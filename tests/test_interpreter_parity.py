@@ -362,8 +362,9 @@ PROBES = {
 }
 
 
-# Each probe's outcome, frozen from the tree walker: the error class and
-# message, or the value's repr, the steps and the TSV trace.
+# Each probe's outcome, frozen from the tree walker (probes added after it
+# was deleted, from the compiled tier): the error class and message, or
+# the value's repr, the steps and the TSV trace.
 _HIDDEN = "private member of {} (domain 'elsewhere') is hidden from Probe (domain 'numbers')"
 PROBE_OUTCOMES = {
     "append-to-int": ("TypeMismatch", "Append needs an ordered collection receiver"),
