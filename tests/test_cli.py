@@ -108,7 +108,6 @@ class TestMatrix:
         assert code == 1
         assert err
 
-
     def test_missing_kb_directory_is_io_trouble(self, capsys, tmp_path):
         missing = tmp_path / "no-such-kb"
         code, _, err = run_cli(capsys, "matrix", "--kb", str(missing))
