@@ -189,6 +189,14 @@ _HOLD = ir.ConceptUnit(
     "Hold", ir.UnitKind.CLASS, ir.Level.E3, "numbers",
     attributes=(_attr("k", "int", 3),), operations=(_op("Get", ir.ReturnStmt(_N("k"))),),
 )
+_SHARING_GLOBALS = ir.ConceptUnit(
+    ir.GLOBALS_UNIT, ir.UnitKind.CLASS, ir.Level.E3, "elsewhere",
+    attributes=(
+        _attr("words", "intList", ("one", "two")),
+        _attr("one", "Sound", "one"),
+        _attr("A", "Apple", "APPLE1"),
+    ),
+)
 PROBES = {
     "if-not-boolean": _probe("TypeMismatch", [ir.IfStmt(_I(1), (), ())]),
     "while-not-boolean": _probe("TypeMismatch", [ir.WhileStmt(_I(1), ())]),
@@ -359,6 +367,48 @@ PROBES = {
             _op("Read", ir.ReturnStmt(_N("x"))),
         ],
     ),
+    # a primitive's receiver, then its argument, read as a local that
+    # shadows an attribute, a Globals const and a private Globals member
+    "receiver-local-shadows-attribute": _probe(
+        None,
+        [
+            ir.LocalDecl("xs", "intList"),
+            ir.ActionStmt("Append", _N("xs"), (_I(7),)),
+            ir.ReturnStmt(ir.CallExpr(_N("xs"), "First", ())),
+        ],
+        attrs=[_attr("xs", "intList", ("one", "two"))],
+    ),
+    "receiver-global-const": _probe(
+        None,
+        [ir.ActionStmt("Next", _N("words"), ()), ir.ReturnStmt(ir.CallExpr(_N("words"), "Next", ()))],
+        others=[_SHARING_GLOBALS],
+    ),
+    "receiver-private-global": _probe(
+        "AccessViolation",
+        [ir.ActionStmt("Append", _N("secret"), (_I(1),))], others=[_HIDING_GLOBALS],
+    ),
+    "argument-local-shadows-attribute": _probe(
+        None,
+        [
+            ir.LocalDecl("n", "int"),
+            ir.ActionStmt("Append", _N("xs"), (_N("n"),)),
+            ir.ReturnStmt(ir.CallExpr(_N("xs"), "First", ())),
+        ],
+        attrs=[_attr("n", "int", 5), _attr("xs", "intList")],
+    ),
+    "argument-global-const": _probe(
+        None,
+        [ir.ActionStmt("PointTo", _I(0), (_N("A"),)), ir.ActionStmt("Say", _I(0), (_N("one"),))],
+        others=[_SHARING_GLOBALS],
+    ),
+    "argument-private-global": _probe(
+        "AccessViolation", [ir.ActionStmt("Say", _I(0), (_N("secret"),))], others=[_HIDING_GLOBALS]
+    ),
+    "setup-names-global-const": _probe(
+        None,
+        [ir.SetupStmt("In", ("ME", "A"))],
+        attrs=[_attr("ME", "Person", "ME")], others=[_SHARING_GLOBALS],
+    ),
 }
 
 
@@ -369,6 +419,9 @@ _HIDDEN = "private member of {} (domain 'elsewhere') is hidden from Probe (domai
 PROBE_OUTCOMES = {
     "append-to-int": ("TypeMismatch", "Append needs an ordered collection receiver"),
     "append-two": ("TypeMismatch", "Append takes one element"),
+    "argument-global-const": (None, "Nothing", 2, "1\tPointedTo\tAPPLE1\n2\tSaid\tone\n"),
+    "argument-local-shadows-attribute": (None, "IntVal(value=0)", 3, ""),
+    "argument-private-global": ("AccessViolation", _HIDDEN.format("Globals")),
     "assign-constant": ("TypeMismatch", "Probe.K is constant"),
     "assign-constant-field": ("TypeMismatch", "Hold.k is constant"),
     "assign-parameter": (None, "IntVal(value=5)", 3, ""),
@@ -429,6 +482,9 @@ PROBE_OUTCOMES = {
     "read-private-field": ("AccessViolation", _HIDDEN.format("Hiding")),
     "read-private-global": ("AccessViolation", _HIDDEN.format("Globals")),
     "read-unbound": ("UnboundName", "'nowhere' is not bound in Probe"),
+    "receiver-global-const": (None, "TokenVal(token='two')", 2, ""),
+    "receiver-local-shadows-attribute": (None, "IntVal(value=7)", 3, ""),
+    "receiver-private-global": ("AccessViolation", _HIDDEN.format("Globals")),
     "return-inside-while": (None, "IntVal(value=3)", 3, ""),
     "say-int": ("TypeMismatch", "Say takes one sound token"),
     "say-nothing": ("NumeralsExhausted", "the numerals ran out: Say has no count word left"),
@@ -437,6 +493,7 @@ PROBE_OUTCOMES = {
         "TypeMismatch", "SelectOneRandom needs an ordered collection receiver"
     ),
     "set-field-of-int": ("TypeMismatch", "field 'x' needs a unit value receiver"),
+    "setup-names-global-const": (None, "Nothing", 1, ""),
     "take-away-ghost": ("UnboundName", "TakeAway: unknown entity 'GHOST'"),
     "take-away-uncontained": ("UnboundName", "'ME' is not in any container"),
     "unknown-operator": ("TypeMismatch", "unknown operator '*'"),

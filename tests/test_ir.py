@@ -182,6 +182,10 @@ _BROKEN = [
     pytest.param("counting_e2", lambda u: _with_op(
         u, body=(ir.SetupStmt("In", ("p", "ROOM1")), *u.operations[0].body)),
         "setup-above-i", id="setup-above-i"),
+    # a body of only setup facts and actions, the shape of a recording
+    pytest.param("counting_e2", lambda u: _with_op(
+        u, body=(ir.SetupStmt("In", ("p", "ROOM1")), ir.ActionStmt("Move", ir.NameExpr("p"), ()))),
+        "setup-above-i", id="setup-above-i-straight-line"),
     pytest.param("counting_apples_e1", lambda u: ir.replace(
         u, friends=(ir.GLOBALS_UNIT,)),
         "friends-below-e2", id="friends-below-e2"),

@@ -330,6 +330,34 @@ class TestSharedNodes:
         pointed = [e.arg for e in itp.replay_instance([unit], unit, world).trace]
         assert pointed == ["APPLE1", "APPLE1"]
 
+    def test_a_shared_action_reads_each_units_own_operand(self):
+        # One ActionStmt node, compiled once, runs in two units: in one
+        # its argument X is the unit's own constant, in the other a
+        # Globals constant bound to another entity.
+        kb = kbmod.KnowledgeBase()
+        action = kb._action("PointTo", "ME", "X")
+
+        def unit(name, *attrs):
+            op = ir.Operation(ir.IMPLICIT_OP, (), None, ir.Visibility.PRIVATE, (action,), True)
+            return ir.ConceptUnit(
+                name, ir.UnitKind.INSTANCE, Level.I, "apples",
+                (kb._const("ME", "Person"), *attrs), (op,),
+            )
+
+        own = unit("Own", ir.Attribute("X", "Apple", ir.Visibility.PRIVATE, "APPLE1"))
+        borrowing = unit("Borrowing")
+        shared = ir.ConceptUnit(
+            ir.GLOBALS_UNIT, ir.UnitKind.CLASS, Level.E3, "numbers",
+            (ir.Attribute("X", "Apple", ir.Visibility.PUBLIC, "APPLE2"),),
+        )
+        world, _ = counting_scene(2)
+        units = [own, borrowing, shared]
+        pointed = [
+            itp.replay_instance(units, u, world).trace[0].arg
+            for u in (own, borrowing, own, borrowing)
+        ]
+        assert pointed == ["APPLE1", "APPLE2", "APPLE1", "APPLE2"]
+
     def test_replayed_recordings_are_freed_by_reference_counting(self):
         # No closure kept on a shared node holds that node, a unit or an
         # operation, so dropping the knowledge base frees everything
