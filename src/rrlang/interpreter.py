@@ -34,12 +34,13 @@ Each primitive verb has one definition, a function in `_PRIMITIVES`
 it. Every operation body runs as Python closures, compiled on its
 first call (see "Closures" below). Node kinds and verb definitions
 are settled at compile time; a name is resolved when it runs, first
-among the locals, then the unit's own attributes, then Globals; and
-each access decision is kept per call site. The compiled body is
-stored on the Operation object itself, and the closure of a setup fact
-or an action on its statement node, so both live and die with the
-program they run: there is no global cache to hold knowledge bases
-alive. Recordings in one knowledge base share their statement nodes
+among the locals, then the unit's own attributes, then Globals, and a
+primitive reads its name operands in place. The compiled body is kept
+on the Operation object itself, the closure of a setup fact or an
+action on its statement node, and a name's Globals reader, with its
+access decision, on the NameExpr node, so all live and die with the
+program they run: no global cache holds knowledge bases alive.
+Recordings in one knowledge base share their statement and name nodes
 (see kb.py), so a recording's first replay mostly reuses closures that
 earlier recordings compiled.
 
@@ -364,7 +365,11 @@ class _Machine:
             self.frames[unit.name] = frame
             used: set[str] = set()
             for attr in unit.attributes:
-                frame[attr.name] = self._bind_attribute(unit, attr, used)
+                # a const's kept value, unless unset or a symbol list's tokens
+                value = getattr(attr, _VALUE_ATTR, None) if attr.const is not None else None
+                if value is None or value.__class__ is tuple:
+                    value = self._bind_attribute(unit, attr, used)
+                frame[attr.name] = value
         return frame
 
     def _literal_value(self, attr: ir.Attribute) -> Value:
@@ -457,13 +462,6 @@ class _Machine:
     # attribute write. A decision depends only on the units and the
     # member, and the member is fixed per site.
 
-    def lookup(self, frame: _Frame, name: str) -> Value:
-        if name in frame.locals:
-            return frame.locals[name]
-        if name in frame.attrs:
-            return frame.attrs[name]
-        return self.shared_value(frame, name)
-
     def shared_value(self, frame: _Frame, name: str, site: list | None = None) -> Value:
         """A name that is neither local nor an own attribute: Globals data."""
         globals_unit = self.units.get(ir.GLOBALS_UNIT)
@@ -506,11 +504,12 @@ class _Machine:
     # -- setup facts
 
     def check_setup(self, pred: str, args: tuple[str, ...], frame: _Frame) -> None:
+        loc, attrs, read = frame.locals, frame.attrs, self.shared_value
         ids = []
-        for name in args:
-            value = self.lookup(frame, name)
+        for n in args:  # each read in place, as _operand says
+            value = loc[n] if n in loc else attrs[n] if n in attrs else read(frame, n)
             if not isinstance(value, EntityVal):
-                raise SetupMismatch(f"{pred}: {name!r} is not an entity")
+                raise SetupMismatch(f"{pred}: {n!r} is not an entity")
             ids.append(value.entity)
         if pred in ("In", "On"):
             for eid in ids:
@@ -537,13 +536,14 @@ class _Machine:
 
     # -- expressions
 
-    def _list_element(self, frame: _Frame, name: str) -> Value:
+    def _list_element(self, frame: _Frame, n: str) -> Value:
+        loc, attrs, read = frame.locals, frame.attrs, self.shared_value
         try:
-            return self.lookup(frame, name)
+            return loc[n] if n in loc else attrs[n] if n in attrs else read(frame, n)
         except UnboundName:
-            if name in self.entities:
-                return EntityVal(name)
-            return TokenVal(name)
+            if n in self.entities:
+                return EntityVal(n)
+            return TokenVal(n)
 
     def field_of(self, frame: _Frame, recv: Value, name: str, site: list | None = None) -> Value:
         if not isinstance(recv, UnitVal):
@@ -802,13 +802,15 @@ _PRIMITIVES = _VerbTable(
 # and a Value to return from the operation, so `return` needs no
 # exception. Node kinds are dispatched once, at compile time, and a
 # primitive call looks its verb's one definition up then; the machine's
-# own helpers raise the same errors after the same steps. No closure
-# depends on the body it sits in, so a setup fact or an action keeps
-# its closure on its own node, and every body sharing that node reuses
-# it.
+# own helpers raise the same errors after the same steps. A primitive
+# reads a name operand in place, with no closure of its own (see
+# _operand). No closure depends on the body it sits in, so a setup
+# fact or an action keeps its closure on its own node, a name its
+# Globals reader, and every body sharing that node reuses it.
 
 _BODY_ATTR = "_compiled_body"
 _KEPT_ATTR = "_compiled"
+_READER_ATTR = "_shared"  # a NameExpr's slot for its Globals reader
 
 
 def _compiled(op: ir.Operation):
@@ -959,7 +961,7 @@ def _compile_assign(stmt: AssignStmt):
 def _compile_expr(expr: Expr):
     kind = type(expr)
     if kind is NameExpr:
-        return _compile_name(expr.name)
+        return _compile_name(expr)
     if kind is CallExpr:
         if expr.op in ir.PRIMITIVE_VERBS:
             if expr.recv is not None:
@@ -1006,24 +1008,42 @@ def _raising(error: type[ExecError], message: str):
     return fail
 
 
-def _compile_name(name: str):
-    """A name, resolved when it runs: a local (a parameter, or a
-    declaration that has run), else an own attribute, else Globals."""
-    site = [(None, None)]
+def _operand(expr: Expr):
+    """(n, rest) for reading expr in place, by the one rule for names: a
+    local (a parameter, or a declaration that has run), else an own
+    attribute, else Globals through rest, the name's reader:
+
+        loc[n] if n in loc else attrs[n] if n in attrs else rest(m, f)
+
+    Any other expression gives (None, its closure): None is never a key.
+    A reader holds its site's access decision and is kept on the NameExpr
+    node, so every body sharing the node shares it."""
+    if type(expr) is not NameExpr:
+        return None, _compile_expr(expr)
+    name = expr.name
+    reader = getattr(expr, _READER_ATTR, None)
+    if reader is None:
+        site = [(None, None)]
+
+        def reader(m, f):
+            shared = m.frames.get(ir.GLOBALS_UNIT)
+            if shared is not None and name in shared:
+                k = site[0]
+                if k[0] is f.unit and k[1] is m.units.get(ir.GLOBALS_UNIT):
+                    return shared[name]
+            return m.shared_value(f, name, site)
+
+        object.__setattr__(expr, _READER_ATTR, reader)
+    return name, reader
+
+
+def _compile_name(expr: NameExpr):
+    """A name read by a closure of its own, by _operand's line."""
+    n, rest = _operand(expr)
 
     def load(m, f):
-        locals_map = f.locals
-        if name in locals_map:
-            return locals_map[name]
-        attrs = f.attrs
-        if name in attrs:
-            return attrs[name]
-        shared = m.frames.get(ir.GLOBALS_UNIT)
-        if shared is not None and name in shared:
-            k = site[0]
-            if k[0] is f.unit and k[1] is m.units.get(ir.GLOBALS_UNIT):
-                return shared[name]
-        return m.shared_value(f, name, site)
+        loc, attrs = f.locals, f.attrs
+        return loc[n] if n in loc else attrs[n] if n in attrs else rest(m, f)
 
     return load
 
@@ -1092,26 +1112,35 @@ _INT_OPS = {
 
 def _compile_primitive(verb: str, recv_expr: Expr, arg_exprs, done):
     """A primitive call through its verb's one definition, with one
-    closure per arity. done is None for a statement, which yields None,
-    and NOTHING for an expression, which yields the verb's value."""
+    closure per arity that reads each operand in place (see _operand).
+    done is None for a statement, which yields None, and NOTHING for an
+    expression, which yields the verb's value."""
     run = _PRIMITIVES[verb]
-    recv = _compile_expr(recv_expr)
-    args = tuple(_compile_expr(a) for a in arg_exprs)
-    if not args:
+    rn, recv = _operand(recv_expr)
+    if not arg_exprs:
         def primitive(m, f):
-            value = run(m, recv(m, f), ())
+            loc, attrs = f.locals, f.attrs
+            r = loc[rn] if rn in loc else attrs[rn] if rn in attrs else recv(m, f)
+            value = run(m, r, ())
             return value if done is NOTHING else None
-    elif len(args) == 1:
-        (arg,) = args
+    elif len(arg_exprs) == 1:
+        an, arg = _operand(arg_exprs[0])
 
         def primitive(m, f):
-            r = recv(m, f)
-            value = run(m, r, (arg(m, f),))
+            loc, attrs = f.locals, f.attrs
+            r = loc[rn] if rn in loc else attrs[rn] if rn in attrs else recv(m, f)
+            a = loc[an] if an in loc else attrs[an] if an in attrs else arg(m, f)
+            value = run(m, r, (a,))
             return value if done is NOTHING else None
     else:
+        args = tuple([_operand(a) for a in arg_exprs])
+
         def primitive(m, f):
-            r = recv(m, f)
-            value = run(m, r, tuple([a(m, f) for a in args]))
+            loc, attrs = f.locals, f.attrs
+            r = loc[rn] if rn in loc else attrs[rn] if rn in attrs else recv(m, f)
+            value = run(m, r, tuple([
+                loc[n] if n in loc else attrs[n] if n in attrs else a(m, f) for n, a in args
+            ]))
             return value if done is NOTHING else None
 
     return primitive

@@ -58,7 +58,8 @@ def record(cls):
     or ``replace`` sees them, and they start unset. The interpreter
     keeps what it derives from a node there, once per node: the
     compiled body of an ``Operation``, the closure of a ``SetupStmt``
-    or ``ActionStmt``, and the bound value of a const ``Attribute``.
+    or ``ActionStmt``, the Globals reader of a ``NameExpr`` and the
+    bound value of a const ``Attribute``.
     Nothing is generated or compiled, which keeps importing the package
     cheap.
     """
@@ -330,6 +331,10 @@ class NullExpr:
 
 @record
 class NameExpr:
+    # The interpreter keeps the name's Globals reader here (see
+    # interpreter._operand), shared by every body holding the node.
+    __slots__ = ("_shared",)
+
     name: str
 
     def __init__(self, name: str):
@@ -629,14 +634,20 @@ def validate(unit: ConceptUnit) -> list[Diagnostic]:
         if attr.name in seen:
             bad("duplicate-member", "attribute name reused", attr.name)
         seen.add(attr.name)
-    for op in unit.operations:
+    # Whether each operation is a level I script: none of the walk's
+    # rules below can fire on a body of setup facts and actions only.
+    scripts = [
+        unit.level is Level.I and _SCRIPT_STATEMENTS.issuperset(map(type, op.body))
+        for op in unit.operations
+    ]
+    for op, script in zip(unit.operations, scripts):
         if op.name in seen:
             bad("duplicate-member", "operation name reuses a member name", op.name)
         seen.add(op.name)
         params = [p.name for p in op.params]
         if len(params) != len(set(params)):
             bad("duplicate-param", "parameter names must be distinct", op.name)
-        for stmt in walk(op.body):
+        for stmt in () if script else walk(op.body):
             kind = stmt.__class__
             if kind is ActionStmt:  # no rule below concerns an action
                 continue
@@ -671,12 +682,12 @@ def validate(unit: ConceptUnit) -> list[Diagnostic]:
                 bad("i-const", "level I attributes are bound constants", attr.name)
             if attr.visibility is not Visibility.PRIVATE:
                 bad("i-private", "level I members are private", attr.name)
-        for op in unit.operations:
+        for op, script in zip(unit.operations, scripts):
             if op.visibility is not Visibility.PRIVATE:
                 bad("i-private", "level I members are private", op.name)
             if op.params or op.returns is not None:
                 bad("i-script", "a recording takes no parameters and returns nothing", op.name)
-            if not _SCRIPT_STATEMENTS.issuperset(map(type, op.body)):
+            if not script:
                 bad(
                     "i-straight-line",
                     "recordings hold only setup facts and atomic actions",

@@ -439,10 +439,13 @@ def _run_compare_figures(task: Task, kb: Sequence[ir.ConceptUnit]):
     # Direct route: a public numeral order answers without fetching.
     ordinal = _unit_named(kb, "OrdinalNumber")
     if ordinal is not None:
-        denied = ir.access_denied(
-            task.caller_domain, f"<{task.caller_domain}>", ordinal, "numlist"
-        )
-        attr = ordinal.attribute("numlist") if denied is None else None
+        try:
+            denied = ir.access_denied(
+                task.caller_domain, f"<{task.caller_domain}>", ordinal, "numlist"
+            )
+            attr = ordinal.attribute("numlist") if denied is None else None
+        except ir.UnknownMember:  # no numlist: fetch, as when it is hidden
+            attr = None
         if attr is not None and isinstance(attr.const, tuple):
             order = attr.const
             if "FIVE" in order and "SEVEN" in order:

@@ -380,7 +380,10 @@ PROBES = {
     ),
     "receiver-global-const": _probe(
         None,
-        [ir.ActionStmt("Next", _N("words"), ()), ir.ReturnStmt(ir.CallExpr(_N("words"), "Next", ()))],
+        [
+            ir.ActionStmt("Next", _N("words"), ()),
+            ir.ReturnStmt(ir.CallExpr(_N("words"), "Next", ())),
+        ],
         others=[_SHARING_GLOBALS],
     ),
     "receiver-private-global": _probe(

@@ -358,6 +358,26 @@ class TestSharedNodes:
         ]
         assert pointed == ["APPLE1", "APPLE2", "APPLE1", "APPLE2"]
 
+    def test_a_compiled_action_holds_few_objects(self):
+        # Actions over names shared as kb._name shares them: each
+        # compiles to one closure that reads its operands in place, and
+        # the names' Globals readers are kept once per name node.
+        kb = kbmod.KnowledgeBase()
+        actions = tuple(
+            ir.ActionStmt("PointTo", kb._name("ME"), (kb._name(f"APPLE{i % 20}"),))
+            for i in range(200)
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            compiled = itp._compile_body(actions)
+            after = len(gc.get_objects())
+        finally:
+            gc.enable()
+        assert len(set(compiled)) == 200
+        assert (after - before) / 200 <= 10  # 16 when each name had a closure of its own
+
     def test_replayed_recordings_are_freed_by_reference_counting(self):
         # No closure kept on a shared node holds that node, a unit or an
         # operation, so dropping the knowledge base frees everything

@@ -398,3 +398,29 @@ class TestRouting:
             first = tasks.run_task(task, kb_by_level[ir.Level.E2], ir.Level.E2)
             second = tasks.run_task(task, kb_by_level[ir.Level.E2], ir.Level.E2)
             assert first == second
+
+
+def _one_member_short(units):
+    """(label, knowledge base) for each unit of units with one attribute
+    or operation removed, where the shorter unit still validates."""
+    for i, unit in enumerate(units):
+        for field in ("attributes", "operations"):
+            members = getattr(unit, field)
+            for k, member in enumerate(members):
+                mutant = ir.replace(unit, **{field: members[:k] + members[k + 1:]})
+                if not ir.validate(mutant):
+                    label = f"{unit.name} without {member.name}"
+                    yield label, [*units[:i], mutant, *units[i + 1:]]
+
+
+def test_judging_stays_total_on_a_unit_missing_one_member(canonical_kb):
+    """Every task at every level gives an Outcome, at seed 0, on each
+    canonical knowledge base with one member removed that validates."""
+    runs = []
+    for label, units in _one_member_short(list(canonical_kb)):
+        for task_id in tasks.TASK_IDS:
+            for level in ir.LEVELS:
+                outcome, _ = tasks.run(tasks.build_task(task_id, 0), units, level)
+                assert outcome.kind in ("Solved", "Failed", "Inaccessible"), label
+                runs.append((label, task_id, level))
+    assert len(runs) == 1656
