@@ -42,7 +42,7 @@ HEADER = (
 
 def fresh(units):
     """Copies of units that have never run: no Operation holds a compiled
-    body and no statement a kept closure."""
+    body, no statement a kept closure and no name a kept reader."""
     return copy.deepcopy(list(units))
 
 

@@ -11,7 +11,8 @@ never ran and which. The fixed seed makes hypothesis draw the same
 inputs every run, so counts from two commits can be compared.
 A line is executable when the compiled module maps some instruction to
 it. The tracer is installed before rrlang is imported, so module-level
-lines count. It gates nothing: the exit status is pytest's.
+lines count. The tool gates nothing: its exit status is pytest's, and CI
+fails the step when the total exceeds the limit its workflow sets.
 """
 
 from __future__ import annotations
