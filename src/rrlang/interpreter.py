@@ -77,7 +77,6 @@ from .ir import (
     SetupStmt,
     Stmt,
     WhileStmt,
-    field_setters,
     record,
 )
 
@@ -128,44 +127,20 @@ def validate_world(world: World) -> list[str]:
 class IntVal:
     value: int
 
-    def __init__(self, value: int):
-        _set_int(self, value)
-
-
-(_set_int,) = field_setters(IntVal)
-
 
 @record
 class BoolVal:
     value: bool
-
-    def __init__(self, value: bool):
-        _set_bool(self, value)
-
-
-(_set_bool,) = field_setters(BoolVal)
 
 
 @record
 class TokenVal:
     token: str
 
-    def __init__(self, token: str):
-        _set_token(self, token)
-
-
-(_set_token,) = field_setters(TokenVal)
-
 
 @record
 class EntityVal:
     entity: str
-
-    def __init__(self, entity: str):
-        _set_entity(self, entity)
-
-
-(_set_entity,) = field_setters(EntityVal)
 
 
 class SeqVal:
@@ -239,14 +214,6 @@ class TraceEvent:
     seq: int
     verb: str  # PointedTo | Said | Moved | TookAway
     arg: str | None = None
-
-    def __init__(self, seq: int, verb: str, arg: str | None = None):
-        _set_seq(self, seq)
-        _set_verb(self, verb)
-        _set_arg(self, arg)
-
-
-_set_seq, _set_verb, _set_arg = field_setters(TraceEvent)
 
 
 def format_trace(trace: Sequence[TraceEvent]) -> str:
@@ -466,10 +433,7 @@ class _Machine:
         """A name that is neither local nor an own attribute: Globals data."""
         globals_unit = self.units.get(ir.GLOBALS_UNIT)
         if globals_unit is not None and frame.unit.name != ir.GLOBALS_UNIT:
-            try:
-                shared = self.unit_frame(globals_unit)
-            except BindingMismatch:
-                shared = {}
+            shared = self.unit_frame(globals_unit)
             if name in shared:
                 self._require_access(frame.unit, globals_unit, name, site)
                 return shared[name]

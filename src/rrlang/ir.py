@@ -35,24 +35,20 @@ def record(cls):
     """Rebuild cls as a frozen, slotted record of its annotated fields.
 
     Fields are the annotated names, in order, with class-level values
-    as defaults. Assignment and deletion are refused with
-    ``FrozenInstanceError``; equality and hashing go by type plus
-    fields; the repr is ``Name(field=value, ...)``; ``__match_args__``
-    lists the fields; ``copy``, ``deepcopy`` and ``pickle`` rebuild a
-    record from its fields positionally. The generic ``__init__`` takes
-    the fields positionally or by keyword, and is fastest given all of
-    them positionally. A class that writes its own ``__init__`` keeps it
-    and fills its slots through the slot descriptors' ``__set__``, bound
-    once after the class is built (``field_setters``). That skips the
-    lookup of ``object.__setattr__`` and its name argument: a
-    ``TraceEvent`` built that way takes 308 ns against 450 ns (CPython
-    3.11.7, timeit, BENCH_19.json). Only values built in hot loops
-    write their own, since the generic one takes about twice as long
-    for one field: the interpreter's ``IntVal``, ``BoolVal``,
-    ``TokenVal``, ``EntityVal`` and ``TraceEvent``, built many times per
-    run, and the ``NameExpr``, ``SetupStmt`` and ``ActionStmt`` nodes
-    that parsing or recording builds for nearly every line of a
-    knowledge base.
+    as defaults; a defaulted field must not come before a plain one.
+    Assignment and deletion are refused with ``FrozenInstanceError``;
+    equality and hashing go by type plus fields; the repr is
+    ``Name(field=value, ...)``; ``__match_args__`` lists the fields;
+    ``copy``, ``deepcopy`` and ``pickle`` rebuild a record from its
+    fields positionally.
+    Every record has one ``__init__``, and the class may not write its
+    own. It is the template of ``_inits`` for the record's field count,
+    its parameters renamed to the fields and the trailing defaults set,
+    so Python's own argument binding takes the fields positionally or
+    by keyword and raises every ``TypeError``. Its body fills each slot
+    through the slot descriptor's ``__set__``, which skips the lookup of
+    ``object.__setattr__`` and its name argument. Nothing is generated
+    or compiled, which keeps importing the package cheap.
     Names the class lists in ``__slots__`` become extra slots outside
     the fields: no ``__init__``, equality, hash, repr, copy, ``pickle``
     or ``replace`` sees them, and they start unset. The interpreter
@@ -60,12 +56,14 @@ def record(cls):
     compiled body of an ``Operation``, the closure of a ``SetupStmt``
     or ``ActionStmt``, the Globals reader of a ``NameExpr`` and the
     bound value of a const ``Attribute``.
-    Nothing is generated or compiled, which keeps importing the package
-    cheap.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
     ns = dict(cls.__dict__)
+    if "__init__" in ns:
+        raise TypeError(f"record {cls.__qualname__} may not write its own __init__")
     defaults = {name: ns.pop(name) for name in names if name in ns}
+    if tuple(defaults) != names[len(names) - len(defaults):]:
+        raise TypeError(f"record {cls.__qualname__} has a plain field after a defaulted one")
     extra = tuple(ns.pop("__slots__", ()))
     for name in extra:
         del ns[name]  # the original class's slot descriptor
@@ -99,8 +97,12 @@ def record(cls):
         __reduce__=lambda self: (self.__class__, key(self)),
     )
     built = type(cls)(cls.__name__, cls.__bases__, ns)
-    if "__init__" not in ns:
-        built.__init__ = _generic_init(built, names, defaults)
+    setters = [built.__dict__[name].__set__ for name in names]
+    init = _inits(*setters, *[None] * (7 - len(names)))[len(names)]
+    init.__code__ = init.__code__.replace(co_name="__init__", co_varnames=("self", *names))
+    init.__name__, init.__qualname__ = "__init__", f"{cls.__qualname__}.__init__"
+    init.__defaults__ = tuple(defaults.values())
+    built.__init__ = init
     return built
 
 
@@ -113,43 +115,57 @@ def replace(obj, /, **changes):
     return type(obj)(*values)
 
 
-def field_setters(cls) -> tuple:
-    """The ``__set__`` of each field's slot descriptor of record cls, in
-    field order: what a hand-written ``__init__`` fills its slots with."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__match_args__)
+def _inits(a, b, c, d, e, f, g):
+    """One ``__init__`` template per field count, 0 to 7, each filling
+    its slots with the first of the slot setters a to g. ``record``
+    renames a template's parameters to the fields."""
 
+    def init0(self):
+        pass
 
-def _generic_init(cls, names: tuple[str, ...], defaults: dict):
-    """An ``__init__`` for record cls that sets each field through its slot."""
-    setters = field_setters(cls)
-    count = len(names)
-    title = f"{cls.__qualname__}()"
+    def init1(self, _a):
+        a(self, _a)
 
-    def bind(args: tuple, kwargs: dict) -> list:
-        if len(args) > count:
-            raise TypeError(f"{title} takes {count} arguments but {len(args)} were given")
-        for name in names[: len(args)]:
-            if name in kwargs:
-                raise TypeError(f"{title} got multiple values for argument {name!r}")
-        values = list(args)
-        for name in names[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in defaults:
-                values.append(defaults[name])
-            else:
-                raise TypeError(f"{title} missing required argument {name!r}")
-        if kwargs:
-            raise TypeError(f"{title} got an unexpected keyword argument {next(iter(kwargs))!r}")
-        return values
+    def init2(self, _a, _b):
+        a(self, _a)
+        b(self, _b)
 
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != count:
-            args = bind(args, kwargs)
-        for setter, value in zip(setters, args):
-            setter(self, value)
+    def init3(self, _a, _b, _c):
+        a(self, _a)
+        b(self, _b)
+        c(self, _c)
 
-    return __init__
+    def init4(self, _a, _b, _c, _d):
+        a(self, _a)
+        b(self, _b)
+        c(self, _c)
+        d(self, _d)
+
+    def init5(self, _a, _b, _c, _d, _e):
+        a(self, _a)
+        b(self, _b)
+        c(self, _c)
+        d(self, _d)
+        e(self, _e)
+
+    def init6(self, _a, _b, _c, _d, _e, _f):
+        a(self, _a)
+        b(self, _b)
+        c(self, _c)
+        d(self, _d)
+        e(self, _e)
+        f(self, _f)
+
+    def init7(self, _a, _b, _c, _d, _e, _f, _g):
+        a(self, _a)
+        b(self, _b)
+        c(self, _c)
+        d(self, _d)
+        e(self, _e)
+        f(self, _f)
+        g(self, _g)
+
+    return init0, init1, init2, init3, init4, init5, init6, init7
 
 
 class _VocabularyType(type):
@@ -337,12 +353,6 @@ class NameExpr:
 
     name: str
 
-    def __init__(self, name: str):
-        _set_name_expr(self, name)
-
-
-(_set_name_expr,) = field_setters(NameExpr)
-
 
 @record
 class ListExpr:
@@ -403,13 +413,6 @@ class SetupStmt:
     pred: str
     args: tuple[str, ...]
 
-    def __init__(self, pred: str, args: tuple[str, ...]):
-        _set_setup_pred(self, pred)
-        _set_setup_args(self, args)
-
-
-_set_setup_pred, _set_setup_args = field_setters(SetupStmt)
-
 
 @record
 class ActionStmt:
@@ -420,14 +423,6 @@ class ActionStmt:
     verb: str
     recv: Expr
     args: tuple[Expr, ...]
-
-    def __init__(self, verb: str, recv: Expr, args: tuple[Expr, ...]):
-        _set_action_verb(self, verb)
-        _set_action_recv(self, recv)
-        _set_action_args(self, args)
-
-
-_set_action_verb, _set_action_recv, _set_action_args = field_setters(ActionStmt)
 
 
 @record

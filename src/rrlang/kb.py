@@ -247,8 +247,6 @@ class KnowledgeBase:
             body.append(self._action(_VERB_FOR_EVENT[event.verb], agent, arg))
 
         ordinal = 1 + self._instance_counts.get(domain, 0)
-        # Positional, in field order: keyword construction takes the
-        # records' slower generic path.
         operation = ir.Operation(
             ir.IMPLICIT_OP, (), None, ir.Visibility.PRIVATE, tuple(body), True
         )

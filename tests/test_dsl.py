@@ -213,6 +213,95 @@ class TestDiagnostics:
         assert "episode.rr" in str(exc.value)
 
 
+def e3_class(members):
+    """An E3 class T in domain numbers opened on the member lines; the
+    caller adds the closing '}' or leaves it out."""
+    return "@level(E3)\n@domain(numbers)\nclass T {\n    public:\n" + members
+
+
+NESTED = "        int F() {\n" + "if (TRUE) {\n" * 120 + "}\n" * 120 + "return 1;\n}\n}\n"
+
+
+class TestRareForms:
+    """Forms no fixture holds: each refusal with its first diagnostic,
+    and each accepted form printed back. None is in the error-position
+    corpus, so its digest stays as it is."""
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            (e3_class(NESTED), (105, 5, "shallower nesting", "TRUE")),
+            ("@level(E9)\n", (1, 8, "one of I, E1, E2, E3", "E9")),
+            (
+                "@level(E1)\nconst int x;\n",
+                (2, 1, "'instance' or 'class' after annotations", "const"),
+            ),
+            ("@level(E1)\n", (2, 1, "'instance' or 'class' after annotations", "end of input")),
+            ("@level(E1)\nclass T {\n}\n", (2, 1, "a preceding @domain annotation", "class")),
+            ("@level(E1)\n@domain(a)\nclass T {\n", (4, 1, "'}'", "end of input")),
+            (e3_class("        int F() {\n"), (6, 1, "'}'", "end of input")),
+            (
+                e3_class("        const int a, b = 3;\n}\n"),
+                (5, 24, "';' (one initializer per declaration)", "="),
+            ),
+            (
+                e3_class("        void F() {\n            Say(ONE);\n        }\n}\n"),
+                (6, 13, "a receiver for a primitive action", "Say"),
+            ),
+            (
+                e3_class("        void F() {\n            a.b.F();\n        }\n}\n"),
+                (6, 13, "a unit or self receiver for an operation call", "a"),
+            ),
+        ],
+        ids=[
+            "too-deep", "unknown-level", "const-after-annotation", "annotation-at-end",
+            "no-domain", "end-after-brace", "end-in-block", "two-names-one-initializer",
+            "action-without-receiver", "call-on-a-field",
+        ],
+    )
+    def test_refusal(self, text, position):
+        with pytest.raises(dsl.ParseFailure) as exc:
+            dsl.parse(text)
+        error = exc.value.errors[0]
+        assert (error.line, error.column, error.expected, error.found) == position
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            "        void F() {\n            return;\n        }\n",
+            "        int F() {\n            return 1 - (2 + 3);\n        }\n",
+            "        void F() {\n            s = [ONE, TWO];\n        }\n",
+            "        friend Globals;\n",
+        ],
+        ids=["bare-return", "parenthesised", "symbol-list", "friends-only"],
+    )
+    def test_accepted_form_prints_back(self, members):
+        text = e3_class(members + "}\n")
+        assert dsl.print_canonical(dsl.parse(text)).text == text
+
+    def test_one_declaration_of_two_names_is_two_attributes(self):
+        (unit,) = dsl.parse(e3_class("        int a, b;\n}\n"))
+        assert unit.attributes == (
+            ir.Attribute("a", "int", ir.Visibility.PUBLIC),
+            ir.Attribute("b", "int", ir.Visibility.PUBLIC),
+        )
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (("junk",), "unknown statement 'junk'"),
+            ((ir.ReturnStmt("junk"),), "unknown expression 'junk'"),
+        ],
+        ids=["statement", "expression"],
+    )
+    def test_the_printer_refuses_a_foreign_node(self, body, message):
+        op = ir.Operation("F", (), "int", ir.Visibility.PUBLIC, body)
+        unit = ir.ConceptUnit("T", ir.UnitKind.CLASS, ir.Level.E3, "numbers", (), (op,))
+        with pytest.raises(TypeError) as exc:
+            dsl.print_canonical([unit])
+        assert str(exc.value) == message
+
+
 class TestTotality:
     @given(st.text(max_size=2048))
     @settings(max_examples=300, deadline=None)

@@ -636,6 +636,58 @@ class TestBindingErrors:
         assert str(err.value) == "no class 'Heap' in the knowledge base"
 
 
+    def test_a_globals_variable_needs_a_container(self):
+        # validate allows only constants in Globals; a variable put there
+        # by hand fails its own binding when a unit reads Globals.
+        shared = ir.ConceptUnit(
+            ir.GLOBALS_UNIT, ir.UnitKind.CLASS, ir.Level.E2, "numbers",
+            (ir.Attribute("s", "objectSet", ir.Visibility.PUBLIC),),
+        )
+        (reader,) = dsl.parse(
+            "@level(E3)\n@domain(numbers)\nclass Reader {\n    public:\n"
+            "        int Go() {\n            return s;\n        }\n}\n"
+        )
+        world = itp.World({"ME": ("Person", None)}, {}, {}, 0)
+        with pytest.raises(itp.BindingMismatch) as err:
+            itp.execute([shared, reader], reader, "Go", [], world, caller_domain="numbers")
+        assert type(err.value) is itp.BindingMismatch
+        assert str(err.value) == "Globals.s: no container to bind"
+
+
+def run_body(*body):
+    """The error text of running an E3 operation with body, built by
+    hand, so the body may hold what no parse gives."""
+    op = ir.Operation("F", (), "int", ir.Visibility.PUBLIC, body)
+    unit = ir.ConceptUnit("T", ir.UnitKind.CLASS, ir.Level.E3, "numbers", (), (op,))
+    with pytest.raises(itp.ExecError) as err:
+        itp.execute([unit], unit, "F", [], itp.World({}, {}, {}), "numbers")
+    return f"{type(err.value).__name__}: {err.value}"
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (
+            lambda: itp.validate_world(
+                itp.World({"APPLE1": ("Apple", "apples")}, {"pears": "Line"}, {})
+            ),
+            ["arrangement for unknown group 'pears'"],
+        ),
+        (
+            lambda: repr(itp.UnitVal("Set", {"result": itp.IntVal(0), "objlist": itp.SeqVal()})),
+            "UnitVal(Set, ['objlist', 'result'])",
+        ),
+        (lambda: run_body("junk"), "TypeMismatch: cannot execute 'junk'"),
+        (lambda: run_body(ir.ReturnStmt("junk")), "TypeMismatch: cannot evaluate 'junk'"),
+    ],
+    ids=["arrangement-for-unknown-group", "unit-value-repr", "foreign-statement",
+         "foreign-expression"],
+)
+def test_rare_outputs(build, expected):
+    """Reports no other test reaches, each with its exact text."""
+    assert build() == expected
+
+
 class TestKeptValues:
     """A const's bound value is kept on its Attribute node; a symbol list
     binds as a fresh sequence over the kept tokens each time."""

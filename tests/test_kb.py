@@ -659,6 +659,16 @@ class TestPersistence:
         with pytest.raises(kbmod.ManifestError):
             kbmod.KnowledgeBase.load(root)
 
+    def test_blank_manifest_lines_are_skipped(self, tmp_path):
+        kb = kbmod.KnowledgeBase.canonical()
+        root = kb.save(tmp_path / "kb")
+        manifest = root / kbmod.MANIFEST
+        rows = manifest.read_text(encoding="utf-8").splitlines()
+        manifest.write_text("\n".join([rows[0], "", " \t", *rows[1:]]) + "\n", encoding="utf-8")
+        loaded = kbmod.KnowledgeBase.load(root)
+        assert len(loaded) == len(kb)
+        assert all(loaded.unit(unit.name, unit.level) == unit for unit in kb)
+
     def test_missing_unit_file_is_io_failure(self, tmp_path):
         root = kbmod.KnowledgeBase.canonical().save(tmp_path / "kb")
         (root / "Counting_E2.rr").unlink()

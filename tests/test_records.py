@@ -14,6 +14,25 @@ import pytest
 from rrlang import capability, cli, dsl, interpreter as itp, ir, kb as kbmod, redescription, tasks
 
 MODULES = (ir, itp, dsl, tasks, redescription, kbmod, cli, capability)
+DEFINED = {
+    obj
+    for module in MODULES
+    for obj in vars(module).values()
+    if inspect.isclass(obj) and obj.__module__ == module.__name__
+}
+RECORDS = {cls for cls in DEFINED if hasattr(cls, "__match_args__")}
+# The records whose fields have defaults; no other has one.
+DEFAULTS = {
+    ir.Attribute: {"const": None},
+    ir.ConceptUnit: {"attributes": (), "operations": (), "friends": ()},
+    ir.Diagnostic: {"member": None},
+    ir.Operation: {"implicit": False},
+    tasks.Outcome: {"reason": ""},
+    redescription.PhaseReport: {"dropped": ()},
+    dsl.SourceText: {"origin": "<memory>"},
+    itp.TraceEvent: {"arg": None},
+    itp.World: {"rng_seed": 0},
+}
 
 SAMPLES = [
     itp.IntVal(3),
@@ -115,7 +134,7 @@ class TestConstruction:
             lambda: ir.Param("n", "int", shape="?"),  # unknown keyword
             lambda: ir.Param("n", "int", name="m"),  # repeated
             lambda: ir.Diagnostic("r", "m"),
-            lambda: itp.IntVal(),  # hand-written __init__s behave alike
+            lambda: itp.IntVal(),
             lambda: itp.IntVal(1, 2),
             lambda: itp.TraceEvent(1, "Said", seq=2),
         ],
@@ -123,6 +142,60 @@ class TestConstruction:
     def test_bad_arguments_raise_type_error(self, build):
         with pytest.raises(TypeError):
             build()
+
+    @pytest.mark.parametrize(
+        "cls", sorted(RECORDS, key=lambda c: c.__qualname__), ids=lambda c: c.__qualname__
+    )
+    def test_the_signature_lists_the_fields_and_their_defaults(self, cls):
+        params = inspect.signature(cls).parameters.values()
+        assert tuple(p.name for p in params) == cls.__match_args__
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+        defaults = {p.name: p.default for p in params if p.default is not p.empty}
+        assert defaults == DEFAULTS.get(cls, {})
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+
+    def test_the_hot_records_build_by_keyword_with_their_extra_slot_unset(self):
+        name = ir.NameExpr(name="ME")
+        setup = ir.SetupStmt(args=("APPLE1",), pred="On")
+        action = ir.ActionStmt(verb="Say", recv=name, args=(ir.NameExpr("ONE"),))
+        assert (name, setup, action) == (
+            ir.NameExpr("ME"),
+            ir.SetupStmt("On", ("APPLE1",)),
+            ir.ActionStmt("Say", ir.NameExpr("ME"), (ir.NameExpr("ONE"),)),
+        )
+        for node, slot in ((name, "_shared"), (setup, "_compiled"), (action, "_compiled")):
+            assert not hasattr(node, slot)
+        assert itp.TraceEvent(arg="ONE", verb="Said", seq=1) == itp.TraceEvent(1, "Said", "ONE")
+        assert (itp.IntVal(value=3), itp.BoolVal(value=True)) == (itp.IntVal(3), itp.BoolVal(True))
+        assert (itp.TokenVal(token="ONE"), itp.EntityVal(entity="A")) == (
+            itp.TokenVal("ONE"), itp.EntityVal("A"),
+        )
+
+
+class TestDecoration:
+    def test_a_class_that_writes_its_own_init_is_refused(self):
+        class Own:
+            x: int
+
+            def __init__(self, x):
+                pass
+
+        with pytest.raises(TypeError, match="may not write its own __init__"):
+            ir.record(Own)
+
+    def test_a_default_before_a_plain_field_is_refused(self):
+        class Early:
+            x: int = 0
+            y: int
+
+        with pytest.raises(TypeError, match="plain field after a defaulted one"):
+            ir.record(Early)
+
+    def test_no_fields_and_the_most_fields_both_build(self):
+        assert ir.NullExpr() == ir.NullExpr()
+        assert len(ir.ConceptUnit.__match_args__) == 7
+        with pytest.raises(TypeError):
+            ir.NullExpr(1)
 
 
 class TestReplace:
@@ -152,16 +225,9 @@ class TestReplace:
 
 
 def test_every_class_is_a_record():
-    defined = {
-        obj
-        for module in MODULES
-        for obj in vars(module).values()
-        if inspect.isclass(obj) and obj.__module__ == module.__name__
-    }
-    assert not any(dataclasses.is_dataclass(cls) for cls in defined)
-    records = {cls for cls in defined if hasattr(cls, "__match_args__")}
-    assert len(records) == 41
-    assert all("__dict__" not in vars(cls) for cls in records)
+    assert not any(dataclasses.is_dataclass(cls) for cls in DEFINED)
+    assert len(RECORDS) == 41
+    assert all("__dict__" not in vars(cls) for cls in RECORDS)
 
 
 def test_importing_the_cli_leaves_dataclasses_out():

@@ -258,6 +258,20 @@ class TestPhaseOneRefusals:
         ))
         assert self.refusal(same, same) == "no varying objects to collect"
 
+    def test_a_hand_named_result_breaks_level_discipline(self):
+        # ME.Move(result) makes the hand an attribute named like the count.
+        moves = [
+            episode(
+                *[line.replace("HAND", "result") for line in counting_script(*THREE_APPLES[:n])],
+                consts=("Hand result",),
+            )
+            for n in (2, 3)
+        ]
+        assert self.refusal(*moves) == (
+            "generated class breaks level discipline: "
+            "[duplicate-member] CountingApples.result: attribute name reused"
+        )
+
     def test_pencils_collect_into_an_object_set(self):
         pencils = [
             episode(
@@ -322,6 +336,29 @@ class TestGeneralize:
             rd.generalize_to_e2(e1)
 
 
+    def test_a_unit_below_e1_is_refused(self, instances):
+        with pytest.raises(ValueError) as exc:
+            rd.generalize_to_e2(instances[0])
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "CountingApples is not a level-E1 class"
+
+    def test_a_class_without_an_agent_is_not_counting(self):
+        e1 = dsl.load_fixture("counting_apples_e1")[0]
+        agentless = ir.replace(e1, attributes=tuple(a for a in e1.attributes if a.name != "p"))
+        with pytest.raises(rd.RedescriptionError) as exc:
+            rd.generalize_to_e2(agentless)
+        assert str(exc.value) == "CountingApples is not a counting class (missing an agent)"
+
+    def test_a_base_name_that_names_an_operation_breaks_level_discipline(self):
+        e1 = ir.replace(dsl.load_fixture("counting_apples_e1")[0], name="IndexApples")
+        with pytest.raises(rd.RedescriptionError) as exc:
+            rd.generalize_to_e2(e1)
+        assert str(exc.value) == (
+            "generalized class breaks level discipline: "
+            "[duplicate-member] Index.Index: operation name reuses a member name"
+        )
+
+
 class TestDecompose:
     def test_e3_matches_reference_listing_byte_for_byte(self):
         e1 = dsl.load_fixture("counting_apples_e1")[0]
@@ -365,6 +402,36 @@ class TestDecompose:
         assert numlist == ir.NUMERALS
         assert len(numlist) == 20
         assert report.inputs == (e2.name,)
+
+
+    def test_a_unit_other_than_e2_is_refused(self):
+        e1 = dsl.load_fixture("counting_apples_e1")[0]
+        with pytest.raises(ValueError) as exc:
+            rd.decompose_to_e3(e1)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "CountingApples is not a level-E2 class"
+
+    def test_a_class_without_a_collection_is_not_counting(self):
+        (e2, _), _ = rd.generalize_to_e2(dsl.load_fixture("counting_apples_e1")[0])
+        kept = tuple(a for a in e2.attributes if a.name not in ("object_set", "object_list"))
+        with pytest.raises(rd.RedescriptionError) as exc:
+            rd.decompose_to_e3(ir.replace(e2, attributes=kept))
+        assert str(exc.value) == "Counting is not a counting class"
+
+    def test_shared_data_without_numerals_keeps_twenty(self):
+        (e2, globals_unit), _ = rd.generalize_to_e2(dsl.load_fixture("counting_apples_e1")[0])
+        units, report = rd.decompose_to_e3(e2, ir.replace(globals_unit, attributes=()))
+        assert units[0].attribute("numlist").const == ir.NUMERALS
+        assert report.inputs == ("Counting", "Globals")
+
+    def test_a_counting_class_named_like_a_part_breaks_level_discipline(self):
+        (e2, globals_unit), _ = rd.generalize_to_e2(dsl.load_fixture("counting_apples_e1")[0])
+        with pytest.raises(rd.RedescriptionError) as exc:
+            rd.decompose_to_e3(ir.replace(e2, name="Set"), globals_unit)
+        assert str(exc.value) == (
+            "decomposed units break level discipline: "
+            "[duplicate-unit] Set: unit key (name, level) reused"
+        )
 
 
 def brute_force_roll(items, max_period=5):
