@@ -137,6 +137,7 @@ class TestConstruction:
             lambda: itp.IntVal(),
             lambda: itp.IntVal(1, 2),
             lambda: itp.TraceEvent(1, "Said", seq=2),
+            lambda: ir.NullExpr(1),
         ],
     )
     def test_bad_arguments_raise_type_error(self, build):
@@ -190,12 +191,6 @@ class TestDecoration:
 
         with pytest.raises(TypeError, match="plain field after a defaulted one"):
             ir.record(Early)
-
-    def test_no_fields_and_the_most_fields_both_build(self):
-        assert ir.NullExpr() == ir.NullExpr()
-        assert len(ir.ConceptUnit.__match_args__) == 7
-        with pytest.raises(TypeError):
-            ir.NullExpr(1)
 
 
 class TestReplace:
