@@ -555,10 +555,12 @@ _SCRIPT_ATTRS = (
 )
 
 
-def _script(*body, attrs=(), params=()):
+def _script(*body, attrs=(), params=(), others=()):
     """A script probe: a body of setup facts and actions over named
     scene entities, the shape of a level I recording."""
-    return _probe(None, body, attrs=_SCRIPT_ATTRS + tuple(attrs), params=params)[1]
+    return _probe(
+        None, body, attrs=_SCRIPT_ATTRS + tuple(attrs), params=params, others=others
+    )[1]
 
 
 def _act(verb, *args, recv="ME"):
@@ -599,6 +601,16 @@ SCRIPT_PROBES = {
         *(ir.ActionStmt("Say", _N("ME"), (ir.CallExpr(_N("words"), "Next", ()),)),) * 2,
         attrs=[_attr("words", "intList", ("one", "two"))],
     ),
+    # every argument of a fact is type-checked before any is looked up
+    # in the scene, so GHOST's absence loses to one's type
+    "on-non-entity": _script(ir.SetupStmt("On", ("APPLE1", "one"))),
+    "on-missing-before-non-entity": _script(ir.SetupStmt("On", ("GHOST", "one"))),
+    "in-missing-entity": _script(ir.SetupStmt("In", ("ME", "GHOST"))),
+    "in-one-argument": _script(ir.SetupStmt("In", ("ME",))),
+    "in-three-arguments": _script(ir.SetupStmt("In", ("ME", "ROOM1", "GHOST"))),
+    "setup-private-global": _script(
+        ir.SetupStmt("In", ("ME", "secret")), others=[_HIDING_GLOBALS]
+    ),
 }
 
 # The arguments Run takes in the script probes that declare parameters.
@@ -628,6 +640,12 @@ SCRIPT_OUTCOMES = {
     "point-to-parameter": (None, "Nothing", 1, "1\tPointedTo\tAPPLE2\n"),
     "setup-on-parameter": (None, "Nothing", 1, ""),
     "say-next-word": (None, "Nothing", 2, "1\tSaid\tone\n2\tSaid\ttwo\n"),
+    "on-non-entity": ("SetupMismatch", "On: 'one' is not an entity"),
+    "on-missing-before-non-entity": ("SetupMismatch", "On: 'one' is not an entity"),
+    "in-missing-entity": ("SetupMismatch", "In: 'GHOST' is not in the scene"),
+    "in-one-argument": (None, "Nothing", 1, ""),
+    "in-three-arguments": ("SetupMismatch", "In: 'GHOST' is not in the scene"),
+    "setup-private-global": ("AccessViolation", _HIDDEN.format("Globals")),
 }
 
 
