@@ -608,6 +608,7 @@ SCRIPT_PROBES = {
     "in-missing-entity": _script(ir.SetupStmt("In", ("ME", "GHOST"))),
     "in-one-argument": _script(ir.SetupStmt("In", ("ME",))),
     "in-three-arguments": _script(ir.SetupStmt("In", ("ME", "ROOM1", "GHOST"))),
+    "inline-non-entity": _script(ir.SetupStmt("InLine", ("APPLE1", "one"))),
     "setup-private-global": _script(
         ir.SetupStmt("In", ("ME", "secret")), others=[_HIDING_GLOBALS]
     ),
@@ -645,6 +646,7 @@ SCRIPT_OUTCOMES = {
     "in-missing-entity": ("SetupMismatch", "In: 'GHOST' is not in the scene"),
     "in-one-argument": (None, "Nothing", 1, ""),
     "in-three-arguments": ("SetupMismatch", "In: 'GHOST' is not in the scene"),
+    "inline-non-entity": ("SetupMismatch", "InLine: 'one' is not an entity"),
     "setup-private-global": ("AccessViolation", _HIDDEN.format("Globals")),
 }
 
