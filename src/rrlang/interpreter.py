@@ -35,7 +35,8 @@ it. Every operation body runs as Python closures, compiled on its
 first call (see "Closures" below). Node kinds and verb definitions
 are settled at compile time; a name is resolved when it runs, first
 among the locals, then the unit's own attributes, then Globals, and a
-primitive reads its name operands in place. The compiled body is kept
+primitive or a setup fact reads its name operands in place, in its own
+closure. The compiled body is kept
 on the Operation object itself, the closure of a setup fact or an
 action on its statement node, and a name's Globals reader, with its
 access decision, on the NameExpr node, so all live and die with the
@@ -52,6 +53,7 @@ first draw, so a run that never draws builds none.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from . import ir
@@ -465,39 +467,6 @@ class _Machine:
         if site is not None:
             site[0] = (caller, target)
 
-    # -- setup facts
-
-    def check_setup(self, pred: str, args: tuple[str, ...], frame: _Frame) -> None:
-        loc, attrs, read = frame.locals, frame.attrs, self.shared_value
-        ids = []
-        for n in args:  # each read in place, as _operand says
-            value = loc[n] if n in loc else attrs[n] if n in attrs else read(frame, n)
-            if not isinstance(value, EntityVal):
-                raise SetupMismatch(f"{pred}: {n!r} is not an entity")
-            ids.append(value.entity)
-        if pred in ("In", "On"):
-            for eid in ids:
-                if eid not in self.entities:
-                    raise SetupMismatch(f"{pred}: {eid!r} is not in the scene")
-            return
-        # InLine holds only for the whole container, in order, arranged in a line
-        if not ids:
-            raise SetupMismatch("InLine needs entities")
-        home = None
-        for cname, members in self.containers.items():
-            if ids[0] in members:
-                home = cname
-                break
-        if home is None:
-            raise SetupMismatch(f"InLine: {ids[0]!r} is not in any container")
-        if list(ids) != self.containers[home]:
-            raise SetupMismatch(
-                f"InLine: container {home!r} does not hold exactly these entities in order"
-            )
-        group = self.entities[ids[0]][1]
-        if group is None or self.arrangements.get(group) != "Line":
-            raise SetupMismatch(f"InLine: group {group!r} is not arranged in a line")
-
     # -- expressions
 
     def _list_element(self, frame: _Frame, n: str) -> Value:
@@ -768,9 +737,11 @@ _PRIMITIVES = _VerbTable(
 # primitive call looks its verb's one definition up then; the machine's
 # own helpers raise the same errors after the same steps. A primitive
 # reads a name operand in place, with no closure of its own (see
-# _operand). No closure depends on the body it sits in, so a setup
-# fact or an action keeps its closure on its own node, a name its
-# Globals reader, and every body sharing that node reuses it.
+# _operand), and so does a setup fact, which checks its facts itself
+# (see _compile_setup). No closure depends on the body it sits in, so a
+# setup fact or an action keeps its closure on its own node, a name its
+# Globals reader, and every body sharing that node reuses it; a body
+# whose statements all kept theirs is built in one pass.
 
 _BODY_ATTR = "_compiled_body"
 _KEPT_ATTR = "_compiled"
@@ -792,9 +763,16 @@ def compiled_body(op: ir.Operation):
     return getattr(op, _BODY_ATTR, None)
 
 
+_kept = attrgetter(_KEPT_ATTR)
+
+
 def _compile_body(body: Sequence[Stmt]) -> tuple:
-    # A setup fact or an action met before brings its kept closure.
-    return tuple([getattr(s, _KEPT_ATTR, None) or _compile_stmt(s) for s in body])
+    # A setup fact or an action met before brings its kept closure, so a
+    # body of such statements alone is built in one pass.
+    try:
+        return tuple(map(_kept, body))
+    except AttributeError:
+        return tuple([getattr(s, _KEPT_ATTR, None) or _compile_stmt(s) for s in body])
 
 
 def _run(stmts: tuple, m: _Machine, f: _Frame):
@@ -861,9 +839,57 @@ def _compile_stmt(stmt: Stmt):
 
 
 def _compile_setup(pred: str, args: tuple[str, ...]):
-    # The closure is kept on the SetupStmt, so it must not hold the node.
+    """A setup fact reads each operand in place, by _operand's line with
+    the machine's Globals lookup for rest, and checks that every operand
+    is an entity before it looks any up in the scene. The closure is
+    kept on the SetupStmt, so it must not hold the node."""
+    if pred in ("In", "On") and len(args) == 2:
+        an, bn = args
+
+        def in_scene(m, f):
+            loc, attrs = f.locals, f.attrs
+            a = loc[an] if an in loc else attrs[an] if an in attrs else m.shared_value(f, an)
+            if a.__class__ is not EntityVal:
+                raise SetupMismatch(f"{pred}: {an!r} is not an entity")
+            b = loc[bn] if bn in loc else attrs[bn] if bn in attrs else m.shared_value(f, bn)
+            if b.__class__ is not EntityVal:
+                raise SetupMismatch(f"{pred}: {bn!r} is not an entity")
+            for eid in (a.entity, b.entity):
+                if eid not in m.entities:
+                    raise SetupMismatch(f"{pred}: {eid!r} is not in the scene")
+
+        return in_scene
+
     def setup(m, f):
-        m.check_setup(pred, args, f)
+        loc, attrs = f.locals, f.attrs
+        ids = []
+        for n in args:
+            value = loc[n] if n in loc else attrs[n] if n in attrs else m.shared_value(f, n)
+            if value.__class__ is not EntityVal:
+                raise SetupMismatch(f"{pred}: {n!r} is not an entity")
+            ids.append(value.entity)
+        if pred in ("In", "On"):
+            for eid in ids:
+                if eid not in m.entities:
+                    raise SetupMismatch(f"{pred}: {eid!r} is not in the scene")
+            return
+        # InLine holds only for the whole container, in order, arranged in a line
+        if not ids:
+            raise SetupMismatch("InLine needs entities")
+        home = None
+        for cname, members in m.containers.items():
+            if ids[0] in members:
+                home = cname
+                break
+        if home is None:
+            raise SetupMismatch(f"InLine: {ids[0]!r} is not in any container")
+        if ids != m.containers[home]:
+            raise SetupMismatch(
+                f"InLine: container {home!r} does not hold exactly these entities in order"
+            )
+        group = m.entities[ids[0]][1]
+        if group is None or m.arrangements.get(group) != "Line":
+            raise SetupMismatch(f"InLine: group {group!r} is not arranged in a line")
 
     return setup
 

@@ -673,7 +673,7 @@ def validate(unit: ConceptUnit) -> list[Diagnostic]:
         if unit.kind is not UnitKind.INSTANCE:
             bad("i-kind", "level I units are recorded instances")
         for attr in unit.attributes:
-            if not attr.is_const:
+            if attr.const is None:
                 bad("i-const", "level I attributes are bound constants", attr.name)
             if attr.visibility is not Visibility.PRIVATE:
                 bad("i-private", "level I members are private", attr.name)

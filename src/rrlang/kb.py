@@ -73,13 +73,43 @@ _VERB_FOR_EVENT = {
 }
 
 
+class _Nodes(dict):
+    """The nodes recordings share, each built once per knowledge base on
+    its first lookup. Recordings repeat the same few constants and
+    statements, so a recording or a loaded unit takes every such node
+    from here, and a hit is one dict lookup. The keys are plain strings,
+    since a record's own hash would recurse through its fields:
+
+    * a name -> its NameExpr;
+    * (name, type) -> the private const Attribute bound to its own name;
+    * (pred, args) -> the SetupStmt;
+    * (verb, agent, arg) -> the ActionStmt, over the shared names.
+
+    The table grows with the names and verbs seen, not with the
+    episodes. Operations and units are never shared: each Operation
+    keeps its own compiled body."""
+
+    def __missing__(self, key):
+        if key.__class__ is str:
+            node = ir.NameExpr(key)
+        elif len(key) == 3:
+            verb, agent, arg = key
+            node = ir.ActionStmt(verb, self[agent], (self[arg],))
+        elif key[1].__class__ is str:
+            node = ir.Attribute(key[0], key[1], ir.Visibility.PRIVATE, key[0])
+        else:
+            node = ir.SetupStmt(*key)
+        self[key] = node
+        return node
+
+
 class KnowledgeBase:
     """Mutable store of concept units plus the mastery log."""
 
     def __init__(self) -> None:
         self._units: dict[tuple[str, ir.Level], ir.ConceptUnit] = {}
         self._instance_counts: dict[str, int] = {}  # instances per domain; names recordings
-        self._nodes: dict[str | tuple, object] = {}  # shared recording nodes; see _const
+        self._nodes = _Nodes()  # shared recording nodes
         self.log: list[LogEntry] = []
 
     # -- access ------------------------------------------------------
@@ -135,44 +165,6 @@ class KnowledgeBase:
         self.log.append(entry)
         return entry
 
-    # Recordings repeat the same few constants and statements, so each
-    # is built once per knowledge base and shared by every recording
-    # that uses it. The table is keyed by plain strings: a NameExpr by
-    # its name, a const Attribute by (name, type), a SetupStmt by
-    # (pred, args) and an ActionStmt by (verb, agent, arg); a record's
-    # own hash would recurse through its fields. It grows with the
-    # names and verbs seen, not with the episodes. Operations and units
-    # are never shared: each Operation keeps its own compiled body.
-
-    def _const(self, name: str, type_ref: str) -> ir.Attribute:
-        key = (name, type_ref)
-        node = self._nodes.get(key)
-        if node is None:
-            node = self._nodes[key] = ir.Attribute(name, type_ref, ir.Visibility.PRIVATE, name)
-        return node
-
-    def _name(self, name: str) -> ir.NameExpr:
-        node = self._nodes.get(name)
-        if node is None:
-            node = self._nodes[name] = ir.NameExpr(name)
-        return node
-
-    def _setup(self, pred: str, args: tuple[str, ...]) -> ir.SetupStmt:
-        key = (pred, args)
-        node = self._nodes.get(key)
-        if node is None:
-            node = self._nodes[key] = ir.SetupStmt(pred, args)
-        return node
-
-    def _action(self, verb: str, agent: str, arg: str) -> ir.ActionStmt:
-        key = (verb, agent, arg)
-        node = self._nodes.get(key)
-        if node is None:
-            node = self._nodes[key] = ir.ActionStmt(
-                verb, self._name(agent), (self._name(arg),)
-            )
-        return node
-
     def record_instance(
         self,
         trace: Sequence[itp.TraceEvent],
@@ -227,24 +219,23 @@ class KnowledgeBase:
         # every entity an action or the InLine fact names, each once
         objects = {**pointed, **taken, **dict.fromkeys(line or ())}
 
-        attrs = [self._const(tok, "Sound") for tok in said]
-        attrs.append(self._const(agent, "Person"))
-        attrs.extend(self._const(room, "Room") for room in rooms)
-        attrs.extend(self._const(table, "Table") for table in tables)
-        attrs.extend(self._const(eid, world.entities[eid][0]) for eid in objects)
-        attrs.append(self._const(hand, "Hand"))
+        nodes = self._nodes
+        entities = world.entities
+        attrs = [nodes[tok, "Sound"] for tok in said]
+        attrs.append(nodes[agent, "Person"])
+        attrs.extend([nodes[room, "Room"] for room in rooms])
+        attrs.extend([nodes[table, "Table"] for table in tables])
+        attrs.extend([nodes[eid, entities[eid][0]] for eid in objects])
+        attrs.append(nodes[hand, "Hand"])
 
-        body: list[ir.SetupStmt | ir.ActionStmt] = []
-        for room in rooms:
-            body.append(self._setup("In", (agent, room)))
-        for eid in pointed:
-            for table in tables:
-                body.append(self._setup("On", (eid, table)))
+        body: list[ir.SetupStmt | ir.ActionStmt] = [nodes["In", (agent, room)] for room in rooms]
+        body.extend([nodes["On", (eid, table)] for eid in pointed for table in tables])
         if line is not None:
-            body.append(self._setup("InLine", line))
-        for event in trace:
-            arg = event.arg if event.arg is not None else hand
-            body.append(self._action(_VERB_FOR_EVENT[event.verb], agent, arg))
+            body.append(nodes["InLine", line])
+        verb_for = _VERB_FOR_EVENT
+        body.extend([
+            nodes[verb_for[e.verb], agent, hand if e.arg is None else e.arg] for e in trace
+        ])
 
         ordinal = 1 + self._instance_counts.get(domain, 0)
         operation = ir.Operation(
@@ -268,8 +259,9 @@ class KnowledgeBase:
         else is kept as parsed."""
         if unit.level is not ir.Level.I:
             return unit
+        nodes = self._nodes
         attrs = tuple(
-            self._const(a.name, a.type_ref)
+            nodes[a.name, a.type_ref]
             if a.visibility is ir.Visibility.PRIVATE and a.const == a.name
             else a
             for a in unit.attributes
@@ -280,14 +272,14 @@ class KnowledgeBase:
             for stmt in op.body:
                 kind = stmt.__class__
                 if kind is ir.SetupStmt:
-                    stmt = self._setup(stmt.pred, stmt.args)
+                    stmt = nodes[stmt.pred, stmt.args]
                 elif (
                     kind is ir.ActionStmt
                     and stmt.recv.__class__ is ir.NameExpr
                     and len(stmt.args) == 1
                     and stmt.args[0].__class__ is ir.NameExpr
                 ):
-                    stmt = self._action(stmt.verb, stmt.recv.name, stmt.args[0].name)
+                    stmt = nodes[stmt.verb, stmt.recv.name, stmt.args[0].name]
                 body.append(stmt)
             ops.append(ir.replace(op, body=tuple(body)))
         return ir.replace(unit, attributes=attrs, operations=tuple(ops))

@@ -4,7 +4,8 @@ from hypothesis import settings
 from rrlang import dsl, ir, kb as kbmod
 
 # A larger example budget for CI (pytest --hypothesis-profile=ci). The
-# climb property test draws half of it, 500 climbs against tier-1's 50.
+# climb property test draws half of it, 500 climbs against tier-1's 50,
+# and the judging property test a fifth, 200 mutants against 20.
 settings.register_profile("ci", max_examples=1000)
 
 

@@ -330,18 +330,53 @@ class TestSharedNodes:
         pointed = [e.arg for e in itp.replay_instance([unit], unit, world).trace]
         assert pointed == ["APPLE1", "APPLE1"]
 
+    def test_each_key_builds_its_node_once_for_recording_and_loading(self, tmp_path):
+        kb = kbmod.KnowledgeBase()
+        nodes = kb._nodes
+        keys = {
+            "ME": ir.NameExpr("ME"),
+            ("APPLE1", "Apple"): ir.Attribute("APPLE1", "Apple", ir.Visibility.PRIVATE, "APPLE1"),
+            ("On", ("APPLE1", "TABLE1")): ir.SetupStmt("On", ("APPLE1", "TABLE1")),
+            ("PointTo", "ME", "APPLE1"): ir.ActionStmt(
+                "PointTo", ir.NameExpr("ME"), (ir.NameExpr("APPLE1"),)
+            ),
+        }
+        for key, node in keys.items():
+            assert nodes[key] == node and nodes[key] is nodes[key]
+        action = nodes["PointTo", "ME", "APPLE1"]
+        assert action.recv is nodes["ME"] and action.args == (nodes["APPLE1"],)
+        assert len(nodes) == 5  # the action built the name APPLE1 too
+
+        def holds(unit, table):
+            """Whether unit holds, for each key, the node table[key]."""
+            (op,) = unit.operations
+            members = [*unit.attributes, *op.body, op.body[-1].recv]
+            return all(any(m is table[key] for m in members) for key in keys)
+
+        # a recording and a unit loaded from disk take their nodes from
+        # the table of the knowledge base that holds them
+        built = {key: nodes[key] for key in keys}
+        world, trace = counting_scene(1)
+        recorded = kb.record_instance(trace, world, "apples")
+        assert holds(recorded, built)
+        loaded = kbmod.KnowledgeBase.load(kb.save(tmp_path / "kb"))
+        first = loaded.unit("Counting_apples_1")
+        assert first == recorded and holds(first, loaded._nodes)
+        assert holds(loaded.record_instance(trace, world, "apples"), loaded._nodes)
+        assert loaded._nodes.keys() == nodes.keys()
+
     def test_a_shared_action_reads_each_units_own_operand(self):
         # One ActionStmt node, compiled once, runs in two units: in one
         # its argument X is the unit's own constant, in the other a
         # Globals constant bound to another entity.
         kb = kbmod.KnowledgeBase()
-        action = kb._action("PointTo", "ME", "X")
+        action = kb._nodes["PointTo", "ME", "X"]
 
         def unit(name, *attrs):
             op = ir.Operation(ir.IMPLICIT_OP, (), None, ir.Visibility.PRIVATE, (action,), True)
             return ir.ConceptUnit(
                 name, ir.UnitKind.INSTANCE, Level.I, "apples",
-                (kb._const("ME", "Person"), *attrs), (op,),
+                (kb._nodes["ME", "Person"], *attrs), (op,),
             )
 
         own = unit("Own", ir.Attribute("X", "Apple", ir.Visibility.PRIVATE, "APPLE1"))
@@ -359,12 +394,12 @@ class TestSharedNodes:
         assert pointed == ["APPLE1", "APPLE2", "APPLE1", "APPLE2"]
 
     def test_a_compiled_action_holds_few_objects(self):
-        # Actions over names shared as kb._name shares them: each
+        # Actions over names shared as the node table shares them: each
         # compiles to one closure that reads its operands in place, and
         # the names' Globals readers are kept once per name node.
         kb = kbmod.KnowledgeBase()
         actions = tuple(
-            ir.ActionStmt("PointTo", kb._name("ME"), (kb._name(f"APPLE{i % 20}"),))
+            ir.ActionStmt("PointTo", kb._nodes["ME"], (kb._nodes[f"APPLE{i % 20}"],))
             for i in range(200)
         )
         gc.collect()

@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from hypothesis import HealthCheck, assume, given, seed, settings, strategies as st
 
 from rrlang import dsl, interpreter as itp, ir, tasks
 
@@ -424,3 +425,89 @@ def test_judging_stays_total_on_a_unit_missing_one_member(canonical_kb):
                 assert outcome.kind in ("Solved", "Failed", "Inaccessible"), label
                 runs.append((label, task_id, level))
     assert len(runs) == 1656
+
+
+def _named_types(units):
+    """Every type units name, the units themselves included."""
+    found = {u.name for u in units}
+    for unit in units:
+        found.update(a.type_ref for a in unit.attributes)
+        for op in unit.operations:
+            found.update(p.type_ref for p in op.params)
+            if op.returns is not None:
+                found.add(op.returns)
+    return sorted(found)
+
+
+def _without(body, j):
+    """(body without the statement ir.walk yields j-th, j less the
+    statements walked); a negative j means the statement is gone."""
+    out = []
+    for stmt in body:
+        j -= 1
+        if j == -1:
+            continue
+        kind = stmt.__class__
+        if j >= 0 and (kind is ir.WhileStmt or kind is ir.BlockStmt):
+            inner, j = _without(stmt.body, j)
+            stmt = ir.replace(stmt, body=inner)
+        elif j >= 0 and kind is ir.IfStmt:
+            then, j = _without(stmt.then, j)
+            orelse, j = _without(stmt.orelse, j)
+            stmt = ir.replace(stmt, then=then, orelse=orelse)
+        out.append(stmt)
+    return tuple(out), j
+
+
+@st.composite
+def _mutated(draw, units):
+    """(label, units) with one unit changed in one way: a member's type
+    (an attribute's, or what an operation returns), a member's
+    visibility, or one statement of an operation deleted."""
+    i = draw(st.integers(0, len(units) - 1))
+    unit = units[i]
+    members = (*unit.attributes, *unit.operations)
+    bodies = [op for op in unit.operations if op.body]
+    how = draw(st.sampled_from(("type", "visibility", "statement")))
+    if how == "statement":
+        assume(bodies)
+        op = draw(st.sampled_from(bodies))
+        j = draw(st.integers(0, sum(1 for _ in ir.walk(op.body)) - 1))
+        new = ir.replace(op, body=_without(op.body, j)[0])
+        label = f"{unit.name}.{op.name} without statement {j}"
+    else:
+        assume(members)
+        member = draw(st.sampled_from(members))
+        if how == "type":
+            field = "type_ref" if isinstance(member, ir.Attribute) else "returns"
+            value = draw(st.sampled_from(_named_types(units)))
+        else:
+            field, value = "visibility", draw(st.sampled_from(tuple(ir.Visibility)))
+        assume(getattr(member, field) != value)
+        new = ir.replace(member, **{field: value})
+        label = f"{unit.name}.{member.name} with {field} {value}"
+    group = "attributes" if isinstance(new, ir.Attribute) else "operations"
+    changed = tuple(new if m.name == new.name else m for m in getattr(unit, group))
+    mutant = ir.replace(unit, **{group: changed})
+    assume(not ir.validate(mutant))
+    return label, [*units[:i], mutant, *units[i + 1:]]
+
+
+# Each example judges 36 cells, so tier-1 draws a fifth of the loaded
+# profile's budget: 20 by default, 200 under CI's "ci" profile.
+@seed(5)
+@settings(
+    max_examples=settings.default.max_examples // 5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(data=st.data())
+def test_judging_stays_total_on_a_mutated_unit(canonical_kb, data):
+    """Every task at every level gives an Outcome, at seed 0, on the
+    canonical knowledge base with one unit changed in one way that
+    still validates."""
+    label, units = data.draw(_mutated(list(canonical_kb)), label="mutant")
+    for task_id in tasks.TASK_IDS:
+        for level in ir.LEVELS:
+            outcome, _ = tasks.run(tasks.build_task(task_id, 0), units, level)
+            assert outcome.kind in ("Solved", "Failed", "Inaccessible"), label
