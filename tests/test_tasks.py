@@ -476,7 +476,6 @@ def _mutated(draw, units):
         new = ir.replace(op, body=_without(op.body, j)[0])
         label = f"{unit.name}.{op.name} without statement {j}"
     else:
-        assume(members)
         member = draw(st.sampled_from(members))
         if how == "type":
             field = "type_ref" if isinstance(member, ir.Attribute) else "returns"
