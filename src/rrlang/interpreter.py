@@ -53,7 +53,6 @@ first draw, so a run that never draws builds none.
 from __future__ import annotations
 
 import random
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 from . import ir
@@ -740,8 +739,8 @@ _PRIMITIVES = _VerbTable(
 # _operand), and so does a setup fact, which checks its facts itself
 # (see _compile_setup). No closure depends on the body it sits in, so a
 # setup fact or an action keeps its closure on its own node, a name its
-# Globals reader, and every body sharing that node reuses it; a body
-# whose statements all kept theirs is built in one pass.
+# Globals reader, and every body sharing that node reuses it, compiling
+# only its other statements.
 
 _BODY_ATTR = "_compiled_body"
 _KEPT_ATTR = "_compiled"
@@ -763,16 +762,9 @@ def compiled_body(op: ir.Operation):
     return getattr(op, _BODY_ATTR, None)
 
 
-_kept = attrgetter(_KEPT_ATTR)
-
-
 def _compile_body(body: Sequence[Stmt]) -> tuple:
-    # A setup fact or an action met before brings its kept closure, so a
-    # body of such statements alone is built in one pass.
-    try:
-        return tuple(map(_kept, body))
-    except AttributeError:
-        return tuple([getattr(s, _KEPT_ATTR, None) or _compile_stmt(s) for s in body])
+    # A setup fact or an action met before brings its kept closure.
+    return tuple([getattr(s, _KEPT_ATTR, None) or _compile_stmt(s) for s in body])
 
 
 def _run(stmts: tuple, m: _Machine, f: _Frame):
@@ -843,23 +835,6 @@ def _compile_setup(pred: str, args: tuple[str, ...]):
     the machine's Globals lookup for rest, and checks that every operand
     is an entity before it looks any up in the scene. The closure is
     kept on the SetupStmt, so it must not hold the node."""
-    if pred in ("In", "On") and len(args) == 2:
-        an, bn = args
-
-        def in_scene(m, f):
-            loc, attrs = f.locals, f.attrs
-            a = loc[an] if an in loc else attrs[an] if an in attrs else m.shared_value(f, an)
-            if a.__class__ is not EntityVal:
-                raise SetupMismatch(f"{pred}: {an!r} is not an entity")
-            b = loc[bn] if bn in loc else attrs[bn] if bn in attrs else m.shared_value(f, bn)
-            if b.__class__ is not EntityVal:
-                raise SetupMismatch(f"{pred}: {bn!r} is not an entity")
-            for eid in (a.entity, b.entity):
-                if eid not in m.entities:
-                    raise SetupMismatch(f"{pred}: {eid!r} is not in the scene")
-
-        return in_scene
-
     def setup(m, f):
         loc, attrs = f.locals, f.attrs
         ids = []
