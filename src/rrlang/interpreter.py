@@ -36,11 +36,11 @@ first call (see "Closures" below). Node kinds and verb definitions
 are settled at compile time; a name is resolved when it runs, first
 among the locals, then the unit's own attributes, then Globals, and a
 primitive or a setup fact reads its name operands in place, in its own
-closure. The compiled body is kept
-on the Operation object itself, the closure of a setup fact or an
-action on its statement node, and a name's Globals reader, with its
-access decision, on the NameExpr node, so all live and die with the
-program they run: no global cache holds knowledge bases alive.
+closure. The compiled body is kept on the Operation object itself, the
+closure of a setup fact or an action on its statement node, and a
+name's Globals reader, with its access decision, on the NameExpr node,
+so all live and die with the program they run: no global cache holds
+knowledge bases alive.
 Recordings in one knowledge base share their statement and name nodes
 (see kb.py), so a recording's first replay mostly reuses closures that
 earlier recordings compiled.
@@ -832,9 +832,10 @@ def _compile_stmt(stmt: Stmt):
 
 def _compile_setup(pred: str, args: tuple[str, ...]):
     """A setup fact reads each operand in place, by _operand's line with
-    the machine's Globals lookup for rest, and checks that every operand
-    is an entity before it looks any up in the scene. The closure is
-    kept on the SetupStmt, so it must not hold the node."""
+    the machine's Globals lookup for the rest, and checks that every
+    operand is an entity before it looks any up in the scene (In, On) or
+    in its container (InLine). The closure is kept on the SetupStmt, so
+    it must not hold the node."""
     def setup(m, f):
         loc, attrs = f.locals, f.attrs
         ids = []
