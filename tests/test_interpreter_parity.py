@@ -197,6 +197,15 @@ _SHARING_GLOBALS = ir.ConceptUnit(
         _attr("A", "Apple", "APPLE1"),
     ),
 )
+_COUNTING_GLOBALS = ir.replace(_SHARING_GLOBALS, attributes=(_attr("G", "int", 3),))
+_SOUND = _attr("s", "Sound", "one")
+
+
+def _increment(name):
+    """`name++`, the shape dsl prints as such."""
+    return ir.AssignStmt(_N(name), ir.BinExpr("+", _N(name), _I(1)))
+
+
 PROBES = {
     "if-not-boolean": _probe("TypeMismatch", [ir.IfStmt(_I(1), (), ())]),
     "while-not-boolean": _probe("TypeMismatch", [ir.WhileStmt(_I(1), ())]),
@@ -412,6 +421,61 @@ PROBES = {
         [ir.SetupStmt("In", ("ME", "A"))],
         attrs=[_attr("ME", "Person", "ME")], others=[_SHARING_GLOBALS],
     ),
+    # n++ on a name that is not an int local or an own writable int
+    # attribute; each reads n and adds before it writes
+    "increment-sound-local": _probe(
+        "TypeMismatch", [ir.LocalDecl("n", "Sound"), _increment("n")]
+    ),
+    "increment-constant": _probe(
+        "TypeMismatch", [_increment("K")], attrs=[_attr("K", "int", 1)]
+    ),
+    "increment-global-constant": _probe(
+        "UnboundName", [_increment("G")], others=[_COUNTING_GLOBALS]
+    ),
+    "increment-unbound": _probe("UnboundName", [_increment("nowhere")]),
+    # an attribute counted once, then holding a token when counted again
+    "increment-attribute-holding-token": _probe(
+        "TypeMismatch",
+        [ir.WhileStmt(_B(True), (_increment("x"), ir.AssignStmt(_N("x"), _N("s"))))],
+        attrs=[_X, _SOUND],
+    ),
+    "increment-past-small-integers": _probe(
+        None,
+        [ir.LocalDecl("n", "int"), ir.AssignStmt(_N("n"), _I(60)),
+         *[_increment("n")] * 40, ir.ReturnStmt(_N("n"))],
+    ),
+    # x = c.Next(): the verb runs before the target is refused, and its
+    # own error wins over the target's
+    "next-into-constant": _probe(
+        "TypeMismatch",
+        [ir.AssignStmt(_N("K"), ir.CallExpr(_N("c"), "Next", ()))],
+        attrs=[_attr("K", "int", 1), _attr("c", "intList", ("one",))],
+    ),
+    "next-into-unbound": _probe(
+        "UnboundName",
+        [ir.AssignStmt(_N("nowhere"), ir.CallExpr(_N("c"), "Next", ()))],
+        attrs=[_attr("c", "intList", ("one",))],
+    ),
+    "next-of-int-into-unbound": _probe(
+        "TypeMismatch",
+        [ir.LocalDecl("n", "int"), ir.AssignStmt(_N("nowhere"), ir.CallExpr(_N("n"), "Next", ()))],
+    ),
+    "first-of-empty-into-unbound": _probe(
+        "EmptyCollection",
+        [ir.LocalDecl("xs", "intList"),
+         ir.AssignStmt(_N("nowhere"), ir.CallExpr(_N("xs"), "First", ()))],
+    ),
+    # operands read by name: an unbound one, and a token beside an int
+    "unbound-not-null": _probe(
+        "UnboundName", [ir.ReturnStmt(ir.BinExpr("!=", _N("nowhere"), ir.NullExpr()))]
+    ),
+    "field-of-unbound": _probe("UnboundName", [ir.ReturnStmt(ir.FieldExpr(_N("nowhere"), "f"))]),
+    "token-less-than-int": _probe(
+        "TypeMismatch", [ir.ReturnStmt(ir.BinExpr("<", _N("s"), _I(1)))], attrs=[_SOUND]
+    ),
+    "int-less-than-token": _probe(
+        "TypeMismatch", [ir.ReturnStmt(ir.BinExpr("<", _I(1), _N("s")))], attrs=[_SOUND]
+    ),
 }
 
 
@@ -445,14 +509,26 @@ PROBE_OUTCOMES = {
     "empty-of-int": ("TypeMismatch", "Empty needs an ordered collection receiver"),
     "endless-loop": ("StepLimitExceeded", "exceeded 50 steps"),
     "field-of-int": ("TypeMismatch", "field 'x' needs a unit value receiver"),
+    "field-of-unbound": ("UnboundName", "'nowhere' is not bound in Probe"),
     "first-of-empty": ("EmptyCollection", "First on an empty collection"),
+    "first-of-empty-into-unbound": ("EmptyCollection", "First on an empty collection"),
     "first-of-int": ("TypeMismatch", "First needs an ordered collection receiver"),
     "if-not-boolean": ("TypeMismatch", "if needs a Boolean condition"),
+    "increment-attribute-holding-token": ("TypeMismatch", "+ needs integer operands"),
+    "increment-constant": ("TypeMismatch", "Probe.K is constant"),
+    "increment-global-constant": ("UnboundName", "'G' is not assignable in Probe"),
+    "increment-past-small-integers": (None, "IntVal(value=100)", 43, ""),
+    "increment-sound-local": ("TypeMismatch", "+ needs integer operands"),
+    "increment-unbound": ("UnboundName", "'nowhere' is not bound in Probe"),
+    "int-less-than-token": ("TypeMismatch", "< needs integer operands"),
     "late-local-shadows-attribute": (None, "IntVal(value=-1)", 7, ""),
     "less-than-nothing": ("TypeMismatch", "< needs integer operands"),
     "move-with-two-arguments": (None, "Nothing", 1, "1\tMoved\t\n"),
     "next-as-statement": (None, "Nothing", 1, ""),
+    "next-into-constant": ("TypeMismatch", "Probe.K is constant"),
+    "next-into-unbound": ("UnboundName", "'nowhere' is not assignable in Probe"),
     "next-of-int": ("TypeMismatch", "Next needs an ordered collection receiver"),
+    "next-of-int-into-unbound": ("TypeMismatch", "Next needs an ordered collection receiver"),
     "not-equal-values": (None, "BoolVal(value=True)", 1, ""),
     "not-not-boolean": ("TypeMismatch", "! needs a Boolean operand"),
     "param-agent-of-another-kind": (
@@ -499,6 +575,8 @@ PROBE_OUTCOMES = {
     "setup-names-global-const": (None, "Nothing", 1, ""),
     "take-away-ghost": ("UnboundName", "TakeAway: unknown entity 'GHOST'"),
     "take-away-uncontained": ("UnboundName", "'ME' is not in any container"),
+    "token-less-than-int": ("TypeMismatch", "< needs integer operands"),
+    "unbound-not-null": ("UnboundName", "'nowhere' is not bound in Probe"),
     "unknown-operator": ("TypeMismatch", "unknown operator '*'"),
     "unknown-primitive-statement": ("TypeMismatch", "unknown primitive 'Juggle'"),
     "while-not-boolean": ("TypeMismatch", "while needs a Boolean condition"),
