@@ -451,6 +451,11 @@ PROBES = {
         [ir.AssignStmt(_N("K"), ir.CallExpr(_N("c"), "Next", ()))],
         attrs=[_attr("K", "int", 1), _attr("c", "intList", ("one",))],
     ),
+    "next-into-attribute": _probe(
+        None,
+        [ir.AssignStmt(_N("w"), ir.CallExpr(_N("c"), "Next", ())), ir.ReturnStmt(_N("w"))],
+        attrs=[_attr("w", "Sound"), _attr("c", "intList", ("one",))],
+    ),
     "next-into-unbound": _probe(
         "UnboundName",
         [ir.AssignStmt(_N("nowhere"), ir.CallExpr(_N("c"), "Next", ()))],
@@ -526,6 +531,7 @@ PROBE_OUTCOMES = {
     "move-with-two-arguments": (None, "Nothing", 1, "1\tMoved\t\n"),
     "next-as-statement": (None, "Nothing", 1, ""),
     "next-into-constant": ("TypeMismatch", "Probe.K is constant"),
+    "next-into-attribute": (None, "TokenVal(token='one')", 2, ""),
     "next-into-unbound": ("UnboundName", "'nowhere' is not assignable in Probe"),
     "next-of-int": ("TypeMismatch", "Next needs an ordered collection receiver"),
     "next-of-int-into-unbound": ("TypeMismatch", "Next needs an ordered collection receiver"),
