@@ -465,9 +465,14 @@ class _Parser:
             self.expect(";")
             return AssignStmt(NameExpr(name), BinExpr("+", NameExpr(name), IntExpr(1)))
         if self.peek()[1] in ir.SETUP_PREDICATES and self.at("(", 1):
-            pred = self.take()[1]
+            start = self.take()
+            pred = start[1]
             args = self.names("(", ")", "an entity name")
             self.expect(";")
+            if pred == "InLine" and not args:
+                self.fail("an entity name for InLine", start)
+            if pred != "InLine" and len(args) != 2:
+                self.fail(f"two entity names for {pred}", start)
             return SetupStmt(pred, args)
         if self.at("ident") and self.at("(", 1) and self._block_follows_call():
             label = self.take()[1]

@@ -34,9 +34,10 @@ Each primitive verb has one definition, a function in `_PRIMITIVES`
 it. Every operation body runs as Python closures, compiled on its
 first call (see "Closures" below). Node kinds and verb definitions
 are settled at compile time; a name is resolved when it runs, first
-among the locals, then the unit's own attributes, then Globals, and a
-primitive or a setup fact reads its name operands in place, in its own
-closure. The compiled body is kept on the Operation object itself, the
+among the locals, then the unit's own attributes, then Globals, and
+every operand site reads a name in place, in its own closure. Results
+of + and - and `n++` in -1..64 are IntVals shared from one table built
+at import, as the two Boolean values are shared. The compiled body is kept on the Operation object itself, the
 closure of a setup fact or an action on its statement node, and a
 name's Globals reader, with its access decision, on the NameExpr node,
 so all live and die with the program they run: no global cache holds
@@ -189,6 +190,16 @@ class Nothing:
 NOTHING = Nothing()
 _TRUE = BoolVal(True)
 _FALSE = BoolVal(False)
+# One IntVal per small integer, shared as _TRUE and _FALSE are: the
+# table is built at import and never grows, and IntVals compare by
+# value, so no run can tell a shared one from a fresh one.
+_INTS = tuple([IntVal(i) for i in range(-1, 65)])
+
+
+def _int(n: int) -> IntVal:
+    """n's value: the shared one for -1 <= n <= 64, else a fresh one."""
+    return _INTS[n + 1] if -1 <= n <= 64 else IntVal(n)
+
 
 # The language's == and != and the Delete verb compare values with
 # Python's ==: a record equals one of its own kind with the same payload,
@@ -201,7 +212,7 @@ Value = IntVal | BoolVal | TokenVal | EntityVal | SeqVal | UnitVal | Nothing
 def _default_value(type_ref: str) -> Value:
     """The starting value of a declared slot that binds nothing else."""
     if type_ref == "int":
-        return IntVal(0)
+        return _INTS[1]
     if type_ref == "Boolean":
         return _FALSE
     return NOTHING
@@ -512,28 +523,30 @@ class _Machine:
             raise TypeMismatch(
                 f"{target.name}.{op.name} takes {len(op.params)} arguments, got {len(args)}"
             )
-        attrs = self.unit_frame(target)
+        attrs = self.frames.get(target.name)
+        if attrs is None:
+            attrs = self.unit_frame(target)
         locals_map: dict = {}
-        for param, value in zip(op.params, args):
-            self._check_param(target, op.name, param, value)
-            if isinstance(value, SeqVal):
-                value = value.copy()
-            elif isinstance(value, UnitVal):
-                for fval in value.fields.values():
-                    if isinstance(fval, SeqVal):
-                        fval.pos = 0
-            locals_map[param.name] = value
+        if args:
+            for param, value in zip(op.params, args):
+                self._check_param(target, op.name, param, value)
+                if isinstance(value, SeqVal):
+                    value = value.copy()
+                elif isinstance(value, UnitVal):
+                    for fval in value.fields.values():
+                        if isinstance(fval, SeqVal):
+                            fval.pos = 0
+                locals_map[param.name] = value
         stmts = _compiled(op)
-        self.call_depth += 1
-        if self.call_depth > _CALL_DEPTH_LIMIT:
-            self.call_depth -= 1
+        depth = self.call_depth + 1
+        if depth > _CALL_DEPTH_LIMIT:
             raise StepLimitExceeded("operation call depth exceeded")
-        frame = _Frame(target, locals_map, attrs)
+        self.call_depth = depth
         try:
-            value = _run(stmts, self, frame)
-            return NOTHING if value is None else value
+            value = _run(stmts, self, _Frame(target, locals_map, attrs))
         finally:
-            self.call_depth -= 1
+            self.call_depth = depth - 1
+        return NOTHING if value is None else value
 
     def _check_param(self, target: ConceptUnit, op_name: str, param: ir.Param, value: Value) -> None:
         t = param.type_ref
@@ -734,13 +747,19 @@ _PRIMITIVES = _VerbTable(
 # and a Value to return from the operation, so `return` needs no
 # exception. Node kinds are dispatched once, at compile time, and a
 # primitive call looks its verb's one definition up then; the machine's
-# own helpers raise the same errors after the same steps. A primitive
-# reads a name operand in place, with no closure of its own (see
-# _operand), and so does a setup fact, which checks its facts itself
-# (see _compile_setup). No closure depends on the body it sits in, so a
-# setup fact or an action keeps its closure on its own node, a name its
-# Globals reader, and every body sharing that node reuses it, compiling
-# only its other statements.
+# own helpers raise the same errors after the same steps. Every operand
+# site reads a name in place, with no closure of its own (see _operand):
+# a primitive's receiver and arguments, a setup fact's operands (it
+# checks its facts itself, see _compile_setup), both operands of a
+# binary operator and a field's receiver. A primitive's value has three
+# sinks (see _compile_primitive): a statement drops it, an expression
+# yields it, and `x = r.Verb()` stores it from the verb's own closure.
+# `n++` on an int local or own writable int attribute reads, adds and
+# writes in one closure (see _compile_assign), and +, - and `n++` take a
+# result in -1..64 from the shared table _INTS. No closure depends on
+# the body it sits in, so a setup fact or an action keeps its closure on
+# its own node, a name its Globals reader, and every body sharing that
+# node reuses it, compiling only its other statements.
 
 _BODY_ATTR = "_compiled_body"
 _KEPT_ATTR = "_compiled"
@@ -898,8 +917,11 @@ def _compile_while(stmt: WhileStmt):
 
 
 def _compile_assign(stmt: AssignStmt):
-    value = _compile_expr(stmt.value)
-    target = stmt.target
+    target, expr = stmt.target, stmt.value
+    if type(target) is NameExpr and type(expr) is CallExpr and not expr.args:
+        if expr.op in ir.PRIMITIVE_VERBS and expr.recv is not None:
+            return _compile_primitive(expr.op, expr.recv, (), target.name)
+    value = _compile_expr(expr)
     if type(target) is not NameExpr:
         recv = _compile_expr(target.recv)
         field = target.name
@@ -921,7 +943,24 @@ def _compile_assign(stmt: AssignStmt):
         else:
             m.assign(f, name, v, site)
 
-    return set_name
+    if expr != BinExpr("+", target, IntExpr(1)):
+        return set_name
+
+    def increment(m, f):
+        """`name++` in place on an int local or an own writable int
+        attribute; anything else takes the general assignment."""
+        scope = f.locals
+        if name not in scope:
+            scope = f.attrs
+            if site[0] is not f.unit or name not in scope:
+                return set_name(m, f)
+        v = scope[name]
+        if v.__class__ is not IntVal:
+            return set_name(m, f)
+        v = v.value + 1
+        scope[name] = _INTS[v + 1] if -1 <= v <= 64 else IntVal(v)
+
+    return increment
 
 
 def _compile_expr(expr: Expr):
@@ -1015,12 +1054,13 @@ def _compile_name(expr: NameExpr):
 
 
 def _compile_field(expr: FieldExpr):
-    recv = _compile_expr(expr.recv)
+    rn, recv = _operand(expr.recv)
     name = expr.name
     site = [(None, None)]
 
     def field(m, f):
-        r = recv(m, f)
+        loc, attrs = f.locals, f.attrs
+        r = loc[rn] if rn in loc else attrs[rn] if rn in attrs else recv(m, f)
         if r.__class__ is UnitVal:
             k = site[0]
             if k[0] is f.unit and k[1] is m.units.get(r.cls):
@@ -1033,29 +1073,36 @@ def _compile_field(expr: FieldExpr):
 
 
 def _compile_binop(expr: BinExpr):
+    """Both operands are read in place (see _operand), left first. ==
+    and != compare any two values, the others two integers."""
     op = expr.op
-    left = _compile_expr(expr.left)
+    compute = _INT_OPS.get(op)
+    if compute is None:
+        left, right = _compile_expr(expr.left), _compile_expr(expr.right)
+        return lambda m, f: _binop_error(op, left(m, f), right(m, f))
+    ln, left = _operand(expr.left)
     if op in ("==", "!=") and type(expr.right) is NullExpr:
         # x == NULL holds exactly when x is Nothing, which equals only itself
         hit, miss = (_TRUE, _FALSE) if op == "==" else (_FALSE, _TRUE)
-        return lambda m, f: hit if left(m, f) is NOTHING else miss
-    right = _compile_expr(expr.right)
-    if op == "==":
-        return lambda m, f: _TRUE if left(m, f) == right(m, f) else _FALSE
-    if op == "!=":
-        return lambda m, f: _FALSE if left(m, f) == right(m, f) else _TRUE
-    compute = _INT_OPS.get(op)
-    if compute is None:
-        return lambda m, f: _binop_error(op, left(m, f), right(m, f))
 
-    def arith(m, f):
-        a = left(m, f)
-        b = right(m, f)
+        def null_test(m, f):
+            loc, attrs = f.locals, f.attrs
+            a = loc[ln] if ln in loc else attrs[ln] if ln in attrs else left(m, f)
+            return hit if a is NOTHING else miss
+
+        return null_test
+    rn, right = _operand(expr.right)
+    other = compute if op in ("==", "!=") else lambda a, b: _binop_error(op, a, b)
+
+    def binop(m, f):
+        loc, attrs = f.locals, f.attrs
+        a = loc[ln] if ln in loc else attrs[ln] if ln in attrs else left(m, f)
+        b = loc[rn] if rn in loc else attrs[rn] if rn in attrs else right(m, f)
         if a.__class__ is IntVal and b.__class__ is IntVal:
             return compute(a.value, b.value)
-        return _binop_error(op, a, b)
+        return other(a, b)
 
-    return arith
+    return binop
 
 
 def _binop_error(op: str, left: Value, right: Value):
@@ -1067,8 +1114,10 @@ def _binop_error(op: str, left: Value, right: Value):
 
 
 _INT_OPS = {
-    "+": lambda a, b: IntVal(a + b),
-    "-": lambda a, b: IntVal(a - b),
+    "==": lambda a, b: _TRUE if a == b else _FALSE,
+    "!=": lambda a, b: _FALSE if a == b else _TRUE,
+    "+": lambda a, b: _int(a + b),
+    "-": lambda a, b: _int(a - b),
     "<": lambda a, b: _TRUE if a < b else _FALSE,
     ">": lambda a, b: _TRUE if a > b else _FALSE,
     "<=": lambda a, b: _TRUE if a <= b else _FALSE,
@@ -1079,16 +1128,27 @@ _INT_OPS = {
 def _compile_primitive(verb: str, recv_expr: Expr, arg_exprs, done):
     """A primitive call through its verb's one definition, with one
     closure per arity that reads each operand in place (see _operand).
-    done is None for a statement, which yields None, and NOTHING for an
-    expression, which yields the verb's value."""
+    done is the sink of the verb's value: None for a statement, which
+    yields None, NOTHING for an expression, which yields the value, and,
+    for a verb without arguments, a target name, which the closure
+    assigns the value to after the verb ran, as _compile_assign would."""
     run = _PRIMITIVES[verb]
     rn, recv = _operand(recv_expr)
     if not arg_exprs:
+        site = [None]  # a target name's writing unit, as in _compile_assign
+
         def primitive(m, f):
             loc, attrs = f.locals, f.attrs
             r = loc[rn] if rn in loc else attrs[rn] if rn in attrs else recv(m, f)
             value = run(m, r, ())
-            return value if done is NOTHING else None
+            if done is NOTHING:
+                return value
+            if done in loc:  # a statement's done, None, is never a key
+                loc[done] = value
+            elif done in attrs and site[0] is f.unit:
+                attrs[done] = value
+            elif done is not None:
+                m.assign(f, done, value, site)
     elif len(arg_exprs) == 1:
         an, arg = _operand(arg_exprs[0])
 

@@ -219,6 +219,15 @@ def e3_class(members):
     return "@level(E3)\n@domain(numbers)\nclass T {\n    public:\n" + members
 
 
+def i_instance(facts):
+    """A level I instance T in domain apples whose private section
+    declares ME and then holds the given statement lines."""
+    return (
+        "@level(I)\n@domain(apples)\ninstance T {\n    private:\n"
+        "        const Person ME;\n" + facts + "}\n"
+    )
+
+
 NESTED = "        int F() {\n" + "if (TRUE) {\n" * 120 + "}\n" * 120 + "return 1;\n}\n}\n"
 
 
@@ -252,11 +261,21 @@ class TestRareForms:
                 e3_class("        void F() {\n            a.b.F();\n        }\n}\n"),
                 (6, 13, "a unit or self receiver for an operation call", "a"),
             ),
+
+            # a setup fact's arity is checked after its ';', at its predicate
+            (i_instance("        In(ME);\n"), (6, 9, "two entity names for In", "In")),
+            (
+                i_instance("        On(ME, ME, ME);\n"),
+                (6, 9, "two entity names for On", "On"),
+            ),
+            (i_instance("        InLine();\n"), (6, 9, "an entity name for InLine", "InLine")),
+            (i_instance("        In(ME)\n"), (7, 1, "';'", "}")),
         ],
         ids=[
             "too-deep", "unknown-level", "const-after-annotation", "annotation-at-end",
             "no-domain", "end-after-brace", "end-in-block", "two-names-one-initializer",
-            "action-without-receiver", "call-on-a-field",
+            "action-without-receiver", "call-on-a-field", "in-one-name", "on-three-names",
+            "inline-no-name", "arity-after-semicolon",
         ],
     )
     def test_refusal(self, text, position):

@@ -436,6 +436,55 @@ class TestValueEquality:
         assert res.value == itp.BoolVal(expected)
 
 
+_ARITHMETIC_PROBE = """@level(E3)
+@domain(numbers)
+class Sum {
+    public:
+        int n;
+        int Add(int a, int b) {
+            return a + b;
+        }
+        int Sub(int a, int b) {
+            return a - b;
+        }
+        int IncLocal(int a) {
+            a++;
+            return a;
+        }
+        int IncAttribute(int a) {
+            n = a;
+            n++;
+            return n;
+        }
+}
+"""
+
+
+class TestSmallIntegers:
+    """+, - and n++ take results in -1..64 from one shared table; at and
+    past both ends of it a result is the same as a fresh IntVal."""
+
+    TOP = itp._INTS[-1].value
+
+    @pytest.mark.parametrize("result", [-2, -1, 0, TOP, TOP + 1])
+    def test_results_at_the_edges_equal_fresh_values(self, result):
+        unit = dsl.parse(_ARITHMETIC_PROBE)[0]
+        world = apples_world(1)
+        calls = [
+            ("Add", [result - 1, 1]),
+            ("Sub", [result + 1, 1]),
+            ("IncLocal", [result - 1]),
+            ("IncAttribute", [result - 1]),
+        ]
+        for _ in range(2):  # the second run reaches n++ on the attribute in place
+            for op, args in calls:
+                args = [itp.IntVal(a) for a in args]
+                value = itp.execute([unit], unit, op, args, world, "numbers").value
+                fresh = itp.IntVal(result)
+                assert value == fresh and hash(value) == hash(fresh), op
+                assert repr(value) == repr(fresh) == f"IntVal(value={result})", op
+
+
 class TestDelete:
     def delete(self, seq, value):
         _, out = itp.eval_primitive("Delete", seq, [value], banana_world(1))
