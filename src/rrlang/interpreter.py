@@ -36,12 +36,12 @@ first call (see "Closures" below). Node kinds and verb definitions
 are settled at compile time; a name is resolved when it runs, first
 among the locals, then the unit's own attributes, then Globals, and
 every operand site reads a name in place, in its own closure. Results
-of + and - and `n++` in -1..64 are IntVals shared from one table built
-at import, as the two Boolean values are shared. The compiled body is kept on the Operation object itself, the
-closure of a setup fact or an action on its statement node, and a
-name's Globals reader, with its access decision, on the NameExpr node,
-so all live and die with the program they run: no global cache holds
-knowledge bases alive.
+of +, - and `n++` in -1..64 are IntVals shared from one table built at
+import, as the two Boolean values are. The compiled body is kept on
+the Operation object itself, the closure of a setup fact or an action
+on its statement node, and a name's Globals reader, with its access
+decision, on the NameExpr node, so all live and die with the program
+they run: no global cache holds knowledge bases alive.
 Recordings in one knowledge base share their statement and name nodes
 (see kb.py), so a recording's first replay mostly reuses closures that
 earlier recordings compiled.
