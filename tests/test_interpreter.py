@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -322,6 +323,21 @@ class TestPrimitives:
         _, v1 = itp.eval_primitive("SelectOneRandom", s, [], w)
         _, v2 = itp.eval_primitive("SelectOneRandom", s, [], w)
         assert v1 == v2
+
+    def test_random_draws_follow_the_standard_choice(self):
+        """For seeds 0-199, SelectOneRandom draws the element that
+        random.Random(seed).choice would, draw after draw, over list sizes
+        1-40, which pass the powers of two, then 1, 2, 32 and 33 again."""
+        select = itp._PRIMITIVES["SelectOneRandom"]
+        lists = [[itp.TokenVal(str(i)) for i in range(size)] for size in range(1, 41)]
+        lists += [lists[0], lists[1], lists[31], lists[32]]
+        for seed in range(200):
+            machine = itp._Machine((), banana_world(1, seed=seed), itp.DEFAULT_STEP_LIMIT)
+            reference = random.Random(seed)
+            for items in lists:
+                for _ in range(3):
+                    drawn = select(machine, itp.SeqVal(items), ())
+                    assert drawn is reference.choice(items), (seed, len(items))
 
     def test_collection_receiver_mutates_in_place(self):
         w = banana_world(1)

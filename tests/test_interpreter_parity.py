@@ -206,6 +206,16 @@ def _increment(name):
     return ir.AssignStmt(_N(name), ir.BinExpr("+", _N(name), _I(1)))
 
 
+def _not_empty(name):
+    """`!name.Empty()`."""
+    return ir.NotExpr(ir.CallExpr(_N(name), "Empty", ()))
+
+
+def _not_null(name):
+    """`name != NULL`."""
+    return ir.BinExpr("!=", _N(name), ir.NullExpr())
+
+
 PROBES = {
     "if-not-boolean": _probe("TypeMismatch", [ir.IfStmt(_I(1), (), ())]),
     "while-not-boolean": _probe("TypeMismatch", [ir.WhileStmt(_I(1), ())]),
@@ -481,6 +491,78 @@ PROBES = {
     "int-less-than-token": _probe(
         "TypeMismatch", [ir.ReturnStmt(ir.BinExpr("<", _I(1), _N("s")))], attrs=[_SOUND]
     ),
+    # the two loop tests the canonical bodies run most, `!x.Empty()` and
+    # `x != NULL`, on each kind of name and with a return in the body
+    "not-empty-loop-over-global-const": _probe(
+        None,
+        [
+            ir.LocalDecl("n", "int"),
+            ir.WhileStmt(_not_empty("words"), (
+                ir.ActionStmt("Delete", _N("words"), (ir.CallExpr(_N("words"), "First", ()),)),
+                _increment("n"),
+            )),
+            ir.ReturnStmt(_N("n")),
+        ],
+        others=[_SHARING_GLOBALS],
+    ),
+    "not-empty-loop-over-unbound": _probe(
+        "UnboundName", [ir.WhileStmt(_not_empty("nowhere"), (ir.ActionStmt("Move", _I(0), ()),))]
+    ),
+    "not-empty-loop-over-int": _probe(
+        "TypeMismatch", [ir.WhileStmt(_not_empty("x"), (ir.ActionStmt("Move", _I(0), ()),))],
+        attrs=[_X],
+    ),
+    "not-empty-loop-returns": _probe(
+        None,
+        [ir.WhileStmt(_not_empty("xs"), (ir.ReturnStmt(ir.CallExpr(_N("xs"), "First", ())),)),
+         ir.ReturnStmt(_I(4))],
+        attrs=[_attr("xs", "intList", ("one", "two"))],
+    ),
+    "not-null-loop-over-unbound": _probe(
+        "UnboundName", [ir.WhileStmt(_not_null("nowhere"), (ir.ActionStmt("Move", _I(0), ()),))]
+    ),
+    "not-null-loop-over-global-const-returns": _probe(
+        None,
+        [ir.WhileStmt(_not_null("A"), (ir.ReturnStmt(_N("A")),)), ir.ReturnStmt(_I(4))],
+        others=[_SHARING_GLOBALS],
+    ),
+    "not-null-loop-over-unwritten-attribute": _probe(
+        None,
+        [ir.WhileStmt(_not_null("w"), (ir.ActionStmt("Move", _I(0), ()),)), ir.ReturnStmt(_I(4))],
+        attrs=[_attr("w", "Sound")],
+    ),
+    # one statement before the loop puts every loop test on an odd step,
+    # so the 51st step, the one past the limit, is a test
+    "not-null-loop-test-past-step-limit": _probe(
+        "StepLimitExceeded",
+        [ir.LocalDecl("n", "int"), ir.WhileStmt(_not_null("A"), (_increment("n"),))],
+        others=[_SHARING_GLOBALS],
+    ),
+    # calls without arguments: to an operation that takes one, and
+    # recursion past the depth limit (PROBE_STEP_LIMITS), with and
+    # without arguments
+    "call-without-arguments-arity": _probe(
+        "TypeMismatch",
+        [ir.CallStmt(None, "Takes", ())],
+        extra_ops=[_op("Takes", params=[ir.Param("n", "int")])],
+    ),
+    "recursion-without-arguments": _probe(
+        "StepLimitExceeded",
+        [ir.CallStmt(None, "Again", ())],
+        extra_ops=[_op("Again", ir.CallStmt(None, "Again", ()))],
+    ),
+    "recursion-with-arguments": _probe(
+        "StepLimitExceeded",
+        [ir.CallStmt(None, "Again", (_I(1),))],
+        extra_ops=[_op("Again", ir.CallStmt(None, "Again", (_N("n"),)),
+                       params=[ir.Param("n", "int")])],
+    ),
+}
+
+# The step limit of a probe that needs more than the default 50.
+PROBE_STEP_LIMITS = {
+    "recursion-without-arguments": 1000,
+    "recursion-with-arguments": 1000,
 }
 
 
@@ -509,6 +591,7 @@ PROBE_OUTCOMES = {
     "call-private": ("AccessViolation", _HIDDEN.format("Other")),
     "call-shadowed-unit": ("UnboundName", "unknown unit 'Other'"),
     "call-unknown-unit": ("UnboundName", "unknown unit 'Nobody'"),
+    "call-without-arguments-arity": ("TypeMismatch", "Probe.Takes takes 1 arguments, got 0"),
     "delete-from-int": ("TypeMismatch", "Delete needs an ordered collection receiver"),
     "delete-two": ("TypeMismatch", "Delete takes one element"),
     "empty-of-int": ("TypeMismatch", "Empty needs an ordered collection receiver"),
@@ -535,8 +618,16 @@ PROBE_OUTCOMES = {
     "next-into-unbound": ("UnboundName", "'nowhere' is not assignable in Probe"),
     "next-of-int": ("TypeMismatch", "Next needs an ordered collection receiver"),
     "next-of-int-into-unbound": ("TypeMismatch", "Next needs an ordered collection receiver"),
+    "not-empty-loop-over-global-const": (None, "IntVal(value=2)", 10, ""),
+    "not-empty-loop-over-int": ("TypeMismatch", "Empty needs an ordered collection receiver"),
+    "not-empty-loop-over-unbound": ("UnboundName", "'nowhere' is not bound in Probe"),
+    "not-empty-loop-returns": (None, "TokenVal(token='one')", 3, ""),
     "not-equal-values": (None, "BoolVal(value=True)", 1, ""),
     "not-not-boolean": ("TypeMismatch", "! needs a Boolean operand"),
+    "not-null-loop-over-global-const-returns": (None, "EntityVal(entity='APPLE1')", 3, ""),
+    "not-null-loop-over-unbound": ("UnboundName", "'nowhere' is not bound in Probe"),
+    "not-null-loop-over-unwritten-attribute": (None, "IntVal(value=4)", 3, ""),
+    "not-null-loop-test-past-step-limit": ("StepLimitExceeded", "exceeded 50 steps"),
     "param-agent-of-another-kind": (
         "TypeMismatch", "Probe.Takes(p: Person) does not accept a Apple entity"
     ),
@@ -570,6 +661,8 @@ PROBE_OUTCOMES = {
     "receiver-global-const": (None, "TokenVal(token='two')", 2, ""),
     "receiver-local-shadows-attribute": (None, "IntVal(value=7)", 3, ""),
     "receiver-private-global": ("AccessViolation", _HIDDEN.format("Globals")),
+    "recursion-with-arguments": ("StepLimitExceeded", "operation call depth exceeded"),
+    "recursion-without-arguments": ("StepLimitExceeded", "operation call depth exceeded"),
     "return-inside-while": (None, "IntVal(value=3)", 3, ""),
     "say-int": ("TypeMismatch", "Say takes one sound token"),
     "say-nothing": ("NumeralsExhausted", "the numerals ran out: Say has no count word left"),
@@ -601,7 +694,10 @@ def test_probe_outcomes_match_between_tiers(name):
     outcomes = []
     for _ in range(2):
         try:
-            r = itp.execute(units, probe, "Run", [], world, "numbers", step_limit=50)
+            r = itp.execute(
+                units, probe, "Run", [], world, "numbers",
+                step_limit=PROBE_STEP_LIMITS.get(name, 50),
+            )
         except itp.ExecError as exc:
             outcomes.append((type(exc).__name__, str(exc)))
         else:
