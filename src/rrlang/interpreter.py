@@ -35,9 +35,12 @@ it. Every operation body runs as Python closures, compiled on its
 first call (see "Closures" below). Node kinds and verb definitions
 are settled at compile time; a name is resolved when it runs, first
 among the locals, then the unit's own attributes, then Globals, and
-every operand site reads a name in place, in its own closure. Results
-of +, - and `n++` in -1..64 are IntVals shared from one table built at
-import, as the two Boolean values are. The compiled body is kept on
+every operand site reads a name in place, in its own closure, as do
+the loop tests `x != NULL` and `!x.Empty()`. A call without arguments
+to an operation without parameters runs its body without going through
+`invoke`. Results of +, - and `n++` in -1..64 are IntVals shared from
+one table built at import, as the two Boolean values are. The compiled
+body is kept on
 the Operation object itself, the closure of a setup fact or an action
 on its statement node, and a name's Globals reader, with its access
 decision, on the NameExpr node, so all live and die with the program
@@ -48,7 +51,9 @@ earlier recordings compiled.
 
 `eval_primitive` runs one verb in isolation, through the same table.
 The random generator of a run is built from the world's seed on its
-first draw, so a run that never draws builds none.
+first draw, so a run that never draws builds none. SelectOneRandom
+draws the index `random.Random(seed).choice` would, from the
+generator's `getrandbits`.
 """
 
 from __future__ import annotations
@@ -312,7 +317,7 @@ class _Machine:
         self.arrangements = world.arrangements
         self.containers = {name: list(members) for name, members in world.containers.items()}
         self.rng_seed = world.rng_seed
-        self.rng: random.Random | None = None  # built on the first draw
+        self.rng = None  # the generator's getrandbits, built on the first draw
         self.step_limit = step_limit
         self.steps = 0
         self.trace: list[TraceEvent] = []
@@ -703,12 +708,20 @@ def _delete(m, recv, args):
 
 
 def _select_one_random(m, recv, args):
+    """Draw the element random.Random(seed).choice would: the rejection
+    loop of its _randbelow, run here over the generator's getrandbits."""
     if recv.__class__ is SeqVal:
-        if recv.items:
-            rng = m.rng
-            if rng is None:
-                rng = m.rng = random.Random(m.rng_seed)
-            return rng.choice(recv.items)
+        items = recv.items
+        if items:
+            bits = m.rng
+            if bits is None:
+                bits = m.rng = random.Random(m.rng_seed).getrandbits
+            n = len(items)
+            k = n.bit_length()
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            return items[r]
         raise EmptyCollection("SelectOneRandom on an empty collection")
     raise TypeMismatch("SelectOneRandom needs an ordered collection receiver")
 
@@ -751,12 +764,17 @@ _PRIMITIVES = _VerbTable(
 # site reads a name in place, with no closure of its own (see _operand):
 # a primitive's receiver and arguments, a setup fact's operands (it
 # checks its facts itself, see _compile_setup), both operands of a
-# binary operator and a field's receiver. A primitive's value has three
-# sinks (see _compile_primitive): a statement drops it, an expression
-# yields it, and `x = r.Verb()` stores it from the verb's own closure.
-# `n++` on an int local or own writable int attribute reads, adds and
-# writes in one closure (see _compile_assign), and +, - and `n++` take a
-# result in -1..64 from the shared table _INTS. No closure depends on
+# binary operator, a field's receiver and the operand of the loop tests
+# `x != NULL` and `!x.Empty()`, which the loop's own closure makes (see
+# _compile_while). A primitive's value has three sinks (see
+# _compile_primitive): a statement drops it, an expression yields it,
+# and `x = r.Verb()` stores it from the verb's own closure. `n++` on an
+# int local or own writable int attribute reads, adds and writes in one
+# closure (see _compile_assign), and +, - and `n++` take a result in
+# -1..64 from the shared table _INTS. A call without arguments to an
+# operation without parameters binds the frame, checks the call depth
+# and runs the body from the call's own closure (see _compile_call);
+# every other call goes through _Machine.invoke. No closure depends on
 # the body it sits in, so a setup fact or an action keeps its closure on
 # its own node, a name its Globals reader, and every body sharing that
 # node reuses it, compiling only its other statements.
@@ -890,22 +908,43 @@ def _compile_setup(pred: str, args: tuple[str, ...]):
 
 
 def _compile_while(stmt: WhileStmt):
-    cond = _compile_expr(stmt.cond)
+    """A loop whose test reads one operand in place (see _operand) in the
+    loop's own closure: `x != NULL` ends the loop on Nothing, `!x.Empty()`
+    on an empty collection, with Empty's own error on anything else, and
+    any other condition is a closure whose value must be a Boolean."""
     body = _compile_body(stmt.body)
+    cond = stmt.cond
+    if type(cond) is BinExpr and cond.op == "!=" and type(cond.right) is NullExpr:
+        shape, (n, read) = NullExpr, _operand(cond.left)
+    elif (
+        type(cond) is NotExpr and type(cond.operand) is CallExpr
+        and cond.operand.op == "Empty" and cond.operand.recv is not None
+        and not cond.operand.args
+    ):
+        shape, (n, read) = SeqVal, _operand(cond.operand.recv)
+    else:
+        shape, n, read = BoolVal, None, _compile_expr(cond)
 
     def while_(m, f):
+        loc, attrs, limit = f.locals, f.attrs, m.step_limit
         while True:
-            if m.steps < m.step_limit:
+            if m.steps < limit:
                 m.steps += 1
             else:
                 m.tick()
-            c = cond(m, f)
-            if c.__class__ is not BoolVal:
+            v = loc[n] if n in loc else attrs[n] if n in attrs else read(m, f)
+            if shape is NullExpr:
+                if v is NOTHING:
+                    return None
+            elif v.__class__ is shape:
+                if not (v.value if shape is BoolVal else v.items):
+                    return None
+            elif shape is BoolVal:
                 raise TypeMismatch("while needs a Boolean condition")
-            if not c.value:
-                return None
+            else:
+                _empty(m, v, ())
             for s in body:
-                if m.steps < m.step_limit:
+                if m.steps < limit:
                     m.steps += 1
                 else:
                     m.tick()
@@ -1175,9 +1214,14 @@ def _compile_primitive(verb: str, recv_expr: Expr, arg_exprs, done):
 def _compile_call(recv_name: str | None, op_name: str, arg_exprs, done):
     """An operation call by a statement (done is None) or an expression;
     a receiver name that is bound as a local or attribute, or names no
-    unit, is reported before any argument is evaluated."""
+    unit, is reported before any argument is evaluated. A call without
+    arguments to an operation without parameters skips invoke: it binds
+    the frame, checks the call depth and runs the body in invoke's order,
+    the body compiled when the site first resolved the operation."""
     args = tuple(_compile_expr(a) for a in arg_exprs)
-    site = [(None, None, None)]  # (caller, target, operation) last resolved here
+    # (caller, target, operation, its body when it runs directly) last
+    # resolved here
+    site = [(None, None, None, None)]
 
     def call(m, f):
         caller = f.unit
@@ -1189,15 +1233,28 @@ def _compile_call(recv_name: str | None, op_name: str, arg_exprs, done):
                 if done is None:
                     raise UnboundName(f"unknown unit {recv_name!r}")
                 raise UnboundName(f"operation {op_name!r} needs a unit receiver")
-        values = [a(m, f) for a in args]
+        values = [a(m, f) for a in args] if args else ()
         k = site[0]
-        if k[0] is caller and k[1] is target:
-            op = k[2]
-        else:
+        if k[0] is not caller or k[1] is not target:
             op = m.resolve_call(caller, target, op_name)
-            site[0] = (caller, target, op)
-        value = m.invoke(target, op, values)
-        return value if done is NOTHING else None
+            k = site[0] = (caller, target, op, None if args or op.params else _compiled(op))
+        stmts = k[3]
+        if stmts is None:
+            value = m.invoke(target, k[2], values)
+            return value if done is NOTHING else None
+        attrs = m.frames.get(target.name)
+        if attrs is None:
+            attrs = m.unit_frame(target)
+        depth = m.call_depth + 1
+        if depth > _CALL_DEPTH_LIMIT:
+            raise StepLimitExceeded("operation call depth exceeded")
+        m.call_depth = depth
+        try:
+            value = _run(stmts, m, _Frame(target, {}, attrs))
+        finally:
+            m.call_depth = depth - 1
+        if done is NOTHING:
+            return NOTHING if value is None else value
 
     return call
 

@@ -107,7 +107,8 @@ def _world(
     numbered: dict[str, int] = {}
     for kind, container, count in groups:
         start = numbered.get(kind, 0) + 1
-        ids = tuple(f"{kind.upper()}{i}" for i in range(start, start + count))
+        prefix = kind.upper()
+        ids = tuple([f"{prefix}{i}" for i in range(start, start + count)])
         for eid in ids:
             entities[eid] = (kind, container)
         containers[container] = ids

@@ -220,6 +220,7 @@ PROBES = {
     "if-not-boolean": _probe("TypeMismatch", [ir.IfStmt(_I(1), (), ())]),
     "while-not-boolean": _probe("TypeMismatch", [ir.WhileStmt(_I(1), ())]),
     "not-not-boolean": _probe("TypeMismatch", [ir.ReturnStmt(ir.NotExpr(_I(1)))]),
+    "not-of-boolean": _probe(None, [ir.ReturnStmt(ir.NotExpr(_B(False)))]),
     "plus-not-integer": _probe(
         "TypeMismatch", [ir.ReturnStmt(ir.BinExpr("+", _I(1), _B(True)))]
     ),
@@ -624,6 +625,7 @@ PROBE_OUTCOMES = {
     "not-empty-loop-returns": (None, "TokenVal(token='one')", 3, ""),
     "not-equal-values": (None, "BoolVal(value=True)", 1, ""),
     "not-not-boolean": ("TypeMismatch", "! needs a Boolean operand"),
+    "not-of-boolean": (None, "BoolVal(value=True)", 1, ""),
     "not-null-loop-over-global-const-returns": (None, "EntityVal(entity='APPLE1')", 3, ""),
     "not-null-loop-over-unbound": ("UnboundName", "'nowhere' is not bound in Probe"),
     "not-null-loop-over-unwritten-attribute": (None, "IntVal(value=4)", 3, ""),
