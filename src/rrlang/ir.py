@@ -612,6 +612,12 @@ def loop_count(unit: ConceptUnit) -> int:
     return sum(1 for s in iter_statements(unit) if isinstance(s, WhileStmt))
 
 
+# The literal a const of each type takes: an integer for int, a list of
+# symbols for a collection type, and a symbol for any other type.
+_LITERAL_FORMS = {"int": int, **dict.fromkeys([*SET_TYPES, *LIST_TYPES], tuple)}
+_FORM_NAMES = {int: "an integer", tuple: "a list of symbols", str: "a symbol"}
+
+
 def validate(unit: ConceptUnit) -> list[Diagnostic]:
     """Check one unit against the shared rules and its level discipline.
 
@@ -626,9 +632,20 @@ def validate(unit: ConceptUnit) -> list[Diagnostic]:
 
     seen: set[str] = set()
     for attr in unit.attributes:
-        if attr.name in seen:
-            bad("duplicate-member", "attribute name reused", attr.name)
-        seen.add(attr.name)
+        name = attr.name
+        if name in seen:
+            bad("duplicate-member", "attribute name reused", name)
+        seen.add(name)
+        # A symbol, the common literal, fits every type _LITERAL_FORMS
+        # leaves out, so it is tested without a call.
+        lit = attr.const
+        if lit is None or (
+            attr.type_ref not in _LITERAL_FORMS if lit.__class__ is str
+            else isinstance(lit, _LITERAL_FORMS.get(attr.type_ref, str))
+        ):
+            continue
+        form = _LITERAL_FORMS.get(attr.type_ref, str)
+        bad("const-type", f"a const {attr.type_ref} takes {_FORM_NAMES[form]}", name)
     # Whether each operation is a level I script: none of the walk's
     # rules below can fire on a body of setup facts and actions only.
     scripts = [
@@ -672,10 +689,11 @@ def validate(unit: ConceptUnit) -> list[Diagnostic]:
     if unit.level is Level.I:
         if unit.kind is not UnitKind.INSTANCE:
             bad("i-kind", "level I units are recorded instances")
+        private = Visibility.PRIVATE
         for attr in unit.attributes:
             if attr.const is None:
                 bad("i-const", "level I attributes are bound constants", attr.name)
-            if attr.visibility is not Visibility.PRIVATE:
+            if attr.visibility is not private:
                 bad("i-private", "level I members are private", attr.name)
         for op, script in zip(unit.operations, scripts):
             if op.visibility is not Visibility.PRIVATE:

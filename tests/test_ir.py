@@ -209,6 +209,8 @@ _BROKEN = [
         "e2-modularity", id="e2-modularity"),
     pytest.param("counting_e3", lambda u: _with_op(u, visibility=ir.Visibility.PROTECTED),
         "e3-public", id="e3-public-operation"),
+    pytest.param("globals", lambda u: _with_attr(u, const=3),
+        "const-type", id="const-type"),
 ]
 
 
@@ -266,6 +268,40 @@ class TestLevelDiscipline:
     def test_e3_everything_public(self, e3_units):
         bad = _with_attr(e3_units["Set"], visibility=ir.Visibility.PROTECTED)
         assert _rules(bad) == {"e3-public"}
+
+    def test_a_const_literal_fits_its_declared_type(self):
+        """An integer for int, a list of symbols for a collection type
+        and a symbol for any other type: each misfit is one diagnostic on
+        its attribute, and the fits pass."""
+        private = ir.Visibility.PRIVATE
+        consts = (
+            ir.Attribute("k", "int", private, 3),
+            ir.Attribute("words", "intList", private, ("ONE", "TWO")),
+            ir.Attribute("s", "Sound", private, "ONE"),
+            ir.Attribute("g", "Gizmo", private, "G1"),
+            ir.Attribute("k2", "int", private, ("ONE", "TWO")),
+            ir.Attribute("s2", "Sound", private, 3),
+            ir.Attribute("set2", "APP_Set", private, "APPLE1"),
+            ir.Attribute("b2", "Boolean", private, ("YES",)),
+            ir.Attribute("g2", "Gizmo", private, ("G1",)),
+        )
+        unit = _unit(attributes=_unit().attributes + consts)
+        assert [(d.rule, d.member, d.message) for d in ir.validate(unit)] == [
+            ("const-type", "k2", "a const int takes an integer"),
+            ("const-type", "s2", "a const Sound takes a symbol"),
+            ("const-type", "set2", "a const APP_Set takes a list of symbols"),
+            ("const-type", "b2", "a const Boolean takes a symbol"),
+            ("const-type", "g2", "a const Gizmo takes a symbol"),
+        ]
+
+    @pytest.mark.parametrize("decl", ["const int k = [ONE, TWO];", "const Sound s = 3;"])
+    def test_a_misfit_const_does_not_parse(self, decl):
+        src = (
+            "@level(E3)\n@domain(numbers)\nclass T {\n    public:\n"
+            f"        {decl}\n        int Go() {{\n            return 0;\n        }}\n}}\n"
+        )
+        with pytest.raises(dsl.ParseFailure, match=r"\[const-type\] T\.[ks]: a const"):
+            dsl.parse(src)
 
 
 class TestValidateSet:
