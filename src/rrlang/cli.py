@@ -271,7 +271,9 @@ def main(argv: list[str] | None = None) -> int:
         # Nobody reads stdout any more. Point it at devnull so the flush
         # at exit cannot fail again (the "Note on SIGPIPE" in the Python
         # signal docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_IO
     except kbmod.IoFailure as exc:
         print(exc, file=sys.stderr)

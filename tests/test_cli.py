@@ -346,3 +346,20 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (3, b"")
+
+    @pytest.mark.parametrize("buffering", [1, -1], ids=["line-buffered", "block-buffered"])
+    def test_in_process_stdout_is_pointed_at_devnull(self, capsys, monkeypatch, buffering):
+        """The same in this process, with sys.stdout on a pipe whose read
+        end is closed: main returns the I/O exit code, writes nothing to
+        stderr, and leaves the descriptor writing to devnull, so a later
+        flush of the same stream succeeds."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w", buffering=buffering) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = cli.main(["verbalize", "Counting"])
+            monkeypatch.undo()
+            stdout.write("read by nobody\n")
+            stdout.flush()
+        assert code == 3
+        assert capsys.readouterr().err == ""
