@@ -612,6 +612,7 @@ def loop_count(unit: ConceptUnit) -> int:
     return sum(1 for s in iter_statements(unit) if isinstance(s, WhileStmt))
 
 
+_NAME = attrgetter("name")
 # The literal a const of each type takes: an integer for int, a list of
 # symbols for a collection type, and a symbol for any other type.
 _LITERAL_FORMS = {"int": int, **dict.fromkeys([*SET_TYPES, *LIST_TYPES], tuple)}
@@ -648,16 +649,15 @@ def validate(unit: ConceptUnit) -> list[Diagnostic]:
         bad("const-type", f"a const {attr.type_ref} takes {_FORM_NAMES[form]}", name)
     # Whether each operation is a level I script: none of the walk's
     # rules below can fire on a body of setup facts and actions only.
-    scripts = [
-        unit.level is Level.I and _SCRIPT_STATEMENTS.issuperset(map(type, op.body))
-        for op in unit.operations
-    ]
-    for op, script in zip(unit.operations, scripts):
+    level_i = unit.level is Level.I
+    scripts = []
+    for op in unit.operations:
+        script = level_i and _SCRIPT_STATEMENTS.issuperset(map(type, op.body))
+        scripts.append(script)
         if op.name in seen:
             bad("duplicate-member", "operation name reuses a member name", op.name)
         seen.add(op.name)
-        params = [p.name for p in op.params]
-        if len(params) != len(set(params)):
+        if len(set(map(_NAME, op.params))) != len(op.params):
             bad("duplicate-param", "parameter names must be distinct", op.name)
         for stmt in () if script else walk(op.body):
             kind = stmt.__class__
