@@ -59,6 +59,7 @@ generator's `getrandbits`.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from . import ir
@@ -782,6 +783,7 @@ _PRIMITIVES = _VerbTable(
 _BODY_ATTR = "_compiled_body"
 _KEPT_ATTR = "_compiled"
 _READER_ATTR = "_shared"  # a NameExpr's slot for its Globals reader
+_kept = attrgetter(_KEPT_ATTR)
 
 
 def _compiled(op: ir.Operation):
@@ -800,8 +802,12 @@ def compiled_body(op: ir.Operation):
 
 
 def _compile_body(body: Sequence[Stmt]) -> tuple:
-    # A setup fact or an action met before brings its kept closure.
-    return tuple([getattr(s, _KEPT_ATTR, None) or _compile_stmt(s) for s in body])
+    # A setup fact or an action met before brings its kept closure, so a
+    # body of only those, as a new recording's mostly is, takes one pass.
+    try:
+        return tuple(map(_kept, body))
+    except AttributeError:
+        return tuple([getattr(s, _KEPT_ATTR, None) or _compile_stmt(s) for s in body])
 
 
 def _run(stmts: tuple, m: _Machine, f: _Frame):
