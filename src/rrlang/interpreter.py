@@ -40,11 +40,10 @@ the loop tests `x != NULL` and `!x.Empty()`. A call without arguments
 to an operation without parameters runs its body without going through
 `invoke`. Results of +, - and `n++` in -1..64 are IntVals shared from
 one table built at import, as the two Boolean values are. The compiled
-body is kept on
-the Operation object itself, the closure of a setup fact or an action
-on its statement node, and a name's Globals reader, with its access
-decision, on the NameExpr node, so all live and die with the program
-they run: no global cache holds knowledge bases alive.
+body is kept on the Operation object itself, the closure of a setup
+fact or an action on its statement node, and a name's Globals reader,
+with its access decision, on the NameExpr node, so all live and die
+with the program they run: no global cache holds knowledge bases alive.
 Recordings in one knowledge base share their statement and name nodes
 (see kb.py), so a recording's first replay mostly reuses closures that
 earlier recordings compiled.
@@ -350,8 +349,12 @@ class _Machine:
             self.frames[unit.name] = frame
             used: set[str] = set()
             for attr in unit.attributes:
-                # a const's kept value, unless unset or a symbol list's tokens
-                value = getattr(attr, _VALUE_ATTR, None) if attr.const is not None else None
+                # a const's kept value (slot _VALUE_ATTR, read directly),
+                # unless unset or a symbol list's tokens
+                try:
+                    value = attr._value if attr.const is not None else None
+                except AttributeError:
+                    value = None
                 if value is None or value.__class__ is tuple:
                     value = self._bind_attribute(unit, attr, used)
                 frame[attr.name] = value
