@@ -58,7 +58,6 @@ generator's `getrandbits`.
 from __future__ import annotations
 
 import random
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 from . import ir
@@ -349,12 +348,8 @@ class _Machine:
             self.frames[unit.name] = frame
             used: set[str] = set()
             for attr in unit.attributes:
-                # a const's kept value (slot _VALUE_ATTR, read directly),
-                # unless unset or a symbol list's tokens
-                try:
-                    value = attr._value if attr.const is not None else None
-                except AttributeError:
-                    value = None
+                # a const's kept value, unless unset or a symbol list's tokens
+                value = getattr(attr, _VALUE_ATTR, None) if attr.const is not None else None
                 if value is None or value.__class__ is tuple:
                     value = self._bind_attribute(unit, attr, used)
                 frame[attr.name] = value
@@ -786,7 +781,6 @@ _PRIMITIVES = _VerbTable(
 _BODY_ATTR = "_compiled_body"
 _KEPT_ATTR = "_compiled"
 _READER_ATTR = "_shared"  # a NameExpr's slot for its Globals reader
-_kept = attrgetter(_KEPT_ATTR)
 
 
 def _compiled(op: ir.Operation):
@@ -805,12 +799,8 @@ def compiled_body(op: ir.Operation):
 
 
 def _compile_body(body: Sequence[Stmt]) -> tuple:
-    # A setup fact or an action met before brings its kept closure, so a
-    # body of only those, as a new recording's mostly is, takes one pass.
-    try:
-        return tuple(map(_kept, body))
-    except AttributeError:
-        return tuple([getattr(s, _KEPT_ATTR, None) or _compile_stmt(s) for s in body])
+    # A setup fact or an action met before brings its kept closure.
+    return tuple([getattr(s, _KEPT_ATTR, None) or _compile_stmt(s) for s in body])
 
 
 def _run(stmts: tuple, m: _Machine, f: _Frame):

@@ -613,9 +613,14 @@ def loop_count(unit: ConceptUnit) -> int:
 
 
 _NAME = attrgetter("name")
-# The literal a const of each type takes: an integer for int, a list of
-# symbols for a collection type, and a symbol for any other type.
-_LITERAL_FORMS = {"int": int, **dict.fromkeys([*SET_TYPES, *LIST_TYPES], tuple)}
+# The literal a const of a known type takes: an integer for int, a list
+# of symbols for a collection type, and a symbol for Boolean and the
+# token, agent and element types. A type name not listed is not checked.
+_LITERAL_FORMS = {
+    "int": int,
+    **dict.fromkeys([*SET_TYPES, *LIST_TYPES], tuple),
+    **dict.fromkeys(["Boolean", *TOKEN_TYPES, *AGENT_TYPES, *ELEMENT_TYPES], str),
+}
 _FORM_NAMES = {int: "an integer", tuple: "a list of symbols", str: "a symbol"}
 
 
@@ -637,16 +642,10 @@ def validate(unit: ConceptUnit) -> list[Diagnostic]:
         if name in seen:
             bad("duplicate-member", "attribute name reused", name)
         seen.add(name)
-        # A symbol, the common literal, fits every type _LITERAL_FORMS
-        # leaves out, so it is tested without a call.
-        lit = attr.const
-        if lit is None or (
-            attr.type_ref not in _LITERAL_FORMS if lit.__class__ is str
-            else isinstance(lit, _LITERAL_FORMS.get(attr.type_ref, str))
-        ):
-            continue
-        form = _LITERAL_FORMS.get(attr.type_ref, str)
-        bad("const-type", f"a const {attr.type_ref} takes {_FORM_NAMES[form]}", name)
+        if attr.const is not None:
+            form = _LITERAL_FORMS.get(attr.type_ref)
+            if form is not None and not isinstance(attr.const, form):
+                bad("const-type", f"a const {attr.type_ref} takes {_FORM_NAMES[form]}", name)
     # Whether each operation is a level I script: none of the walk's
     # rules below can fire on a body of setup facts and actions only.
     level_i = unit.level is Level.I

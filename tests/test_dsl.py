@@ -51,18 +51,13 @@ class TestFixtures:
 # "line<TAB>column<TAB>expected<TAB>found" for each diagnostic of an
 # input that fails, "ok<TAB><unit count>" for one that parses. Frozen
 # from the character-loop lexer the single-pattern scanner replaced, then
-# recomputed three times: when level-discipline errors left 1:1 for the member
+# recomputed twice: when level-discipline errors left 1:1 for the member
 # they name (only the two inputs that break a discipline moved), and
 # when `return` stopped parsing as a type name among a unit's members
 # (only counting_e2.rr with a '}' at offset 1023 moved: its stray
 # `return GetResult();` now parses as a bare statement, so the error is
-# the `void` after the class at 39:9, not a missing '{' at 37:31), and
-# when validate began to check a const's literal against its declared
-# type (only counting_apples_e1.rr with a '\r' for the 'i' of intList
-# at offset 77 moved: `const ntList numlist = [ONE, ...];` declares an
-# unknown type, which takes a symbol, so it fails at 5:23 instead of
-# parsing).
-ERROR_POSITIONS_SHA256 = "ed92d8da37104b9d739b90af642ddcf45ab70b0ed13b86438750774247e4aec8"
+# the `void` after the class at 39:9, not a missing '{' at 37:31).
+ERROR_POSITIONS_SHA256 = "d37cf2bed84ae3dd2daaff32d22e9f0e69661eaadbfb9fd31893ba0efb3bdc50"
 
 SUBSTITUTES = " ;{}()=+@/*#\t\r\n"
 SUBSTITUTION_STRIDE = 11

@@ -271,19 +271,21 @@ class TestLevelDiscipline:
 
     def test_a_const_literal_fits_its_declared_type(self):
         """An integer for int, a list of symbols for a collection type
-        and a symbol for any other type: each misfit is one diagnostic on
-        its attribute, and the fits pass."""
+        and a symbol for Boolean and the token, agent and element types:
+        each misfit is one diagnostic on its attribute, the fits pass, and
+        a type name validate does not know is not checked."""
         private = ir.Visibility.PRIVATE
         consts = (
             ir.Attribute("k", "int", private, 3),
             ir.Attribute("words", "intList", private, ("ONE", "TWO")),
             ir.Attribute("s", "Sound", private, "ONE"),
-            ir.Attribute("g", "Gizmo", private, "G1"),
+            ir.Attribute("g", "Gizmo", private, ("G1",)),
             ir.Attribute("k2", "int", private, ("ONE", "TWO")),
             ir.Attribute("s2", "Sound", private, 3),
             ir.Attribute("set2", "APP_Set", private, "APPLE1"),
             ir.Attribute("b2", "Boolean", private, ("YES",)),
-            ir.Attribute("g2", "Gizmo", private, ("G1",)),
+            ir.Attribute("p2", "Person", private, 3),
+            ir.Attribute("e2", "APPLE", private, ("APPLE1",)),
         )
         unit = _unit(attributes=_unit().attributes + consts)
         assert [(d.rule, d.member, d.message) for d in ir.validate(unit)] == [
@@ -291,7 +293,8 @@ class TestLevelDiscipline:
             ("const-type", "s2", "a const Sound takes a symbol"),
             ("const-type", "set2", "a const APP_Set takes a list of symbols"),
             ("const-type", "b2", "a const Boolean takes a symbol"),
-            ("const-type", "g2", "a const Gizmo takes a symbol"),
+            ("const-type", "p2", "a const Person takes a symbol"),
+            ("const-type", "e2", "a const APPLE takes a symbol"),
         ]
 
     @pytest.mark.parametrize("decl", ["const int k = [ONE, TWO];", "const Sound s = 3;"])
