@@ -36,14 +36,13 @@ first call (see "Closures" below). Node kinds and verb definitions
 are settled at compile time; a name is resolved when it runs, first
 among the locals, then the unit's own attributes, then Globals, and
 every operand site reads a name in place, in its own closure, as do
-the loop tests `x != NULL` and `!x.Empty()`. A call without arguments
-to an operation without parameters runs its body without going through
-`invoke`. Results of +, - and `n++` in -1..64 are IntVals shared from
-one table built at import, as the two Boolean values are. The compiled
-body is kept on the Operation object itself, the closure of a setup
-fact or an action on its statement node, and a name's Globals reader,
-with its access decision, on the NameExpr node, so all live and die
-with the program they run: no global cache holds knowledge bases alive.
+the loop tests `x != NULL` and `!x.Empty()`. Results of +, - and `n++`
+in -1..64 are IntVals shared from one table built at import, as the
+two Boolean values are. The compiled body is kept on the Operation
+object itself, the closure of a setup fact or an action on its
+statement node, and a name's Globals reader, with its access decision,
+on the NameExpr node, so all live and die with the program they run:
+no global cache holds knowledge bases alive.
 Recordings in one knowledge base share their statement and name nodes
 (see kb.py), so a recording's first replay mostly reuses closures that
 earlier recordings compiled.
@@ -770,13 +769,10 @@ _PRIMITIVES = _VerbTable(
 # and `x = r.Verb()` stores it from the verb's own closure. `n++` on an
 # int local or own writable int attribute reads, adds and writes in one
 # closure (see _compile_assign), and +, - and `n++` take a result in
-# -1..64 from the shared table _INTS. A call without arguments to an
-# operation without parameters binds the frame, checks the call depth
-# and runs the body from the call's own closure (see _compile_call);
-# every other call goes through _Machine.invoke. No closure depends on
-# the body it sits in, so a setup fact or an action keeps its closure on
-# its own node, a name its Globals reader, and every body sharing that
-# node reuses it, compiling only its other statements.
+# -1..64 from the shared table _INTS. No closure depends on the body it
+# sits in, so a setup fact or an action keeps its closure on its own
+# node, a name its Globals reader, and every body sharing that node
+# reuses it, compiling only its other statements.
 
 _BODY_ATTR = "_compiled_body"
 _KEPT_ATTR = "_compiled"
@@ -1213,14 +1209,9 @@ def _compile_primitive(verb: str, recv_expr: Expr, arg_exprs, done):
 def _compile_call(recv_name: str | None, op_name: str, arg_exprs, done):
     """An operation call by a statement (done is None) or an expression;
     a receiver name that is bound as a local or attribute, or names no
-    unit, is reported before any argument is evaluated. A call without
-    arguments to an operation without parameters skips invoke: it binds
-    the frame, checks the call depth and runs the body in invoke's order,
-    the body compiled when the site first resolved the operation."""
+    unit, is reported before any argument is evaluated."""
     args = tuple(_compile_expr(a) for a in arg_exprs)
-    # (caller, target, operation, its body when it runs directly) last
-    # resolved here
-    site = [(None, None, None, None)]
+    site = [(None, None, None)]  # (caller, target, operation) last resolved here
 
     def call(m, f):
         caller = f.unit
@@ -1232,28 +1223,15 @@ def _compile_call(recv_name: str | None, op_name: str, arg_exprs, done):
                 if done is None:
                     raise UnboundName(f"unknown unit {recv_name!r}")
                 raise UnboundName(f"operation {op_name!r} needs a unit receiver")
-        values = [a(m, f) for a in args] if args else ()
+        values = [a(m, f) for a in args]
         k = site[0]
-        if k[0] is not caller or k[1] is not target:
+        if k[0] is caller and k[1] is target:
+            op = k[2]
+        else:
             op = m.resolve_call(caller, target, op_name)
-            k = site[0] = (caller, target, op, None if args or op.params else _compiled(op))
-        stmts = k[3]
-        if stmts is None:
-            value = m.invoke(target, k[2], values)
-            return value if done is NOTHING else None
-        attrs = m.frames.get(target.name)
-        if attrs is None:
-            attrs = m.unit_frame(target)
-        depth = m.call_depth + 1
-        if depth > _CALL_DEPTH_LIMIT:
-            raise StepLimitExceeded("operation call depth exceeded")
-        m.call_depth = depth
-        try:
-            value = _run(stmts, m, _Frame(target, {}, attrs))
-        finally:
-            m.call_depth = depth - 1
-        if done is NOTHING:
-            return NOTHING if value is None else value
+            site[0] = (caller, target, op)
+        value = m.invoke(target, op, values)
+        return value if done is NOTHING else None
 
     return call
 
