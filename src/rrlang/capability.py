@@ -131,7 +131,7 @@ def verbalize(unit: ir.ConceptUnit) -> str:
     scalar_names = [
         _humanize(a.name)
         for a in unit.attributes
-        if not a.is_const and a.type_ref in ir.SCALAR_TYPES
+        if not a.is_const and ir.type_kind(a.type_ref) in ("int", "Boolean")
     ]
     for attr in unit.attributes:
         spoken = _humanize(attr.name)
@@ -152,9 +152,9 @@ def verbalize(unit: ir.ConceptUnit) -> str:
             lines.append(f"It names a fixed {_humanize(attr.type_ref)} {attr.name}.")
         elif ir.is_collection_type(attr.type_ref):
             lines.append(f"It keeps an ordered collection called {attr.name}.")
-        elif attr.type_ref in ir.AGENT_TYPES:
+        elif ir.type_kind(attr.type_ref) == "agent":
             lines.append(f"It acts through a {_humanize(attr.type_ref)} called {attr.name}.")
-        elif attr.type_ref in ir.SCALAR_TYPES:
+        elif ir.type_kind(attr.type_ref) in ("int", "Boolean"):
             lines.append(f"It tracks a number called the {spoken}.")
         else:
             lines.append(f"It holds a {_humanize(attr.type_ref)} called {attr.name}.")

@@ -9,17 +9,19 @@ since no verb writes them, and copies only its containers, which
 TakeAway writes. The fresh world passes the same entity and arrangement
 maps on.
 
-Binding rules, applied when a unit's attribute frame materializes:
+Binding rules, applied when a unit's attribute frame materializes, by
+the kind its type has in ir.TYPES:
 
-* a const attribute takes its bound literal. The value is built on its
-  first binding and kept on the Attribute node, so later runs, and
-  recordings sharing the node, reuse it: a scalar binds as that one
-  frozen object, and a symbol list binds as a fresh sequence (own
-  items, fresh cursor) over the kept tokens;
+* a const attribute takes its bound literal, a symbol as an entity when
+  ir.names_entity says so. The value is built on its first binding and
+  kept on the Attribute node, so later runs, and recordings sharing the
+  node, reuse it: a scalar binds as that one frozen object, and a
+  symbol list binds as a fresh sequence (own items, fresh cursor) over
+  the kept tokens;
 * a set-typed variable snapshots the world's first container, and the
   container's entities must all match the declared element kind;
 * a list-typed variable starts empty;
-* an agent-typed variable binds the world's first Person entity;
+* an agent-typed variable binds the world's first entity of its kind;
 * a unit-typed variable binds the container matching its own name, or
   the next unused container in insertion order. Unit values built from
   the same container are shared within one execution, so two units
@@ -111,6 +113,10 @@ class World:
 
 
 def validate_world(world: World) -> list[str]:
+    """What is wrong with a world built by hand: containers holding
+    unknown entities, arrangements of unknown groups or of unknown
+    shapes. Public API with no caller in src/: nothing here builds a
+    world it has to check, and callers outside the package may."""
     problems = []
     for cname, members in world.containers.items():
         for eid in members:
@@ -210,6 +216,15 @@ def _int(n: int) -> IntVal:
 # holds for every entity. Collections and unit values compare by
 # identity, and Nothing is a singleton.
 Value = IntVal | BoolVal | TokenVal | EntityVal | SeqVal | UnitVal | Nothing
+
+
+# A type name's entry in ir.TYPES when it names a class or an entity kind.
+_NO_TYPE = (None, None, None)
+# The one value class an argument of each built-in kind must be.
+_VALUE_CLASSES = {
+    "int": IntVal, "Boolean": BoolVal, "token": TokenVal, "agent": EntityVal,
+    "element": EntityVal, "set": SeqVal, "list": SeqVal,
+}
 
 
 def _default_value(type_ref: str) -> Value:
@@ -365,10 +380,10 @@ class _Machine:
                 value = IntVal(lit)
             elif isinstance(lit, tuple):
                 value = tuple([TokenVal(sym) for sym in lit])
-            elif attr.type_ref in ir.TOKEN_TYPES or attr.type_ref in ir.SCALAR_TYPES:
-                value = TokenVal(lit)
-            else:
+            elif ir.names_entity(attr):
                 value = EntityVal(lit)
+            else:
+                value = TokenVal(lit)
             object.__setattr__(attr, _VALUE_ATTR, value)
         if value.__class__ is tuple:
             return SeqVal(list(value))
@@ -378,29 +393,29 @@ class _Machine:
         if attr.const is not None:
             return self._literal_value(attr)
         t = attr.type_ref
-        if t in ir.SET_TYPES:
+        kind, elem, _ = ir.TYPES.get(t, _NO_TYPE)
+        if kind == "set":
             if not self.containers:
                 raise BindingMismatch(f"{unit.name}.{attr.name}: no container to bind")
             cname = next(iter(self.containers))
             members = self.containers[cname]
-            elem = ir.SET_TYPES[t]
             if elem is not None:
                 for eid in members:
-                    kind = self.entities.get(eid, ("?", None))[0]
-                    if kind != elem:
+                    ekind = self.entities.get(eid, ("?", None))[0]
+                    if ekind != elem:
                         raise BindingMismatch(
                             f"{unit.name}.{attr.name}: container {cname!r} holds "
-                            f"{kind} entities, not {elem}"
+                            f"{ekind} entities, not {elem}"
                         )
             return SeqVal([EntityVal(eid) for eid in members])
-        if t in ir.LIST_TYPES:
+        if kind == "list":
             return SeqVal([])
-        if t in ir.AGENT_TYPES:
-            for eid, (kind, _) in self.entities.items():
-                if kind == "Person":
+        if kind == "agent":
+            for eid, (ekind, _) in self.entities.items():
+                if ekind == elem:
                     return EntityVal(eid)
-            raise BindingMismatch(f"{unit.name}.{attr.name}: world has no Person")
-        if t in ir.SCALAR_TYPES or t in ir.TOKEN_TYPES:
+            raise BindingMismatch(f"{unit.name}.{attr.name}: world has no {elem}")
+        if kind in ("int", "Boolean", "token"):
             return _default_value(t)
         if t in self.units:
             cls = self.units[t]
@@ -554,40 +569,26 @@ class _Machine:
     def _check_param(self, target: ConceptUnit, op_name: str, param: ir.Param, value: Value) -> None:
         t = param.type_ref
         got = None  # what a refused argument is; the message is built only then
-        if t == "int":
-            if not isinstance(value, IntVal):
+        kind, elem, _ = ir.TYPES.get(t, _NO_TYPE)
+        if kind is not None:
+            if not isinstance(value, _VALUE_CLASSES[kind]):
                 got = type(value).__name__
-        elif t == "Boolean":
-            if not isinstance(value, BoolVal):
-                got = type(value).__name__
-        elif t in ir.TOKEN_TYPES:
-            if not isinstance(value, TokenVal):
-                got = type(value).__name__
-        elif t in ir.AGENT_TYPES or t in ir.ELEMENT_TYPES:
-            if not isinstance(value, EntityVal):
-                got = type(value).__name__
-            else:
-                kind = self.entities.get(value.entity, ("?", None))[0]
-                want = "Person" if t in ir.AGENT_TYPES else ir.ELEMENT_TYPES[t]
-                if want is not None and kind != want:
-                    got = f"a {kind} entity"
-        elif t in ir.SET_TYPES or t in ir.LIST_TYPES:
-            if not isinstance(value, SeqVal):
-                got = type(value).__name__
-            else:
-                elem = ir.collection_element(t)
-                if elem == ir.TOKEN_ELEM:
-                    if any(not isinstance(item, TokenVal) for item in value.items):
-                        got = "a collection of non-tokens"
-                elif elem is not None:
-                    for item in value.items:
-                        if not isinstance(item, EntityVal):
-                            got = "a collection of non-entities"
-                            break
-                        kind = self.entities.get(item.entity, ("?", None))[0]
-                        if kind != elem:
-                            got = f"a collection holding {kind} entities"
-                            break
+            elif kind == "agent" or kind == "element":
+                ekind = self.entities.get(value.entity, ("?", None))[0]
+                if elem is not None and ekind != elem:
+                    got = f"a {ekind} entity"
+            elif elem == ir.TOKEN_ELEM:
+                if any(not isinstance(item, TokenVal) for item in value.items):
+                    got = "a collection of non-tokens"
+            elif elem is not None:  # a set or list of one entity kind
+                for item in value.items:
+                    if not isinstance(item, EntityVal):
+                        got = "a collection of non-entities"
+                        break
+                    ekind = self.entities.get(item.entity, ("?", None))[0]
+                    if ekind != elem:
+                        got = f"a collection holding {ekind} entities"
+                        break
         elif t in self.units:
             if not isinstance(value, UnitVal) or value.cls != t:
                 got = type(value).__name__

@@ -272,25 +272,27 @@ TypeRef = str
 
 TOKEN_ELEM = "@token"
 
-# Set types bind from the world at execution entry; list types start empty.
-SET_TYPES: dict[str, str | None] = {"APP_Set": "Apple", "objectSet": None}
-LIST_TYPES: dict[str, str | None] = {
-    "APP_List": "Apple",
-    "objectList": None,
-    "intList": TOKEN_ELEM,
+# What each built-in type name means: (kind, element, widened). The kind
+# is int, Boolean, token, agent, element, set or list; a name not listed
+# is a class or an entity kind. The element is the entity kind an agent,
+# element or collection type holds (None for any kind, TOKEN_ELEM for
+# tokens); the widened name is the type it takes outside its home field.
+TYPES: dict[str, tuple[str, str | None, TypeRef]] = {
+    "int": ("int", None, "int"),
+    "Boolean": ("Boolean", None, "Boolean"),
+    "Sound": ("token", None, "Sound"),
+    "Person": ("agent", "Person", "Person"),
+    "APPLE": ("element", "Apple", "OBJECT"),
+    "OBJECT": ("element", None, "OBJECT"),
+    "APP_Set": ("set", "Apple", "objectSet"),
+    "objectSet": ("set", None, "objectSet"),
+    "APP_List": ("list", "Apple", "objectList"),
+    "objectList": ("list", None, "objectList"),
+    "intList": ("list", TOKEN_ELEM, "intList"),
 }
-# Element-type aliases used in declarations; None means any entity kind.
-ELEMENT_TYPES: dict[str, str | None] = {"APPLE": "Apple", "OBJECT": None}
-TOKEN_TYPES = frozenset({"Sound"})
-AGENT_TYPES = frozenset({"Person"})
-SCALAR_TYPES = frozenset({"int", "Boolean"})
-
-# Flat widening registry applied when a representation leaves its home field.
-WIDENINGS: dict[str, str] = {
-    "APP_Set": "objectSet",
-    "APP_List": "objectList",
-    "APPLE": "OBJECT",
-}
+_KINDS = {name: kind for name, (kind, _, _) in TYPES.items()}
+# The built-in types whose const literal is a value, not an entity's id.
+_NOT_ENTITY = frozenset(n for n, kind in _KINDS.items() if kind not in ("agent", "element"))
 
 SETUP_PREDICATES = frozenset({"In", "On", "InLine"})
 ACTION_VERBS = frozenset({"Move", "PointTo", "Say", "TakeAway"})
@@ -310,21 +312,30 @@ NUMERALS: tuple[str, ...] = (
 )
 
 
+def type_kind(type_ref: TypeRef) -> str | None:
+    """A built-in type's kind; None for a class or an entity kind."""
+    return _KINDS.get(type_ref)
+
+
 def is_collection_type(type_ref: TypeRef) -> bool:
-    return type_ref in SET_TYPES or type_ref in LIST_TYPES
+    return _KINDS.get(type_ref) in ("set", "list")
 
 
 def collection_element(type_ref: TypeRef) -> str | None:
     """Declared element kind of a collection type, None for unconstrained."""
-    if type_ref in SET_TYPES:
-        return SET_TYPES[type_ref]
-    if type_ref in LIST_TYPES:
-        return LIST_TYPES[type_ref]
-    raise KeyError(type_ref)
+    if not is_collection_type(type_ref):
+        raise KeyError(type_ref)
+    return TYPES[type_ref][1]
 
 
 def widen_type(type_ref: TypeRef) -> TypeRef:
-    return WIDENINGS.get(type_ref, type_ref)
+    return TYPES[type_ref][2] if type_ref in TYPES else type_ref
+
+
+def names_entity(attr: Attribute) -> bool:
+    """Whether a const attribute's literal is the id of a scene entity: a
+    symbol of an agent or element type, a class or an entity kind."""
+    return attr.const.__class__ is str and attr.type_ref not in _NOT_ENTITY
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +624,12 @@ def loop_count(unit: ConceptUnit) -> int:
 
 
 _NAME = attrgetter("name")
-# The literal a const of a known type takes: an integer for int, a list
-# of symbols for a collection type, and a symbol for Boolean and the
-# token, agent and element types. A type name not listed is not checked.
+# The literal a const of a built-in type takes: an integer for int, a
+# list of symbols for a collection type, and a symbol for Boolean and the
+# token, agent and element types. A class or an entity kind is not checked.
 _LITERAL_FORMS = {
-    "int": int,
-    **dict.fromkeys([*SET_TYPES, *LIST_TYPES], tuple),
-    **dict.fromkeys(["Boolean", *TOKEN_TYPES, *AGENT_TYPES, *ELEMENT_TYPES], str),
+    name: int if kind == "int" else tuple if kind in ("set", "list") else str
+    for name, kind in _KINDS.items()
 }
 _FORM_NAMES = {int: "an integer", tuple: "a list of symbols", str: "a symbol"}
 

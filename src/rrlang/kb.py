@@ -207,15 +207,19 @@ class KnowledgeBase:
                 tables.append(eid)
             elif kind == "Hand" and hand is None:
                 hand = eid
-            elif kind in ir.AGENT_TYPES and agent is None:
+            elif kind == "Person" and agent is None:
                 agent = eid
         if agent is None or hand is None:
             raise KbError("the scene lacks an agent to attribute the actions to")
 
-        group = world.entities[next(iter(pointed))][1] if pointed else None
+        # the line is the container holding the first pointed entity, as replay finds it
+        first = next(iter(pointed), None)
         line = None
-        if group is not None and world.arrangements.get(group) == "Line":
-            line = tuple(world.containers[group])
+        if first is not None and world.arrangements.get(world.entities[first][1]) == "Line":
+            for members in world.containers.values():
+                if first in members:
+                    line = tuple(members)
+                    break
         # every entity an action or the InLine fact names, each once
         objects = {**pointed, **taken, **dict.fromkeys(line or ())}
 

@@ -123,6 +123,11 @@ def base_name(unit_name: str, domain: str) -> str:
 # ---------------------------------------------------------------------------
 # Pass one: several episodes into one looped class
 
+# The built-in type of each kind over one entity kind (ir.TYPES read
+# backwards); a kind with no such type takes its unconstrained one.
+_TYPE_OVER = {(kind, elem): name for name, (kind, elem, _) in ir.TYPES.items()}
+
+
 def antiunify_instances(
     instances: Sequence[ConceptUnit],
 ) -> tuple[ConceptUnit, PhaseReport]:
@@ -152,8 +157,8 @@ def antiunify_instances(
 
     roles = _template_roles(instances, scripts, period)
 
-    set_type = _set_type_for(roles.item_kind)
-    elem_type = _elem_type_for(roles.item_kind)
+    set_type = _TYPE_OVER.get(("set", roles.item_kind), "objectSet")
+    elem_type = _TYPE_OVER.get(("element", roles.item_kind), "OBJECT")
     set_name = _set_attr_name(set_type)
 
     attributes = [Attribute("numlist", "intList", Visibility.PRIVATE, ir.NUMERALS)]
@@ -311,7 +316,7 @@ def _template_roles(
         if len(names) != 1:
             raise NoCommonSkeleton("actions switch between performers")
         name = names.pop()
-        if first.attribute(name).type_ref not in ir.AGENT_TYPES:
+        if ir.type_kind(first.attribute(name).type_ref) != "agent":
             raise NoCommonSkeleton("actions are not performed by an agent")
         if agent is None:
             agent = name
@@ -334,7 +339,7 @@ def _template_roles(
             if len(names) == 1 and all(len(set(col)) == 1 for col in cols):
                 arg_roles.append(("const", names.pop(), kind))
                 continue
-            if kind in ir.TOKEN_TYPES:
+            if ir.type_kind(kind) == "token":
                 for col in cols:
                     if tuple(col) != ir.NUMERALS[: len(col)]:
                         raise NoCommonSkeleton(
@@ -375,20 +380,6 @@ def _template_roles(
         dropped_consts=tuple(dropped_consts),
         dropped_setup=tuple(dropped_setup),
     )
-
-
-def _set_type_for(item_kind: str) -> str:
-    for type_ref, elem in ir.SET_TYPES.items():
-        if elem == item_kind:
-            return type_ref
-    return "objectSet"
-
-
-def _elem_type_for(item_kind: str) -> str:
-    for type_ref, elem in ir.ELEMENT_TYPES.items():
-        if elem == item_kind:
-            return type_ref
-    return "OBJECT"
 
 
 def _set_attr_name(set_type: str) -> str:
@@ -481,9 +472,9 @@ def _counting_roles(unit: ConceptUnit) -> tuple[Attribute, str | None]:
             and ir.collection_element(attr.type_ref) == ir.TOKEN_ELEM
         ):
             numlist = numlist or attr
-        elif not attr.is_const and attr.type_ref in ir.AGENT_TYPES:
+        elif not attr.is_const and ir.type_kind(attr.type_ref) == "agent":
             agent = agent or attr
-        elif not attr.is_const and attr.type_ref in ir.SET_TYPES:
+        elif not attr.is_const and ir.type_kind(attr.type_ref) == "set":
             collection = collection or attr
         elif not attr.is_const and attr.type_ref == "int":
             result = result or attr
@@ -505,7 +496,7 @@ def _counting_roles(unit: ConceptUnit) -> tuple[Attribute, str | None]:
         raise RedescriptionError(
             f"{unit.name} is not a counting class (no loop says successive numerals)"
         )
-    return numlist, ir.SET_TYPES.get(collection.type_ref)
+    return numlist, ir.collection_element(collection.type_ref)
 
 
 def _says_successive_numerals(unit: ConceptUnit, numlist_name: str) -> bool:

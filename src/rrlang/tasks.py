@@ -344,14 +344,7 @@ def _replay_candidate(
     for unit in kb:
         if unit.kind is not ir.UnitKind.INSTANCE:
             continue
-        needed = [
-            attr.const
-            for attr in unit.attributes
-            if isinstance(attr.const, str)
-            and attr.type_ref not in ir.TOKEN_TYPES
-            and attr.type_ref not in ir.SCALAR_TYPES
-            and not ir.is_collection_type(attr.type_ref)
-        ]
+        needed = [attr.const for attr in unit.attributes if ir.names_entity(attr)]
         if all(eid in world.entities for eid in needed):
             return unit
     return None
@@ -416,7 +409,7 @@ def _fetch_args(
 ) -> list[itp.Value]:
     op = cls.operation("FetchObjects")
     p0 = op.params[0].type_ref if len(op.params) == 2 else None
-    if p0 in ir.SET_TYPES:
+    if ir.type_kind(p0) == "set":
         members = world.containers[container]
         return [SeqVal([EntityVal(e) for e in members]), IntVal(k)]
     if p0 == "Set" and _unit_named(kb, "Set") is not None:
@@ -502,7 +495,6 @@ def _run_heap_compare(task: Task, kb: Sequence[ir.ConceptUnit]):
         and _unit_named(kb, "Set") is not None
         and [p.type_ref for p in mapper.operation("OneToOneMap").params] == ["Set", "Set"]
     ):
-        _callable(task, mapper, "OneToOneMap")
         set_a = itp.build_unit_value(kb, "Set", task.world, "heap_a")
         set_b = itp.build_unit_value(kb, "Set", task.world, "heap_b")
         trace = _attempt(

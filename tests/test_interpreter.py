@@ -808,3 +808,75 @@ class TestKeptValues:
         count = itp._Machine([e1], world, itp.DEFAULT_STEP_LIMIT)
         count.invoke(e1, e1.operation("Counting"), [])
         assert count.rng is not None
+
+
+def unit_of(name, domain, attrs=(), ops=()):
+    return ir.ConceptUnit(
+        name, ir.UnitKind.CLASS, ir.Level.E3, domain,
+        attributes=tuple(attrs), operations=tuple(ops),
+    )
+
+
+def public_op(name, *body):
+    return ir.Operation(name, (), "int", ir.Visibility.PUBLIC, tuple(body))
+
+
+class TestSiteMemos:
+    """A compiled access site keeps what last passed its check. The same
+    nodes compiled against one knowledge base, where the member is
+    visible, and run against another, where it is private to another
+    domain, must be checked again."""
+
+    PRIVATE = ir.Visibility.PRIVATE
+    HIDDEN = "private member of {} (domain 'elsewhere') is hidden from Probe (domain 'numbers')"
+
+    def run_twice(self, probe, visible, hidden):
+        world = apples_world(1)
+        first = itp.execute([probe, visible], probe, "Run", [], world, "numbers")
+        with pytest.raises(itp.AccessViolation) as caught:
+            itp.execute([probe, hidden], probe, "Run", [], world, "numbers")
+        return first.value, str(caught.value)
+
+    def test_the_call_site_checks_a_new_target(self):
+        probe = unit_of("Probe", "numbers", ops=[
+            public_op("Run", ir.ReturnStmt(ir.CallExpr(ir.NameExpr("Other"), "Get", ()))),
+        ])
+        get = public_op("Get", ir.ReturnStmt(ir.IntExpr(1)))
+        visible = unit_of("Other", "elsewhere", ops=[get])
+        hidden = unit_of("Other", "elsewhere", ops=[ir.replace(get, visibility=self.PRIVATE)])
+        assert self.run_twice(probe, visible, hidden) == (
+            itp.IntVal(1), self.HIDDEN.format("Other")
+        )
+
+    def test_the_field_site_checks_a_new_class(self):
+        read = ir.ReturnStmt(ir.FieldExpr(ir.NameExpr("o"), "secret"))
+        probe = unit_of(
+            "Probe", "numbers",
+            attrs=[ir.Attribute("o", "Hiding", ir.Visibility.PUBLIC)],
+            ops=[public_op("Run", read)],
+        )
+        secret = ir.Attribute("secret", "int", ir.Visibility.PUBLIC)
+        visible = unit_of("Hiding", "elsewhere", attrs=[secret])
+        hidden = unit_of("Hiding", "elsewhere", attrs=[ir.replace(secret, visibility=self.PRIVATE)])
+        assert self.run_twice(probe, visible, hidden) == (
+            itp.IntVal(0), self.HIDDEN.format("Hiding")
+        )
+
+    def test_the_globals_reader_checks_a_new_globals_unit(self):
+        # `shown` materializes the Globals frame first, so the read of
+        # `secret` reaches its reader's kept decision.
+        probe = unit_of("Probe", "numbers", attrs=[ir.Attribute("x", "int", ir.Visibility.PUBLIC)],
+                        ops=[public_op(
+                            "Run",
+                            ir.AssignStmt(ir.NameExpr("x"), ir.NameExpr("shown")),
+                            ir.ReturnStmt(ir.NameExpr("secret")),
+                        )])
+        shown = ir.Attribute("shown", "int", ir.Visibility.PUBLIC)
+        secret = ir.Attribute("secret", "int", ir.Visibility.PUBLIC)
+        visible = unit_of(ir.GLOBALS_UNIT, "elsewhere", attrs=[shown, secret])
+        hidden = unit_of(
+            ir.GLOBALS_UNIT, "elsewhere", attrs=[shown, ir.replace(secret, visibility=self.PRIVATE)]
+        )
+        assert self.run_twice(probe, visible, hidden) == (
+            itp.IntVal(0), self.HIDDEN.format(ir.GLOBALS_UNIT)
+        )

@@ -558,6 +558,16 @@ PROBES = {
         extra_ops=[_op("Again", ir.CallStmt(None, "Again", (_N("n"),)),
                        params=[ir.Param("n", "int")])],
     ),
+    # evaluation order: the left operand before the right, and a call's
+    # receiver before its arguments
+    "operands-left-first": _probe(
+        "UnboundName",
+        [ir.ReturnStmt(ir.BinExpr("+", ir.CallExpr(None, "L", ()), ir.CallExpr(None, "R", ())))],
+        extra_ops=[_op("L", ir.ReturnStmt(_N("nowhere"))), _op("R", ir.IfStmt(_I(1), (), ()))],
+    ),
+    "receiver-before-arguments": _probe(
+        "UnboundName", [ir.CallStmt("Nobody", "Do", (_N("k"),))]
+    ),
 }
 
 # The step limit of a probe that needs more than the default 50.
@@ -630,6 +640,7 @@ PROBE_OUTCOMES = {
     "not-null-loop-over-unbound": ("UnboundName", "'nowhere' is not bound in Probe"),
     "not-null-loop-over-unwritten-attribute": (None, "IntVal(value=4)", 3, ""),
     "not-null-loop-test-past-step-limit": ("StepLimitExceeded", "exceeded 50 steps"),
+    "operands-left-first": ("UnboundName", "'nowhere' is not bound in Probe"),
     "param-agent-of-another-kind": (
         "TypeMismatch", "Probe.Takes(p: Person) does not accept a Apple entity"
     ),
@@ -660,6 +671,7 @@ PROBE_OUTCOMES = {
     "read-private-field": ("AccessViolation", _HIDDEN.format("Hiding")),
     "read-private-global": ("AccessViolation", _HIDDEN.format("Globals")),
     "read-unbound": ("UnboundName", "'nowhere' is not bound in Probe"),
+    "receiver-before-arguments": ("UnboundName", "unknown unit 'Nobody'"),
     "receiver-global-const": (None, "TokenVal(token='two')", 2, ""),
     "receiver-local-shadows-attribute": (None, "IntVal(value=7)", 3, ""),
     "receiver-private-global": ("AccessViolation", _HIDDEN.format("Globals")),

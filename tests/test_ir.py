@@ -392,14 +392,7 @@ class TestChainMetrics:
     def test_episodic_residue_shrinks(self, kb_by_level, levels):
         # Constants bound to world entities: neither tokens, scalars nor collections.
         counts = [
-            sum(
-                1
-                for u in kb_by_level[level]
-                for a in u.attributes
-                if a.is_const
-                and a.type_ref not in ir.TOKEN_TYPES | ir.SCALAR_TYPES
-                and not ir.is_collection_type(a.type_ref)
-            )
+            sum(1 for u in kb_by_level[level] for a in u.attributes if ir.names_entity(a))
             for level in levels
         ]
         assert counts[0] > 0

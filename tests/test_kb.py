@@ -204,6 +204,20 @@ class TestRecording:
         assert consts[consts.index("APPLE1"):] == ["APPLE1", "APPLE2", "APPLE3", "HAND"]
         assert itp.replay_instance((unit,), unit, world).trace == trace
 
+    def test_the_line_is_the_container_holding_the_first_pointed_entity(self):
+        # The line's group tag names no container; replay's InLine check
+        # finds the line through the container that holds its first entity.
+        kb = kbmod.KnowledgeBase()
+        entities = {"ME": ("Person", None), "HAND": ("Hand", None)}
+        entities.update({"A1": ("Apple", "row"), "A2": ("Apple", "row")})
+        world = itp.World(entities, {"row": "Line"}, {"apples": ("A1", "A2")}, 0)
+        assert itp.validate_world(world) == []
+        events = [("PointedTo", "A1"), ("Said", "ONE"), ("PointedTo", "A2"), ("Said", "TWO")]
+        trace = tuple(itp.TraceEvent(i, v, a) for i, (v, a) in enumerate(events, 1))
+        unit = kb.record_instance(trace, world, "apples")
+        assert ir.SetupStmt("InLine", ("A1", "A2")) in unit.operations[0].body
+        assert itp.replay_instance((unit,), unit, world).trace == trace
+
     def test_empty_trace_is_no_episode(self):
         kb = kbmod.KnowledgeBase()
         with pytest.raises(kbmod.EmptyTrace):
