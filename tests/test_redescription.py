@@ -1,5 +1,9 @@
 """Redescription passes: anti-unification, generalization, decomposition."""
 
+import hashlib
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -287,6 +291,162 @@ class TestPhaseOneRefusals:
         (item,) = [s for s in ir.iter_statements(unit) if isinstance(s, ir.LocalDecl)]
         assert (item.name, item.type_ref) == ("item", "OBJECT")
         assert ("bind_items", "Pencil -> objectSet object_set") in report.rules_applied
+
+
+# sha256 over one entry per drawn episode set of
+# test_phase_one_is_frozen_on_drawn_episode_sets: the printed E1 class
+# and its report, or "<refusal type>: <message>", each followed by NUL.
+PHASE_ONE_SHA256 = "45ef0bc22e887a517a080bb14528bc76970b370465ff122e853a104a68c14ed9"
+
+PHASE_ONE_REFUSALS = {
+    "{} has no recorded script",
+    "recorded actions must reference bound constants",
+    "{}: script is not one repeated routine",
+    "episodes repeat different routines",
+    "actions switch between performers",
+    "actions are not performed by an agent",
+    "sounds do not follow the shared numeral order",
+    "an object is pointed at twice in one pass",
+    "more than one varying object kind",
+    "no varying objects to collect",
+}
+
+DRAWN_KINDS = (("apples", "Apple", "APPLE"), ("pencils", "Pencil", "PENCIL"))
+DRAWN_BLOCKS = (("Move", "PointTo", "Say"), ("PointTo", "Say"))
+
+
+def drawn_recording(rng, kind, block):
+    """One counting recording of 1-6 objects: a dict of its consts
+    ({name: type}, in declaration order), setup facts and actions
+    ([verb, receiver, [args]]), to be mutated and then rendered."""
+    _, entity, prefix = kind
+    size = 1 if rng.random() < 0.1 else rng.randint(2, 6)
+    objects = [f"{prefix}{i}" for i in range(1, size + 1)]
+    consts = {sound: "Sound" for sound in ir.NUMERALS[:size]}
+    consts.update({"ME": "Person", "HAND": "Hand"} if "Move" in block else {"ME": "Person"})
+    consts.update((name, entity) for name in objects)
+    setup = []
+    if rng.random() < 0.5:
+        consts["ROOM1"] = "Room"
+        setup.append("In(ME, ROOM1)")
+    if size > 1 and rng.random() < 0.5:
+        setup.append(f"InLine({', '.join(objects)})")
+    operand = {"Move": lambda i: "HAND", "PointTo": objects.__getitem__,
+               "Say": ir.NUMERALS.__getitem__}
+    actions = [[verb, "ME", [operand[verb](i)]] for i in range(size) for verb in block]
+    if rng.random() < 0.3:  # the total restated
+        actions.append(copied(actions[-1]))
+    return {"consts": consts, "setup": setup, "actions": actions, "script": True}
+
+
+def copied(action):
+    verb, recv, args = action
+    return [verb, recv, list(args)]
+
+
+def mutate(rng, recs, period):
+    """Apply one drawn mutation to one recording or to a whole column
+    of every recording."""
+    one = [rng.choice(recs)]
+    scope = rng.choice((one, recs))
+    pos = rng.randrange(period)
+    column = lambda rec: rec["actions"][pos::period]
+    what = rng.choice((
+        "receiver", "constant", "swap", "repeat", "drop_last", "extra_first",
+        "confirm", "non_name", "second_kind", "no_script", "reshape",
+    ))
+    if what == "receiver":
+        name, kind = rng.choice((("YOU", "Person"), ("HAND", "Hand")))
+        for rec in scope:
+            rec["consts"].setdefault(name, kind)
+            steps = column(rec)
+            for action in steps if scope is recs else [rng.choice(steps)]:
+                action[1] = name
+    elif what in ("constant", "swap", "repeat", "second_kind"):
+        for rec in scope:
+            steps = column(rec)
+            i, j = rng.randrange(len(steps)), rng.randrange(len(steps))
+            if what == "constant":
+                for action in steps:
+                    action[2] = list(steps[0][2])
+            elif what == "swap":
+                steps[i][2], steps[j][2] = steps[j][2], steps[i][2]
+            elif what == "repeat":
+                steps[j][2] = list(steps[i][2])
+            else:
+                for k, action in enumerate(steps, 1):
+                    rec["consts"].setdefault(f"PEAR{k}", "Pear")
+                    action[2] = [f"PEAR{k}"]
+    elif what == "drop_last":
+        one[0]["actions"].pop()
+    elif what == "extra_first":
+        one[0]["actions"].insert(0, copied(rng.choice(one[0]["actions"])))
+    elif what == "confirm":
+        one[0]["actions"].append(copied(one[0]["actions"][-1]))
+    elif what == "non_name":
+        action = rng.choice(one[0]["actions"])
+        if rng.random() < 0.5:
+            action[1] = "1"
+        else:
+            action[2] = ["1"]
+    elif what == "no_script":
+        one[0]["script"] = False
+    else:  # another block shape
+        rec = one[0]
+        verbs = {action[0] for action in rec["actions"]}
+        if "Move" in verbs:
+            rec["actions"] = [action for action in rec["actions"] if action[0] != "Move"]
+        else:
+            rec["consts"].setdefault("HAND", "Hand")
+            rec["actions"] = [
+                moved
+                for action in rec["actions"]
+                for moved in (
+                    [["Move", "ME", ["HAND"]], action] if action[0] == "PointTo" else [action]
+                )
+            ]
+
+
+def rendered(rec, name, domain):
+    lines = [f"const {kind} {const};" for const, kind in rec["consts"].items()]
+    lines += [f"{fact};" for fact in rec["setup"]]
+    lines += [f"{recv}.{verb}({', '.join(args)});" for verb, recv, args in rec["actions"]]
+    body = "".join(f"        {line}\n" for line in lines)
+    unit = dsl.parse(f"@level(I)\n@domain({domain})\ninstance {name} {{\n    private:\n{body}}}\n")[0]
+    return unit if rec["script"] else ir.replace(unit, operations=())
+
+
+def drawn_episode_sets(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind, block = rng.choice(DRAWN_KINDS), rng.choice(DRAWN_BLOCKS)
+        recs = [drawn_recording(rng, kind, block) for _ in range(rng.randint(2, 3))]
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            mutate(rng, recs, len(block))
+        domain = kind[0]
+        yield [rendered(rec, f"Counting_{domain}_{i}", domain) for i, rec in enumerate(recs, 1)]
+
+
+def test_phase_one_is_frozen_on_drawn_episode_sets():
+    """1,000 drawn episode sets, each with up to two mutations, fold to
+    the frozen E1 classes and reports or refuse with the frozen texts;
+    the draws reach every refusal of phase 1 and both optional rules."""
+    digest = hashlib.sha256()
+    refusals, rules = set(), set()
+    for units in drawn_episode_sets(1000, seed=1):
+        try:
+            unit, report = rd.antiunify_instances(units)
+        except rd.RedescriptionError as exc:
+            entry = f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, rd.NoCommonSkeleton):
+                refusals.add(re.sub(r"^\w+( has |: )", r"{}\1", str(exc)))
+        else:
+            entry = dsl.print_canonical([unit]).text + rd.format_report(report)
+            rules.update(rule for rule, _ in report.rules_applied)
+        digest.update(entry.encode() + b"\0")
+    assert refusals == PHASE_ONE_REFUSALS
+    assert {"strip_confirmation", "drop_occasional"} <= rules
+    assert digest.hexdigest() == PHASE_ONE_SHA256
 
 
 class TestGeneralize:
