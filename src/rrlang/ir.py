@@ -99,7 +99,10 @@ def record(cls):
     built = type(cls)(cls.__name__, cls.__bases__, ns)
     setters = [built.__dict__[name].__set__ for name in names]
     init = _inits(*setters, *[None] * (7 - len(names)))[len(names)]
-    init.__code__ = init.__code__.replace(co_name="__init__", co_varnames=("self", *names))
+    # its own co_name, so a profile keys each record's init apart
+    init.__code__ = init.__code__.replace(
+        co_name=f"{cls.__qualname__}.__init__", co_varnames=("self", *names)
+    )
     init.__name__, init.__qualname__ = "__init__", f"{cls.__qualname__}.__init__"
     init.__defaults__ = tuple(defaults.values())
     built.__init__ = init

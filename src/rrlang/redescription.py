@@ -87,6 +87,15 @@ def format_report(report: PhaseReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check(what: str, diagnostics: Sequence[ir.Diagnostic]) -> None:
+    """Refuse a pass's output that breaks level discipline; `what` is
+    the subject and verb of the refusal, such as "generated class breaks"."""
+    if diagnostics:
+        raise RedescriptionError(
+            f"{what} level discipline: " + "; ".join(str(d) for d in diagnostics)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Loop rolling
 
@@ -143,54 +152,98 @@ def antiunify_instances(
     domain = domains[0]
 
     scripts = [_instance_script(unit) for unit in instances]
-    stripped = sum(1 for s in scripts if s.stripped)
 
+    # Each episode is read once: every action's operand names, receiver
+    # first, and its shape, the verb with those operands' types.
+    rows = []
     templates = set()
-    for unit, script in zip(instances, scripts):
-        shapes = [_action_shape(unit, a) for a in script.actions]
+    for unit, (_, actions, _) in zip(instances, scripts):
+        # the first declaration of a name wins, as in unit.attribute
+        types = {attr.name: attr.type_ref for attr in reversed(unit.attributes)}
+        names, shapes = [], []
+        for action in actions:
+            operands = _stmt_names(action)
+            for name in operands:
+                if name not in types:
+                    raise NoCommonSkeleton(f"{unit.name}: {name!r} is not a recorded constant")
+            names.append(operands)
+            shapes.append((action.verb, tuple(types[name] for name in operands)))
         period = repeat_period(shapes)
         if period is None:
             raise NoCommonSkeleton(f"{unit.name}: script is not one repeated routine")
+        rows.append(names)
         templates.add(tuple(shapes[:period]))
     if len(templates) > 1:  # blocks of another length or of other actions
         raise NoCommonSkeleton("episodes repeat different routines")
+    template = templates.pop()
+    period = len(template)
 
-    roles = _template_roles(instances, scripts, period)
+    def column(pos: int, slot: int) -> list[list[str]]:
+        # slot 0 is the receiver, 1.. are arguments; one list per episode
+        return [[operands[slot] for operands in names[pos::period]] for names in rows]
 
-    set_type = _TYPE_OVER.get(("set", roles.item_kind), "objectSet")
-    elem_type = _TYPE_OVER.get(("element", roles.item_kind), "OBJECT")
+    # The agent: every action's receiver must be the same Person constant.
+    agent = None
+    for pos, (_, types) in enumerate(template):
+        performers = {name for col in column(pos, 0) for name in col}
+        if len(performers) != 1:
+            raise NoCommonSkeleton("actions switch between performers")
+        if ir.type_kind(types[0]) != "agent":
+            raise NoCommonSkeleton("actions are not performed by an agent")
+        name = performers.pop()
+        if agent not in (None, name):
+            raise NoCommonSkeleton("actions switch between performers")
+        agent = name
+
+    # Each argument is a constant, the numeral succession or the item.
+    item_kind = None
+    carried: dict[str, str] = {}  # constants kept, in order of first use
+    referenced = {agent}
+    loop_body: list[Stmt] = []
+    for pos, (verb, types) in enumerate(template):
+        args = []
+        for slot, kind in enumerate(types[1:], 1):
+            cols = column(pos, slot)
+            names = {name for col in cols for name in col}
+            referenced |= names
+            if len(names) == 1:
+                name = names.pop()
+                carried.setdefault(name, kind)
+                args.append(NameExpr(name))
+            elif ir.type_kind(kind) == "token":
+                if any(tuple(col) != ir.NUMERALS[: len(col)] for col in cols):
+                    raise NoCommonSkeleton("sounds do not follow the shared numeral order")
+                args.append(CallExpr(NameExpr("numlist"), "Next", ()))
+            else:
+                if any(len(set(col)) != len(col) for col in cols):
+                    raise NoCommonSkeleton("an object is pointed at twice in one pass")
+                if item_kind not in (None, kind):
+                    raise NoCommonSkeleton("more than one varying object kind")
+                item_kind = kind
+                args.append(NameExpr("item"))
+        loop_body.append(ActionStmt(verb, NameExpr("p"), tuple(args)))
+    if item_kind is None:
+        raise NoCommonSkeleton("no varying objects to collect")
+
+    set_type = _TYPE_OVER.get(("set", item_kind), "objectSet")
+    elem_type = _TYPE_OVER.get(("element", item_kind), "OBJECT")
     set_name = _set_attr_name(set_type)
 
     attributes = [Attribute("numlist", "intList", Visibility.PRIVATE, ir.NUMERALS)]
-    for cname, ctype in roles.carried:
-        attributes.append(Attribute(cname, ctype, Visibility.PRIVATE, cname))
+    attributes += [Attribute(n, t, Visibility.PRIVATE, n) for n, t in carried.items()]
     attributes += [
         Attribute("p", "Person", Visibility.PRIVATE),
         Attribute(set_name, set_type, Visibility.PRIVATE),
         Attribute("result", "int", Visibility.PRIVATE),
     ]
 
-    loop_body: list[Stmt] = []
-    for verb, arg_roles in roles.template:
-        args = []
-        for role in arg_roles:
-            if role[0] == "const":
-                args.append(NameExpr(role[1]))
-            elif role[0] == "item":
-                args.append(NameExpr("item"))
-            else:  # numeral succession
-                args.append(CallExpr(NameExpr("numlist"), "Next", ()))
-        loop_body.append(ActionStmt(verb, NameExpr("p"), tuple(args)))
     loop_body += [
         AssignStmt(NameExpr("result"), BinExpr("+", NameExpr("result"), IntExpr(1))),
         AssignStmt(NameExpr("item"), CallExpr(NameExpr(set_name), "Next", ())),
     ]
 
     counting = Operation(
-        "Counting",
-        (),
-        "int",
-        Visibility.PROTECTED,
+        "Counting", (), "int", Visibility.PROTECTED,
         (
             AssignStmt(NameExpr("result"), IntExpr(0)),
             LocalDecl("item", elem_type),
@@ -208,30 +261,26 @@ def antiunify_instances(
         attributes=tuple(attributes),
         operations=(counting,),
     )
-    diags = ir.validate(unit)
-    if diags:
-        raise RedescriptionError(
-            "generated class breaks level discipline: "
-            + "; ".join(str(d) for d in diags)
-        )
+    _check("generated class breaks", ir.validate(unit))
 
+    unused = [attr for attr in instances[0].attributes if attr.name not in referenced]
     rules = [
         (
             "loop_roll",
-            f"period={period} counts="
-            + "/".join(str(len(s.actions) // period) for s in scripts),
+            f"period={period} counts=" + "/".join(str(len(names) // period) for names in rows),
         ),
-        ("bind_agent", f"{roles.agent} -> p"),
-        ("bind_items", f"{roles.item_kind} -> {set_type} {set_name}"),
+        ("bind_agent", f"{agent} -> p"),
+        ("bind_items", f"{item_kind} -> {set_type} {set_name}"),
         ("bind_numerals", "Sound succession -> numlist.Next()"),
     ]
+    stripped = sum(stripped for _, _, stripped in scripts)
     if stripped:
         rules.insert(0, ("strip_confirmation", f"removed the repeated final Say in {stripped} episode(s)"))
-    if roles.dropped_consts:
-        rules.append(("drop_occasional", ", ".join(name for name, _ in roles.dropped_consts)))
+    if unused:
+        rules.append(("drop_occasional", ", ".join(attr.name for attr in unused)))
 
-    dropped = [f"const {ctype} {cname}" for cname, ctype in roles.dropped_consts]
-    dropped += roles.dropped_setup
+    dropped = [f"const {attr.type_ref} {attr.name}" for attr in unused]
+    dropped += [f"{s.pred}({', '.join(s.args)})" for s in scripts[0][0]]
     report = PhaseReport(
         phase=1,
         inputs=tuple(u.name for u in instances),
@@ -242,21 +291,15 @@ def antiunify_instances(
     return unit, report
 
 
-@record
-class _Script:
-    setup: tuple[SetupStmt, ...]
-    actions: tuple[ActionStmt, ...]
-    stripped: bool
-
-
-def _instance_script(unit: ConceptUnit) -> _Script:
+def _instance_script(unit: ConceptUnit) -> tuple[tuple[SetupStmt, ...], list[ActionStmt], bool]:
+    """A recording's setup facts, its actions, and whether a repeated
+    final Say was stripped from them."""
     try:
         op = unit.operation(ir.IMPLICIT_OP)
     except ir.UnknownMember:
         raise NoCommonSkeleton(f"{unit.name} has no recorded script") from None
     setup = tuple(s for s in op.body if isinstance(s, SetupStmt))
     actions = [s for s in op.body if isinstance(s, ActionStmt)]
-    stripped = False
     if len(actions) >= 2:
         last, prev = actions[-1], actions[-2]
         if (
@@ -264,9 +307,8 @@ def _instance_script(unit: ConceptUnit) -> _Script:
             and prev.verb == "Say"
             and _stmt_names(last) == _stmt_names(prev)
         ):
-            actions = actions[:-1]
-            stripped = True
-    return _Script(setup, tuple(actions), stripped)
+            return setup, actions[:-1], True
+    return setup, actions, False
 
 
 def _stmt_names(action: ActionStmt) -> tuple[str, ...]:
@@ -276,110 +318,6 @@ def _stmt_names(action: ActionStmt) -> tuple[str, ...]:
             raise NoCommonSkeleton("recorded actions must reference bound constants")
         names.append(expr.name)
     return tuple(names)
-
-
-def _action_shape(unit: ConceptUnit, action: ActionStmt) -> tuple:
-    names = _stmt_names(action)
-    types = tuple(unit.attribute(name).type_ref for name in names)
-    return (action.verb, types[0], types[1:])
-
-
-@record
-class _Roles:
-    template: tuple[tuple[str, tuple[tuple, ...]], ...]  # verb, per-arg role
-    agent: str
-    item_kind: str
-    carried: tuple[tuple[str, str], ...]  # fixed consts kept: (name, type)
-    dropped_consts: tuple[tuple[str, str], ...]
-    dropped_setup: tuple[str, ...]
-
-
-def _template_roles(
-    instances: Sequence[ConceptUnit],
-    scripts: Sequence[_Script],
-    period: int,
-) -> _Roles:
-    first = instances[0]
-
-    def column(pos: int, slot: int) -> list[list[str]]:
-        # slot 0 is the receiver, 1.. are arguments; one list per instance
-        return [
-            [_stmt_names(action)[slot] for action in script.actions[pos::period]]
-            for script in scripts
-        ]
-
-    # The agent: every action's receiver must be the same Person constant.
-    agent = None
-    for pos in range(period):
-        cols = column(pos, 0)
-        names = {name for col in cols for name in col}
-        if len(names) != 1:
-            raise NoCommonSkeleton("actions switch between performers")
-        name = names.pop()
-        if ir.type_kind(first.attribute(name).type_ref) != "agent":
-            raise NoCommonSkeleton("actions are not performed by an agent")
-        if agent is None:
-            agent = name
-        elif agent != name:
-            raise NoCommonSkeleton("actions switch between performers")
-    assert agent is not None
-
-    item_kind = None
-    template: list[tuple[str, tuple[tuple, ...]]] = []
-    referenced: set[str] = {agent}
-    for pos in range(period):
-        action = scripts[0].actions[pos]
-        arg_roles = []
-        for slot in range(1, len(_stmt_names(action))):
-            cols = column(pos, slot)
-            names = {name for col in cols for name in col}
-            # every episode repeats the first one's shapes, so a slot holds one kind
-            kind = first.attribute(cols[0][0]).type_ref
-            referenced.update(names)
-            if len(names) == 1 and all(len(set(col)) == 1 for col in cols):
-                arg_roles.append(("const", names.pop(), kind))
-                continue
-            if ir.type_kind(kind) == "token":
-                for col in cols:
-                    if tuple(col) != ir.NUMERALS[: len(col)]:
-                        raise NoCommonSkeleton(
-                            "sounds do not follow the shared numeral order"
-                        )
-                arg_roles.append(("numeral",))
-                continue
-            for col in cols:
-                if len(set(col)) != len(col):
-                    raise NoCommonSkeleton("an object is pointed at twice in one pass")
-            if item_kind is None:
-                item_kind = kind
-            elif item_kind != kind:
-                raise NoCommonSkeleton("more than one varying object kind")
-            arg_roles.append(("item",))
-        template.append((action.verb, tuple(arg_roles)))
-    if item_kind is None:
-        raise NoCommonSkeleton("no varying objects to collect")
-
-    carried = []
-    for verb, arg_roles in template:
-        for role in arg_roles:
-            if role[0] == "const" and (role[1], role[2]) not in carried:
-                carried.append((role[1], role[2]))
-
-    dropped_consts = []
-    for attr in first.attributes:
-        if attr.name not in referenced:
-            dropped_consts.append((attr.name, attr.type_ref))
-    dropped_setup = [
-        f"{s.pred}({', '.join(s.args)})" for s in scripts[0].setup
-    ]
-    return _Roles(
-        template=tuple(template),
-        agent=agent,
-        item_kind=item_kind,
-        carried=tuple(carried),
-        dropped_consts=tuple(dropped_consts),
-        dropped_setup=tuple(dropped_setup),
-    )
 
 
 def _set_attr_name(set_type: str) -> str:
@@ -412,10 +350,11 @@ def generalize_to_e2(
 
     base = base_name(unit.name, unit.domain)
 
+    decls = [s for s in ir.iter_statements(unit) if isinstance(s, LocalDecl)]
     widened = sorted(
         f"{t} -> {ir.widen_type(t)}"
-        for t in _collection_types_used(unit)
-        if ir.widen_type(t) != t
+        for t in {a.type_ref for a in unit.attributes} | {d.type_ref for d in decls}
+        if ir.is_collection_type(t) and ir.widen_type(t) != t
     )
 
     globals_unit = ConceptUnit(
@@ -428,16 +367,11 @@ def generalize_to_e2(
         ),
     )
     e2_unit = _renamed(dsl.load_fixture("counting_e2")[0], base)
-    diags = ir.validate(e2_unit) + ir.validate(globals_unit)
-    if diags:
-        raise RedescriptionError(
-            "generalized class breaks level discipline: "
-            + "; ".join(str(d) for d in diags)
-        )
+    _check("generalized class breaks", ir.validate(e2_unit) + ir.validate(globals_unit))
 
     dropped = [
         f"local {decl.type_ref} {decl.name}"
-        for decl in _op_locals(unit)
+        for decl in decls
         if ir.is_collection_type(decl.type_ref)
         and ir.collection_element(decl.type_ref) == item_element
     ]
@@ -469,6 +403,7 @@ def _counting_roles(unit: ConceptUnit) -> tuple[Attribute, str | None]:
     for attr in unit.attributes:
         if (
             isinstance(attr.const, tuple)
+            and ir.is_collection_type(attr.type_ref)
             and ir.collection_element(attr.type_ref) == ir.TOKEN_ELEM
         ):
             numlist = numlist or attr
@@ -513,18 +448,6 @@ def _says_successive_numerals(unit: ConceptUnit, numlist_name: str) -> bool:
     return says and points
 
 
-def _collection_types_used(unit: ConceptUnit) -> set[str]:
-    used = {a.type_ref for a in unit.attributes if ir.is_collection_type(a.type_ref)}
-    for decl in _op_locals(unit):
-        if ir.is_collection_type(decl.type_ref):
-            used.add(decl.type_ref)
-    return used
-
-
-def _op_locals(unit: ConceptUnit) -> list[LocalDecl]:
-    return [s for s in ir.iter_statements(unit) if isinstance(s, LocalDecl)]
-
-
 def _renamed(template: ConceptUnit, name: str) -> ConceptUnit:
     """A template class under `name`, its same-named operation renamed too."""
     ops = tuple(
@@ -566,12 +489,10 @@ def decompose_to_e3(
                 for a in ordinal.attributes
             ))
     units = (ordinal, set_cls, _renamed(counting, unit.name))
-    diags = [d for u in units for d in ir.validate(u)] + ir.validate_set(list(units))
-    if diags:
-        raise RedescriptionError(
-            "decomposed units break level discipline: "
-            + "; ".join(str(d) for d in diags)
-        )
+    _check(
+        "decomposed units break",
+        [d for u in units for d in ir.validate(u)] + ir.validate_set(list(units)),
+    )
 
     inputs = (unit.name,) if shared is None else (unit.name, shared.name)
     report = PhaseReport(

@@ -264,6 +264,22 @@ class TestRedescribe:
         assert "dropped\tNoCommonSkeleton: Counting_apples_1: script is not one repeated routine" in lines
         assert lines[-1].startswith("nothing to redescribe")
 
+    def test_auto_refuses_an_undeclared_constant(self, capsys, tmp_path):
+        kb = kbmod.KnowledgeBase.load(episode_kb(tmp_path, (3,)))
+        text = dsl.print_canonical([kb.unit("Counting_apples_1")]).text
+        text = text.replace("Counting_apples_1", "Counting_apples_2")
+        kb.add_unit(dsl.parse(text.replace("ME.PointTo(APPLE2);", "ME.PointTo(GHOST);"))[0])
+        kb_dir = str(kb.save(tmp_path / "ghost"))
+        code, out, err = run_cli(capsys, "redescribe", "--auto", "--kb", kb_dir)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "phase\t1",
+            "input\tCounting_apples_1",
+            "input\tCounting_apples_2",
+            "dropped\tNoCommonSkeleton: Counting_apples_2: 'GHOST' is not a recorded constant",
+            "nothing to redescribe: mastery not reached, chain complete or refused",
+        ]
+
     def test_phase_one_folds_the_episodes(self, capsys, tmp_path):
         kb_dir = episode_kb(tmp_path, (3, 4), solved=())
         code, out, _ = run_cli(capsys, "redescribe", "--phase", "1", "--kb", kb_dir)

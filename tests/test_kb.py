@@ -533,6 +533,20 @@ class TestAdvance:
         assert len(kb) == size
         assert [u for u in kb if u.domain == "apples"] == apples
 
+    def test_an_undeclared_constant_is_a_refusal(self):
+        # Parse, validate and add_unit all accept a script that names a
+        # constant it never declares; phase 1 refuses it.
+        kb = kbmod.KnowledgeBase()
+        world, trace = counting_scene(3)
+        text = dsl.print_canonical([kb.record_instance(trace, world, "apples")]).text
+        text = text.replace("Counting_apples_1", "Counting_apples_2")
+        kb.add_unit(dsl.parse(text.replace("ME.PointTo(APPLE2);", "ME.PointTo(GHOST);"))[0])
+        push_to_mastery(kb, "Counting_apples_1")
+        assert kb.advance() == [rd.PhaseReport(
+            1, ("Counting_apples_1", "Counting_apples_2"), (), (),
+            ("NoCommonSkeleton: Counting_apples_2: 'GHOST' is not a recorded constant",),
+        )]
+
     def test_without_mastery_nothing_moves(self):
         kb = fresh_kb_with_episode()
         kb.record_outcome("CountingApples", "T1", "Solved")

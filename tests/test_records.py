@@ -1,10 +1,12 @@
 """Frozen slotted records (ir.record) behave as frozen dataclasses do."""
 
 import copy
+import cProfile
 import dataclasses
 import inspect
 import os
 import pickle
+import pstats
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +157,16 @@ class TestConstruction:
         assert defaults == DEFAULTS.get(cls, {})
         assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
 
+    def test_a_profile_counts_each_record_init_apart(self):
+        # IntExpr and BoolExpr share _inits' one-field template
+        profiler = cProfile.Profile()
+        profiler.enable()
+        ir.IntExpr(1)
+        ir.BoolExpr(True)
+        profiler.disable()
+        inits = [name for _, _, name in pstats.Stats(profiler).stats if name.endswith("__init__")]
+        assert sorted(inits) == ["BoolExpr.__init__", "IntExpr.__init__"]
+
     def test_the_hot_records_build_by_keyword_with_their_extra_slot_unset(self):
         name = ir.NameExpr(name="ME")
         setup = ir.SetupStmt(args=("APPLE1",), pred="On")
@@ -221,7 +233,7 @@ class TestReplace:
 
 def test_every_class_is_a_record():
     assert not any(dataclasses.is_dataclass(cls) for cls in DEFINED)
-    assert len(RECORDS) == 41
+    assert len(RECORDS) == 39
     assert all("__dict__" not in vars(cls) for cls in RECORDS)
 
 

@@ -262,6 +262,14 @@ class TestPhaseOneRefusals:
         ))
         assert self.refusal(same, same) == "no varying objects to collect"
 
+    def test_an_undeclared_constant(self, instances):
+        script = counting_script(*THREE_APPLES)
+        script[4] = "ME.PointTo(GHOST);"
+        ghostly = episode(*script, name="Counting_apples_2")
+        assert self.refusal(instances[0], ghostly) == (
+            "Counting_apples_2: 'GHOST' is not a recorded constant"
+        )
+
     def test_a_hand_named_result_breaks_level_discipline(self):
         # ME.Move(result) makes the hand an attribute named like the count.
         moves = [
@@ -346,7 +354,8 @@ def copied(action):
 
 def mutate(rng, recs, period):
     """Apply one drawn mutation to one recording or to a whole column
-    of every recording."""
+    of every recording; a mutation that finds no action to change does
+    nothing."""
     one = [rng.choice(recs)]
     scope = rng.choice((one, recs))
     pos = rng.randrange(period)
@@ -355,16 +364,23 @@ def mutate(rng, recs, period):
         "receiver", "constant", "swap", "repeat", "drop_last", "extra_first",
         "confirm", "non_name", "second_kind", "no_script", "reshape",
     ))
+    actions = one[0]["actions"]
+    if not actions and what in ("drop_last", "extra_first", "confirm", "non_name"):
+        return
     if what == "receiver":
         name, kind = rng.choice((("YOU", "Person"), ("HAND", "Hand")))
         for rec in scope:
             rec["consts"].setdefault(name, kind)
             steps = column(rec)
+            if not steps:
+                continue
             for action in steps if scope is recs else [rng.choice(steps)]:
                 action[1] = name
     elif what in ("constant", "swap", "repeat", "second_kind"):
         for rec in scope:
             steps = column(rec)
+            if not steps:
+                continue
             i, j = rng.randrange(len(steps)), rng.randrange(len(steps))
             if what == "constant":
                 for action in steps:
@@ -378,13 +394,13 @@ def mutate(rng, recs, period):
                     rec["consts"].setdefault(f"PEAR{k}", "Pear")
                     action[2] = [f"PEAR{k}"]
     elif what == "drop_last":
-        one[0]["actions"].pop()
+        actions.pop()
     elif what == "extra_first":
-        one[0]["actions"].insert(0, copied(rng.choice(one[0]["actions"])))
+        actions.insert(0, copied(rng.choice(actions)))
     elif what == "confirm":
-        one[0]["actions"].append(copied(one[0]["actions"][-1]))
+        actions.append(copied(actions[-1]))
     elif what == "non_name":
-        action = rng.choice(one[0]["actions"])
+        action = rng.choice(actions)
         if rng.random() < 0.5:
             action[1] = "1"
         else:
@@ -495,6 +511,15 @@ class TestGeneralize:
         with pytest.raises(rd.RedescriptionError, match="no loop says successive numerals"):
             rd.generalize_to_e2(e1)
 
+
+    def test_a_list_const_of_an_entity_kind_is_not_the_numeral_list(self):
+        source = dsl.fixture_source("counting_apples_e1").text
+        picks = "        const Apple picks = [APPLE1, APPLE2];\n"
+        (e1,) = dsl.parse(source.replace("    private:\n", "    private:\n" + picks, 1))
+        assert ir.validate(e1) == []
+        (e2, _), report = rd.generalize_to_e2(e1)
+        assert dsl.print_canonical([e2]).text == dsl.fixture_source("counting_e2").text
+        assert report.dropped == ("local APP_List app_list",)
 
     def test_a_unit_below_e1_is_refused(self, instances):
         with pytest.raises(ValueError) as exc:

@@ -31,10 +31,9 @@ INTERPRETER = str(ROOT / "src" / "rrlang" / "interpreter.py")
 
 def profile(workload, ops: int) -> tuple[Counter, int]:
     """Calls of each (file, line, name) over ops operations from operation
-    0, and how many of them failed the workload's own check. The counts
-    are summed over code objects: the __init__s of records with the same
-    number of fields are copies of one template, with one file, line and
-    name, and pstats would keep only one of them."""
+    0, and how many of them failed the workload's own check. Each
+    record's __init__ is named after its class (``IntExpr.__init__``), so
+    the copies of one ``ir._inits`` template count apart."""
     failed = 0
     profiler = cProfile.Profile()
     for i in range(ops):
