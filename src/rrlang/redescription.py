@@ -160,18 +160,18 @@ def antiunify_instances(
     for unit, (_, actions, _) in zip(instances, scripts):
         # the first declaration of a name wins, as in unit.attribute
         types = {attr.name: attr.type_ref for attr in reversed(unit.attributes)}
-        names, shapes = [], []
+        row, shapes = [], []
         for action in actions:
             operands = _stmt_names(action)
             for name in operands:
                 if name not in types:
                     raise NoCommonSkeleton(f"{unit.name}: {name!r} is not a recorded constant")
-            names.append(operands)
+            row.append(operands)
             shapes.append((action.verb, tuple(types[name] for name in operands)))
         period = repeat_period(shapes)
         if period is None:
             raise NoCommonSkeleton(f"{unit.name}: script is not one repeated routine")
-        rows.append(names)
+        rows.append(row)
         templates.add(tuple(shapes[:period]))
     if len(templates) > 1:  # blocks of another length or of other actions
         raise NoCommonSkeleton("episodes repeat different routines")
@@ -180,7 +180,7 @@ def antiunify_instances(
 
     def column(pos: int, slot: int) -> list[list[str]]:
         # slot 0 is the receiver, 1.. are arguments; one list per episode
-        return [[operands[slot] for operands in names[pos::period]] for names in rows]
+        return [[operands[slot] for operands in row[pos::period]] for row in rows]
 
     # The agent: every action's receiver must be the same Person constant.
     agent = None
@@ -267,7 +267,7 @@ def antiunify_instances(
     rules = [
         (
             "loop_roll",
-            f"period={period} counts=" + "/".join(str(len(names) // period) for names in rows),
+            f"period={period} counts=" + "/".join(str(len(row) // period) for row in rows),
         ),
         ("bind_agent", f"{agent} -> p"),
         ("bind_items", f"{item_kind} -> {set_type} {set_name}"),
