@@ -401,6 +401,57 @@ class TestRouting:
             assert first == second
 
 
+def _numerals_cut_to(units, n):
+    """units with the Globals numlist cut to its first n numerals."""
+    def cut(unit):
+        if unit.name != ir.GLOBALS_UNIT:
+            return unit
+        attrs = tuple(
+            ir.replace(a, const=a.const[:n]) if a.name == "numlist" else a
+            for a in unit.attributes
+        )
+        return ir.replace(unit, attributes=attrs)
+
+    return [cut(u) for u in units]
+
+
+def _pointed_and_said(*ids):
+    return [(v, a) for i, eid in enumerate(ids) for v, a in (
+        ("PointedTo", eid), ("Said", ir.NUMERALS[i])
+    )]
+
+
+RAN_OUT = tasks.Outcome.failed("the numerals ran out: Say has no count word left")
+
+# (task, numerals kept, trace) for routes that run twice and stop on an
+# error: T6 fetches from group_a then group_b, T9 counts heap_a then
+# heap_b. The stop keeps the events of the runs before it.
+ROUTE_STOPS = [
+    ("T6", 8, make_trace(
+        *_pointed_and_said(
+            "MARBLE7", "MARBLE8", "MARBLE4", "MARBLE1",
+            "MARBLE5", "MARBLE6", "MARBLE3", "MARBLE2",
+        ),
+        ("TookAway", "MARBLE5"), ("TookAway", "MARBLE4"), ("TookAway", "MARBLE3"),
+        ("TookAway", "MARBLE8"), ("TookAway", "MARBLE2"),
+    )),
+    ("T9", 7, make_trace(*_pointed_and_said(
+        "CANDY7", "CANDY4", "CANDY5", "CANDY1", "CANDY3", "CANDY6", "CANDY2",
+    ))),
+    ("T6", 6, ()),
+    ("T9", 6, ()),
+]
+
+
+@pytest.mark.parametrize("task_id, n, trace", ROUTE_STOPS)
+def test_a_route_that_stops_part_way_keeps_the_runs_before(kb_by_level, task_id, n, trace):
+    """At E2 with too few numerals, the second fetch or count runs out
+    (n = 8 and 7) and returns the first run's events numbered as they
+    were; with n = 6 the first run already stops, with no events."""
+    units = _numerals_cut_to(kb_by_level[ir.Level.E2], n)
+    assert tasks.run(tasks.build_task(task_id, 0), units) == (RAN_OUT, trace)
+
+
 def _one_member_short(units):
     """(label, knowledge base) for each unit of units with one attribute
     or operation removed, where the shorter unit still validates."""
