@@ -6,9 +6,10 @@ description, a seed -> world builder, the domain the request comes
 from, the query, the check that judges a run, and the runner. The
 runner resolves the best available route for the knowledge it is
 given: a class operation when one is accessible, otherwise a recorded
-episode that fits the scene. It stops early by raising `_Stop` with an
-Outcome, which `run` returns, or hands the trace, value and world after
-to the row's check, which `Task.success` applies to the same world.
+episode that fits the scene. Every run it makes appends its events to
+the one trace `run` gives it. It stops early by raising `_Stop` with an
+Outcome, or returns its value and world after, which `run` judges by
+the row's check, as `Task.success` does on the same world.
 Driver units for the errand, bus, and conservation scenarios are task
 apparatus; they are injected at run time and never stored in a
 knowledge base.
@@ -81,7 +82,7 @@ class Task:
         self, trace: Sequence[TraceEvent], value: object, world_after: World | None
     ) -> bool:
         """Whether a run that left (trace, value, world after) solves
-        this task in its own world; the runner judges by the same check."""
+        this task in its own world; `run` judges by the same check."""
         return _TASKS[self.id].check(self.world, trace, value, world_after)[0]
 
 
@@ -254,13 +255,6 @@ def _heaps_check(world: World, trace, value, world_after) -> tuple[bool, str]:
     return True, ""
 
 
-def _judged(task: Task, trace, value=None, world_after=None):
-    """The task's check on what a run left behind, as an Outcome with
-    the trace it judged. The only place a check becomes an Outcome."""
-    ok, reason = _TASKS[task.id].check(task.world, trace, value, world_after)
-    return (Outcome.solved() if ok else Outcome.failed(reason)), trace
-
-
 # ---------------------------------------------------------------------------
 # Route plumbing
 
@@ -298,8 +292,8 @@ def _unit_named(kb: Sequence[ir.ConceptUnit], name: str) -> ir.ConceptUnit | Non
 
 
 class _Stop(Exception):
-    """A runner's early end, raised as _Stop(outcome, trace so far). Only
-    `run` catches it, and returns the pair."""
+    """A runner's early end, raised as _Stop(outcome). Only `run` catches
+    it, and returns the outcome with the trace so far."""
 
 
 def _callable(task: Task, cls: ir.ConceptUnit, op_name: str) -> ir.ConceptUnit:
@@ -307,7 +301,7 @@ def _callable(task: Task, cls: ir.ConceptUnit, op_name: str) -> ir.ConceptUnit:
     Inaccessible with the access reason."""
     denied = ir.access_denied(task.caller_domain, f"<{task.caller_domain}>", cls, op_name)
     if denied is not None:
-        raise _Stop(Outcome.inaccessible(denied), ())
+        raise _Stop(Outcome.inaccessible(denied))
     return cls
 
 
@@ -318,23 +312,30 @@ def _offering(
     allowed to call; with none, stop Inaccessible saying what is missing."""
     cls = _class_with_op(kb, op_name)
     if cls is None:
-        raise _Stop(Outcome.inaccessible(missing), ())
+        raise _Stop(Outcome.inaccessible(missing))
     return _callable(task, cls, op_name)
 
 
 def _attempt(
-    run: Callable[..., ExecResult], *args, so_far: Sequence[TraceEvent] = ()
-) -> ExecResult:
-    """Call run (itp.execute or itp.replay_instance) on args, stopping
-    with the trace so far on an error. Access and binding problems mean
-    the knowledge does not apply here; anything past that point is a
-    failed attempt."""
+    trace: list[TraceEvent], run: Callable[..., ExecResult], *args
+) -> tuple[itp.Value, World]:
+    """Call run (itp.execute or itp.replay_instance) on args, append its
+    events to trace, numbered on, and return its value and world after.
+    Access and binding problems mean the knowledge does not apply here;
+    anything past that point is a failed attempt."""
     try:
-        return run(*args)
+        result = run(*args)
     except (itp.AccessViolation, itp.BindingMismatch) as exc:
-        raise _Stop(Outcome.inaccessible(str(exc)), _shift_trace(so_far)) from None
+        raise _Stop(Outcome.inaccessible(str(exc))) from None
     except itp.ExecError as exc:
-        raise _Stop(Outcome.failed(str(exc)), _shift_trace(so_far)) from None
+        raise _Stop(Outcome.failed(str(exc))) from None
+    if trace:
+        trace.extend(
+            [TraceEvent(seq, e.verb, e.arg) for seq, e in enumerate(result.trace, len(trace) + 1)]
+        )
+    else:
+        trace.extend(result.trace)
+    return result.value, result.world
 
 
 def _replay_candidate(
@@ -350,58 +351,36 @@ def _replay_candidate(
     return None
 
 
-def _count_once(
-    task: Task, kb: Sequence[ir.ConceptUnit], world: World, so_far: Sequence[TraceEvent] = ()
-) -> ExecResult:
-    """Produce a count of the world's first container by whatever the
-    knowledge base offers: a counting operation, or a fitting replay.
-    A recount repeats lookups that passed on the same entities, so only
-    its attempt can stop, with the trace so far."""
-    unit = _class_with_op(kb, "Counting")
-    if unit is not None:
-        _callable(task, unit, "Counting")
-        return _attempt(
-            itp.execute, kb, unit, "Counting", [], world, task.caller_domain, so_far=so_far
-        )
-    instance = _replay_candidate(kb, world)
-    if instance is None:
-        raise _Stop(Outcome.inaccessible("no concept or recording covers this scene"), ())
-    return _attempt(itp.replay_instance, kb, instance, world, so_far=so_far)
-
-
-def _shift_trace(
-    base: Sequence[TraceEvent], *parts: Sequence[TraceEvent] | str
-) -> tuple[TraceEvent, ...]:
-    """Concatenate traces, renumbering; a bare verb string becomes a
-    harness-inserted event."""
-    events = list(base)
-    for part in parts:
-        if isinstance(part, str):
-            events.append(TraceEvent(len(events) + 1, part, None))
-        else:
-            for e in part:
-                events.append(TraceEvent(len(events) + 1, e.verb, e.arg))
-    return tuple(events)
-
-
 # ---------------------------------------------------------------------------
-# Runners. Each takes (task, units), raises _Stop when the knowledge does
-# not apply or the attempt raised, and otherwise ends in _judged.
+# Runners. Each takes (task, units, trace), passes trace to every run it
+# makes, raises _Stop when the knowledge does not apply or a run raised,
+# and otherwise returns (value, world after) for `run` to judge.
 
-def _run_driver(task: Task, kb: Sequence[ir.ConceptUnit]):
+def _run_driver(task: Task, kb: Sequence[ir.ConceptUnit], trace: list[TraceEvent]):
     """Run the driver unit and operation the task's query names,
     injected beside the knowledge base."""
     name, op, _ = task.query
     driver = _driver(name)
-    result = _attempt(
-        itp.execute, [*kb, driver], driver, op, [], task.world, task.caller_domain
+    return _attempt(
+        trace, itp.execute, [*kb, driver], driver, op, [], task.world, task.caller_domain
     )
-    return _judged(task, result.trace, result.value, result.world)
 
 
-def _run_count(task: Task, kb: Sequence[ir.ConceptUnit]):
-    result = _count_once(task, kb, task.world)
-    return _judged(task, result.trace, result.value, result.world)
+def _run_count(
+    task: Task, kb: Sequence[ir.ConceptUnit], trace: list[TraceEvent], world: World | None = None
+):
+    """Count the first container of world (the task's own by default) by
+    whatever the knowledge base offers: a counting operation, or a
+    fitting replay."""
+    world = task.world if world is None else world
+    unit = _class_with_op(kb, "Counting")
+    if unit is not None:
+        _callable(task, unit, "Counting")
+        return _attempt(trace, itp.execute, kb, unit, "Counting", [], world, task.caller_domain)
+    instance = _replay_candidate(kb, world)
+    if instance is None:
+        raise _Stop(Outcome.inaccessible("no concept or recording covers this scene"))
+    return _attempt(trace, itp.replay_instance, kb, instance, world)
 
 
 def _fetch_args(
@@ -414,23 +393,23 @@ def _fetch_args(
         return [SeqVal([EntityVal(e) for e in members]), IntVal(k)]
     if p0 == "Set" and _unit_named(kb, "Set") is not None:
         return [itp.build_unit_value(kb, "Set", world, container), IntVal(k)]
-    raise _Stop(Outcome.inaccessible("the fetch routine takes foreign arguments"), ())
+    raise _Stop(Outcome.inaccessible("the fetch routine takes foreign arguments"))
 
 
-def _run_fetch_five(task: Task, kb: Sequence[ir.ConceptUnit]):
+def _run_fetch_five(task: Task, kb: Sequence[ir.ConceptUnit], trace: list[TraceEvent]):
     cls = _offering(task, kb, "FetchObjects", "no fetch routine at this level")
     op = cls.operation("FetchObjects")
     if op.params and op.params[0].type_ref == "Set" and _unit_named(kb, "Set"):
-        return _run_driver(task, kb)
+        return _run_driver(task, kb, trace)
     args = _fetch_args(kb, cls, task.world, "Bananaset", 5)
-    result = _attempt(
-        itp.execute, kb, cls, "FetchObjects", args, task.world, task.caller_domain
+    return _attempt(
+        trace, itp.execute, kb, cls, "FetchObjects", args, task.world, task.caller_domain
     )
-    return _judged(task, result.trace, result.value, result.world)
 
 
-def _run_compare_figures(task: Task, kb: Sequence[ir.ConceptUnit]):
-    # Direct route: a public numeral order answers without fetching.
+def _run_compare_figures(task: Task, kb: Sequence[ir.ConceptUnit], trace: list[TraceEvent]):
+    # Direct route: a public numeral order answers without a run, so no
+    # check judges it.
     ordinal = _unit_named(kb, "OrdinalNumber")
     if ordinal is not None:
         try:
@@ -444,40 +423,34 @@ def _run_compare_figures(task: Task, kb: Sequence[ir.ConceptUnit]):
             order = attr.const
             if "FIVE" in order and "SEVEN" in order:
                 if order.index("SEVEN") > order.index("FIVE"):
-                    return Outcome.solved(), ()
-                raise _Stop(Outcome.failed("picked the smaller figure"), ())
+                    raise _Stop(Outcome.solved())
+                raise _Stop(Outcome.failed("picked the smaller figure"))
     cls = _offering(task, kb, "FetchObjects", "no way to weigh figures at this level")
-    args_a = _fetch_args(kb, cls, task.world, "group_a", 5)
-    first = _attempt(
-        itp.execute, kb, cls, "FetchObjects", args_a, task.world, task.caller_domain
-    )
-    args_b = _fetch_args(kb, cls, first.world, "group_b", 7)
-    second = _attempt(
-        itp.execute, kb, cls, "FetchObjects", args_b, first.world, task.caller_domain,
-        so_far=first.trace,
-    )
-    return _judged(task, _shift_trace(first.trace, second.trace))
-
-
-def _run_seat_match(task: Task, kb: Sequence[ir.ConceptUnit]):
-    if _class_with_op(kb, "Can_Match_Discretely") is None or _unit_named(kb, "Set") is None:
-        raise _Stop(
-            Outcome.inaccessible("discrete matching needs the decomposed concepts"), ()
+    world = task.world
+    for group, k in (("group_a", 5), ("group_b", 7)):
+        args = _fetch_args(kb, cls, world, group, k)
+        _, world = _attempt(
+            trace, itp.execute, kb, cls, "FetchObjects", args, world, task.caller_domain
         )
-    return _run_driver(task, kb)
+    return None, None
 
 
-def _run_conservation(task: Task, kb: Sequence[ir.ConceptUnit]):
+def _run_seat_match(task: Task, kb: Sequence[ir.ConceptUnit], trace: list[TraceEvent]):
+    if _class_with_op(kb, "Can_Match_Discretely") is None or _unit_named(kb, "Set") is None:
+        raise _Stop(Outcome.inaccessible("discrete matching needs the decomposed concepts"))
+    return _run_driver(task, kb, trace)
+
+
+def _run_conservation(task: Task, kb: Sequence[ir.ConceptUnit], trace: list[TraceEvent]):
     if _unit_named(kb, "Set") is not None and _class_with_op(kb, "Counting") is not None:
-        return _run_driver(task, kb)
+        return _run_driver(task, kb, trace)
     # No conservation knowledge: count, watch the rearrangement, and see
     # whether the answer survives without a recount.
-    first = _count_once(task, kb, task.world)
-    moved = _shift_trace(first.trace, "Moved")
+    _run_count(task, kb, trace)
+    trace.append(TraceEvent(len(trace) + 1, "Moved", None))
     w = task.world
     rearranged = World(w.entities, {"apples": "Circle"}, w.containers, w.rng_seed)
-    second = _count_once(task, kb, rearranged, so_far=moved)
-    return _judged(task, _shift_trace(moved, second.trace), second.value, second.world)
+    return _run_count(task, kb, trace, rearranged)
 
 
 def _with_primary(world: World, container: str) -> World:
@@ -488,7 +461,7 @@ def _with_primary(world: World, container: str) -> World:
     return World(world.entities, world.arrangements, reordered, world.rng_seed)
 
 
-def _run_heap_compare(task: Task, kb: Sequence[ir.ConceptUnit]):
+def _run_heap_compare(task: Task, kb: Sequence[ir.ConceptUnit], trace: list[TraceEvent]):
     mapper = _class_with_op(kb, "OneToOneMap")
     if (
         mapper is not None
@@ -497,22 +470,18 @@ def _run_heap_compare(task: Task, kb: Sequence[ir.ConceptUnit]):
     ):
         set_a = itp.build_unit_value(kb, "Set", task.world, "heap_a")
         set_b = itp.build_unit_value(kb, "Set", task.world, "heap_b")
-        trace = _attempt(
-            itp.execute, kb, mapper, "OneToOneMap", [set_a, set_b], task.world,
+        _attempt(
+            trace, itp.execute, kb, mapper, "OneToOneMap", [set_a, set_b], task.world,
             task.caller_domain,
-        ).trace
+        )
     else:
         counter = _offering(task, kb, "Counting", "no concept can compare heaps yet")
-        first = _attempt(
-            itp.execute, kb, counter, "Counting", [], _with_primary(task.world, "heap_a"),
-            task.caller_domain,
-        )
-        second = _attempt(
-            itp.execute, kb, counter, "Counting", [], _with_primary(task.world, "heap_b"),
-            task.caller_domain, so_far=first.trace,
-        )
-        trace = _shift_trace(first.trace, second.trace)
-    return _judged(task, trace)
+        for heap in ("heap_a", "heap_b"):
+            _attempt(
+                trace, itp.execute, kb, counter, "Counting", [],
+                _with_primary(task.world, heap), task.caller_domain,
+            )
+    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +492,8 @@ class _Row:
     """One task: its description, a seed -> world builder, the caller
     domain (None: the name of the world's first container), the query,
     the check (world, trace, value, world after) -> (ok, reason), and
-    the runner (task, units) -> (Outcome, trace), which may raise _Stop."""
+    the runner (task, units, trace) -> (value, world after), which may
+    raise _Stop."""
 
     description: str
     build_world: Callable[[int], World]
@@ -617,11 +587,15 @@ def run(
     the trace it was judged on. With a level given, only that level's
     slice of kb (``ir.kb_by_level``) is consulted."""
     units = list(kb) if level is None else ir.kb_by_level(kb)[level]
+    row = _TASKS[task.id]
+    trace: list[TraceEvent] = []
     try:
-        outcome, trace = _TASKS[task.id].runner(task, units)
+        value, world_after = row.runner(task, units, trace)
     except _Stop as stop:
-        outcome, trace = stop.args
-    return outcome, tuple(trace)
+        return stop.args[0], tuple(trace)
+    events = tuple(trace)
+    ok, reason = row.check(task.world, events, value, world_after)
+    return (Outcome.solved() if ok else Outcome.failed(reason)), events
 
 
 def run_task(
