@@ -357,9 +357,10 @@ class KnowledgeBase:
                         if self.unit(unit.name, unit.level) is None:
                             self.add_unit(unit)
                     reports.append(report)
-            except redescription.RedescriptionError as exc:
-                # Every pass refuses before it adds a unit, and the other
-                # domains climb on.
+            except (redescription.RedescriptionError, DuplicateUnit) as exc:
+                # Every pass refuses, and a new E1 whose name another
+                # domain's E1 took is refused, before a unit is added;
+                # the other domains climb on.
                 phase = 1 if not e1 else 2 if e2 is None else 3
                 inputs = tuple(u.name for u in (instances, e1[:1], [e2])[phase - 1])
                 refusal = f"{type(exc).__name__}: {exc}"

@@ -280,6 +280,46 @@ class TestRedescribe:
             "nothing to redescribe: mastery not reached, chain complete or refused",
         ]
 
+    def test_auto_refuses_an_e1_name_another_domain_took(self, capsys, tmp_path):
+        # apples and Apples both name their E1 CountingApples; Apples
+        # climbs first, apples is refused, and pencils climbs on.
+        kb = kbmod.KnowledgeBase()
+        for domain, kind in (("apples", "Apple"), ("Apples", "Apple"), ("pencils", "Pencil")):
+            for size in (3, 4):
+                ids = tuple(f"{kind.upper()}{i}" for i in range(1, size + 1))
+                entities = {"ME": ("Person", None), "HAND": ("Hand", None)}
+                entities.update((eid, (kind, domain)) for eid in ids)
+                world = itp.World(entities, {domain: "Line"}, {domain: ids}, 0)
+                events = []
+                for eid, numeral in zip(ids, ir.NUMERALS):
+                    events += [("Moved", None), ("PointedTo", eid), ("Said", numeral)]
+                trace = tuple(itp.TraceEvent(i, v, a) for i, (v, a) in enumerate(events, 1))
+                unit = kb.record_instance(trace, world, domain)
+                for task_id in ("T1", "T2", "T3"):
+                    kb.record_outcome(unit.name, task_id, "Solved")
+        kb_dir = str(kb.save(tmp_path / "collide"))
+        code, out, err = run_cli(capsys, "redescribe", "--auto", "--kb", kb_dir)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        refused = lines.index("input\tCounting_apples_1")
+        assert lines[refused - 1:refused + 3] == [
+            "phase\t1",
+            "input\tCounting_apples_1",
+            "input\tCounting_apples_2",
+            "dropped\tDuplicateUnit: CountingApples at E1 already stored",
+        ]
+        assert lines[refused + 3:] == [
+            "phase\t1",
+            "input\tCounting_pencils_1",
+            "input\tCounting_pencils_2",
+            "output\tCountingPencils",
+            "rule\tloop_roll\tperiod=3 counts=3/4",
+            "rule\tbind_agent\tME -> p",
+            "rule\tbind_items\tPencil -> objectSet object_set",
+            "rule\tbind_numerals\tSound succession -> numlist.Next()",
+            "dropped\tInLine(PENCIL1, PENCIL2, PENCIL3)",
+        ]
+
     def test_phase_one_folds_the_episodes(self, capsys, tmp_path):
         kb_dir = episode_kb(tmp_path, (3, 4), solved=())
         code, out, _ = run_cli(capsys, "redescribe", "--phase", "1", "--kb", kb_dir)

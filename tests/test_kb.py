@@ -547,6 +547,27 @@ class TestAdvance:
             ("NoCommonSkeleton: Counting_apples_2: 'GHOST' is not a recorded constant",),
         )]
 
+    def test_two_domains_whose_e1_names_collide(self):
+        # apples and Apples both name their E1 CountingApples. Apples
+        # sorts first and takes the name; apples is refused, and pencils
+        # climbs on.
+        kb = kbmod.KnowledgeBase()
+        for domain, kind in (("apples", "Apple"), ("Apples", "Apple"), ("pencils", "Pencil")):
+            for size in (3, 4):
+                world, trace = counting_scene(size, domain, kind)
+                kb.record_instance(trace, world, domain)
+        for unit in list(kb):
+            push_to_mastery(kb, unit.name)
+        reports = kb.advance()
+        assert [(r.phase, r.inputs, r.outputs) for r in reports] == [
+            (1, ("Counting_Apples_1", "Counting_Apples_2"), ("CountingApples",)),
+            (1, ("Counting_apples_1", "Counting_apples_2"), ()),
+            (1, ("Counting_pencils_1", "Counting_pencils_2"), ("CountingPencils",)),
+        ]
+        assert reports[1].dropped == ("DuplicateUnit: CountingApples at E1 already stored",)
+        assert kb.unit("CountingApples", Level.E1).domain == "Apples"
+        assert kb.unit("CountingPencils", Level.E1) is not None
+
     def test_without_mastery_nothing_moves(self):
         kb = fresh_kb_with_episode()
         kb.record_outcome("CountingApples", "T1", "Solved")
