@@ -22,8 +22,6 @@ naming the rewrites that their listings embody.
 
 from __future__ import annotations
 
-import os
-import re
 from typing import Iterable, Sequence
 
 from . import dsl, ir
@@ -118,8 +116,9 @@ def _title(domain: str) -> str:
 
 def base_name(unit_name: str, domain: str) -> str:
     """The concept a unit of a domain's chain carries, shorn of the
-    recording ordinal and of the domain suffix phase 1 appends; the E2
-    and E3 units of the chain take this name."""
+    recording ordinal and of the domain suffix phase 1 appends. Phase 1
+    names its class by the first recording's base name and the domain,
+    and the E2 and E3 units of the chain take this name."""
     name = unit_name
     if f"_{domain}_" in name:
         name = name.split("_", 1)[0]
@@ -254,7 +253,7 @@ def antiunify_instances(
     )
 
     unit = ConceptUnit(
-        name=_generalized_name(instances, domain),
+        name=base_name(instances[0].name, domain) + _title(domain),
         kind=UnitKind.CLASS,
         level=Level.E1,
         domain=domain,
@@ -324,14 +323,6 @@ def _set_attr_name(set_type: str) -> str:
     if "_" in set_type:
         return set_type.split("_")[0].lower() + "_set"
     return set_type[: -len("Set")].lower() + "_set"
-
-
-def _generalized_name(instances: Sequence[ConceptUnit], domain: str) -> str:
-    prefix = os.path.commonprefix([u.name for u in instances])
-    match = re.match(r"[A-Za-z]+", prefix)
-    alpha = match.group(0) if match else "Concept"
-    title = _title(domain)
-    return alpha if alpha.endswith(title) else alpha + title
 
 
 # ---------------------------------------------------------------------------
