@@ -3,6 +3,7 @@
 import hashlib
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -474,6 +475,56 @@ def test_phase_one_is_frozen_on_drawn_episode_sets():
     assert refusals == PHASE_ONE_REFUSALS
     assert {"strip_confirmation", "drop_occasional"} <= rules
     assert digest.hexdigest() == PHASE_ONE_SHA256
+
+
+def behaviour(kb, unit, world):
+    """What unit's Counting does on world, in the terms a pass must keep:
+    the value, the multiset of objects pointed at, the words said in
+    order, and how many times the hand moved. Pointing order is left
+    free, as order irrelevance allows."""
+    res = itp.execute(kb, unit, "Counting", [], world, caller_domain="apples")
+    trace = res.trace
+    return (
+        res.value,
+        Counter(e.arg for e in trace if e.verb == "PointedTo"),
+        [e.arg for e in trace if e.verb == "Said"],
+        sum(e.verb == "Moved" for e in trace),
+    )
+
+
+ORACLE_WORLDS = [(n, seed) for n in (2, 5, 7) for seed in (0, 3)]
+
+
+@pytest.fixture(scope="module")
+def climbed():
+    """(knowledge base, counting unit) for the fixture E1 and for phase
+    2's and phase 3's output over it, each with the Globals it shares."""
+    e1 = dsl.load_fixture("counting_apples_e1")[0]
+    (e2, shared), _ = rd.generalize_to_e2(e1)
+    e3, _ = rd.decompose_to_e3(e2, shared=shared)
+    counting = next(u for u in e3 if u.name == "Counting")
+    return {"E1": ([e1], e1), "E2": ([shared, e2], e2), "E3": ([shared, *e3], counting)}
+
+
+@pytest.mark.parametrize("n, seed", ORACLE_WORLDS)
+def test_phases_two_and_three_keep_the_fixture_e1_behaviour(climbed, n, seed):
+    world = apples_world(n, seed)
+    e1, e2, e3 = (behaviour(*climbed[level], world) for level in ("E1", "E2", "E3"))
+    assert e1[0] == itp.IntVal(n)
+    assert e2 == e1
+    assert e3 == e1
+
+
+@pytest.mark.parametrize("n, seed", ORACLE_WORLDS)
+def test_phase_two_drops_the_move_of_a_phase_one_e1(climbed, generated_e1, n, seed):
+    # generated_e1 comes from episodes that move the hand before each
+    # point. Its E2 counts, points and speaks the same, but never moves:
+    # the one difference a rewrite of phase 2 has to remove.
+    world = apples_world(n, seed)
+    grown = behaviour([generated_e1], generated_e1, world)
+    e2 = behaviour(*climbed["E2"], world)
+    assert grown[:3] == e2[:3]
+    assert (grown[3], e2[3]) == (n, 0)
 
 
 class TestGeneralize:
