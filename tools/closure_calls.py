@@ -1,4 +1,4 @@
-"""Calls per operation of every function and closure in interpreter.py.
+"""Calls per operation of every function and closure in interpreter.py and tasks.py.
 
 Usage, from the root of a checkout:
 
@@ -11,8 +11,8 @@ into an empty knowledge base) under cProfile. Set-up, with its warm-up,
 runs before the profiler starts. For each workload it prints the
 profiled calls per operation over every function, then the calls per
 operation of each function and closure of src/rrlang/interpreter.py
-that ran, keyed `name:line` (the line of its `def`), since closures
-share names. Call counts do not depend on the host's speed, so two
+and src/rrlang/tasks.py that ran, keyed `file:name:line` (the line of
+its `def`), since closures share names. Call counts do not depend on the host's speed, so two
 commits compare on one seed. An operation whose workload check fails
 is counted and makes the exit status 1; the tool gates nothing else.
 """
@@ -26,7 +26,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-INTERPRETER = str(ROOT / "src" / "rrlang" / "interpreter.py")
+COUNTED = {str(ROOT / "src" / "rrlang" / name): name for name in ("interpreter.py", "tasks.py")}
 
 
 def profile(workload, ops: int) -> tuple[Counter, int]:
@@ -55,7 +55,8 @@ def report(name: str, calls: Counter, ops: int, failed: int) -> None:
     total = sum(calls.values())
     print(f"{name}: {ops} operations, {failed} failed, {total / ops:.1f} calls per operation")
     rows = sorted(
-        (n / ops, f"{func}:{line}") for (path, line, func), n in calls.items() if path == INTERPRETER
+        (n / ops, f"{COUNTED[path]}:{func}:{line}")
+        for (path, line, func), n in calls.items() if path in COUNTED
     )
     for per_op, key in reversed(rows):
         print(f"  {per_op:10.1f}  {key}")
