@@ -329,12 +329,10 @@ def _attempt(
         raise _Stop(Outcome.inaccessible(str(exc))) from None
     except itp.ExecError as exc:
         raise _Stop(Outcome.failed(str(exc))) from None
-    if trace:
-        trace.extend(
-            [TraceEvent(seq, e.verb, e.arg) for seq, e in enumerate(result.trace, len(trace) + 1)]
-        )
-    else:
-        trace.extend(result.trace)
+    events = result.trace
+    if trace:  # a later run numbers on from the runs before it
+        events = [TraceEvent(seq, e.verb, e.arg) for seq, e in enumerate(events, len(trace) + 1)]
+    trace.extend(events)
     return result.value, result.world
 
 

@@ -119,6 +119,17 @@ class TestAntiUnify:
                 produced = [e.arg for e in run.trace if e.verb == verb]
                 assert sorted(produced) == sorted(recorded)
 
+    def test_the_class_is_named_by_the_first_recording(self):
+        # Hand-written recording names with no common stem: the class
+        # takes the first one's base name and the domain.
+        units = [
+            episode(*counting_script(*THREE_APPLES), name=name)
+            for name in ("Tally_apples_1", "Count_apples_2")
+        ]
+        unit, _ = rd.antiunify_instances(units)
+        assert unit.name == "TallyApples"
+        assert rd.base_name(unit.name, "apples") == "Tally"
+
     def test_needs_two_instances(self, instances):
         with pytest.raises(rd.TooFewInstances) as exc:
             rd.antiunify_instances(instances[:1])
@@ -174,17 +185,6 @@ class TestPhaseOneRefusals:
     def test_the_plain_script_is_accepted(self, instances):
         unit, _ = rd.antiunify_instances([instances[0], episode(*counting_script(*THREE_APPLES))])
         assert unit.name == "CountingApples"
-
-    def test_the_class_is_named_by_the_first_recording(self):
-        # Hand-written recording names with no common stem: the class
-        # takes the first one's base name and the domain.
-        units = [
-            episode(*counting_script(*THREE_APPLES), name=name)
-            for name in ("Tally_apples_1", "Count_apples_2")
-        ]
-        unit, _ = rd.antiunify_instances(units)
-        assert unit.name == "TallyApples"
-        assert rd.base_name(unit.name, "apples") == "Tally"
 
     def test_a_block_cut_short_at_the_end(self, instances):
         cut = episode(*counting_script(*THREE_APPLES), "ME.Move(HAND);", "ME.PointTo(APPLE1);")
