@@ -59,6 +59,12 @@ class TestFixtures:
 # the `void` after the class at 39:9, not a missing '{' at 37:31).
 ERROR_POSITIONS_SHA256 = "d37cf2bed84ae3dd2daaff32d22e9f0e69661eaadbfb9fd31893ba0efb3bdc50"
 
+# sha256 over `repr(units)` and then the canonical print of those units,
+# for each input of the same corpus that parses (131 of its 772), so the
+# trees the parser builds and the text the printer writes are pinned
+# beyond the fixtures.
+PARSED_TREES_SHA256 = "57df2e6726616d900e181a85cfdf1ab09b10abfb6a681cfeefd6ea0c8e984771"
+
 SUBSTITUTES = " ;{}()=+@/*#\t\r\n"
 SUBSTITUTION_STRIDE = 11
 
@@ -98,6 +104,20 @@ class TestErrorPositions:
                 lines = [f"{e.line}\t{e.column}\t{e.expected}\t{e.found}" for e in exc.errors]
             digest.update("".join(line + "\n" for line in lines).encode())
         assert digest.hexdigest() == ERROR_POSITIONS_SHA256
+
+    def test_parsed_trees_and_their_prints_are_frozen(self):
+        digest = hashlib.sha256()
+        parsed = 0
+        for text in error_position_corpus():
+            try:
+                units = dsl.parse(text)
+            except dsl.ParseFailure:
+                continue
+            parsed += 1
+            digest.update(repr(units).encode())
+            digest.update(dsl.print_canonical(units).text.encode())
+        assert parsed == 131
+        assert digest.hexdigest() == PARSED_TREES_SHA256
 
     @pytest.mark.parametrize(
         "text, position",
@@ -229,6 +249,8 @@ def i_instance(facts):
 
 
 NESTED = "        int F() {\n" + "if (TRUE) {\n" * 120 + "}\n" * 120 + "return 1;\n}\n}\n"
+# An else-if chain 300 deep: each `else if` nests one statement further.
+ELSE_IF_CHAIN = "        int F() {\n" + "if (TRUE) {\n} else " * 300 + "{\n}\nreturn 1;\n}\n}\n"
 
 
 class TestRareForms:
@@ -240,6 +262,7 @@ class TestRareForms:
         "text, position",
         [
             (e3_class(NESTED), (105, 5, "shallower nesting", "TRUE")),
+            (e3_class(ELSE_IF_CHAIN), (204, 12, "shallower nesting", "TRUE")),
             ("@level(E9)\n", (1, 8, "one of I, E1, E2, E3", "E9")),
             (
                 "@level(E1)\nconst int x;\n",
@@ -272,10 +295,10 @@ class TestRareForms:
             (i_instance("        In(ME)\n"), (7, 1, "';'", "}")),
         ],
         ids=[
-            "too-deep", "unknown-level", "const-after-annotation", "annotation-at-end",
-            "no-domain", "end-after-brace", "end-in-block", "two-names-one-initializer",
-            "action-without-receiver", "call-on-a-field", "in-one-name", "on-three-names",
-            "inline-no-name", "arity-after-semicolon",
+            "too-deep", "else-if-too-deep", "unknown-level", "const-after-annotation",
+            "annotation-at-end", "no-domain", "end-after-brace", "end-in-block",
+            "two-names-one-initializer", "action-without-receiver", "call-on-a-field",
+            "in-one-name", "on-three-names", "inline-no-name", "arity-after-semicolon",
         ],
     )
     def test_refusal(self, text, position):
