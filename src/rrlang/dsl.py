@@ -19,16 +19,18 @@ break their level discipline are rejected the same way. Comments
 (``/* ... */``) are discarded, so canonical fixtures carry none. One
 regular expression lexes the whole text into plain (kind, text, line,
 column) tuples before parsing starts, so a stray character is reported
-ahead of an earlier syntax error.
+ahead of an earlier syntax error. Nesting is bounded for blocks,
+statements and expressions inside expressions: input nested too deep
+is refused before Python's stack runs out.
 ``print_canonical`` emits the single layout the fixtures are stored
-in; parsing its output reproduces the input units.
+in; what it writes parses back to the same units.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence, TypeVar
 
 from . import ir
 from .ir import (
@@ -152,6 +154,23 @@ _MAX_DEPTH = 200
 _COMPARE_OPS = ("==", "!=", "<", ">", "<=", ">=")
 _LEVEL_NAMES = {lv.value for lv in ir.LEVELS}
 
+_T = TypeVar("_T")
+
+
+def _nested(parse: Callable[..., _T]) -> Callable[..., _T]:
+    """The nesting guard: each call of parse is a level deeper. Past
+    _MAX_DEPTH levels the whole parse fails, so no level is given back."""
+
+    def guarded(self: _Parser, *args: object) -> _T:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            self.fail("shallower nesting")
+        out = parse(self, *args)
+        self.depth -= 1
+        return out
+
+    return guarded
+
 
 class _Parser:
     """Recursive descent over the tokens of ``_lex``. The cursor never
@@ -205,25 +224,20 @@ class _Parser:
         spots[name] = (line, column)
         return name
 
-    def names(self, open_: str, close: str, what: str) -> tuple[str, ...]:
-        """``open [ident ("," ident)*] close``, each ident named what."""
+    def listed(self, open_: str, close: str, item: Callable[[], _T]) -> tuple[_T, ...]:
+        """``open [item ("," item)*] close``, each item read by item()."""
         self.expect(open_)
-        out: list[str] = []
+        out: list[_T] = []
         if not self.at(close):
-            out.append(self.ident(what))
+            out.append(item())
             while self.at(","):
                 self.take()
-                out.append(self.ident(what))
+                out.append(item())
         self.expect(close)
         return tuple(out)
 
-    def _enter(self) -> None:
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            self.fail("shallower nesting")
-
-    def _leave(self) -> None:
-        self.depth -= 1
+    def names(self, open_: str, close: str, what: str) -> tuple[str, ...]:
+        return self.listed(open_, close, lambda: self.ident(what))
 
     # -- file level
 
@@ -295,9 +309,9 @@ class _Parser:
                     self.take()
                     friends.append(self.ident("a friend unit name"))
                     self.expect(";")
-                elif self._at_attribute():
+                elif self.at_word("const") or self._declares((";", ",", "=")):
                     attrs.extend(self.parse_attr(vis, spots))
-                elif self._at_operation():
+                elif self._declares(("(",)):
                     ops.append(self.parse_operation(vis, spots))
                 else:
                     if bare_vis is None:
@@ -324,26 +338,14 @@ class _Parser:
     def _at_section_header(self) -> bool:
         return self.peek()[1] in ("private", "protected", "public") and self.at(":", 1)
 
-    # A type name opens a member declaration; `return` opens a statement.
-
-    def _at_attribute(self) -> bool:
-        if self.at_word("const"):
-            return True
+    def _declares(self, follows: tuple[str, ...]) -> bool:
+        """A type name (`void` among them, `return` not: it opens a
+        statement), then a name, then a token of one of the follows kinds."""
         return (
             self.at("ident")
             and not self.at_word("return")
             and self.at("ident", 1)
-            and (self.at(";", 2) or self.at(",", 2) or self.at("=", 2))
-        )
-
-    def _at_operation(self) -> bool:
-        if self.at_word("void") and self.at("ident", 1) and self.at("(", 2):
-            return True
-        return (
-            self.at("ident")
-            and not self.at_word("return")
-            and self.at("ident", 1)
-            and self.at("(", 2)
+            and self.peek(2)[0] in follows
         )
 
     # -- members
@@ -390,45 +392,32 @@ class _Parser:
         else:
             returns = self.ident("a return type")
         name = self.member_name(spots, "an operation name")
-        self.expect("(")
-        params: list[Param] = []
-        if not self.at(")"):
-            while True:
-                ptype = self.ident("a parameter type")
-                pname = self.ident("a parameter name")
-                params.append(Param(pname, ptype))
-                if self.at(","):
-                    self.take()
-                    continue
-                break
-        self.expect(")")
-        body = self.parse_block()
-        return Operation(name, tuple(params), returns, vis, body, False)
+        params = self.listed("(", ")", self.parse_param)
+        return Operation(name, params, returns, vis, self.parse_block(), False)
+
+    def parse_param(self) -> Param:
+        type_ref = self.ident("a parameter type")
+        return Param(self.ident("a parameter name"), type_ref)
 
     # -- statements
 
     def parse_block(self) -> tuple[Stmt, ...]:
         self.expect("{")
-        self._enter()
-        try:
-            out: list[Stmt] = []
-            while not self.at("}"):
-                if self.at("eof"):
-                    self.fail("'}'")
-                out.append(self.parse_stmt())
-            self.take()
-            return tuple(out)
-        finally:
-            self._leave()
+        return self.parse_block_body()
 
+    @_nested
+    def parse_block_body(self) -> tuple[Stmt, ...]:
+        """A block's statements and closing '}', a level deeper than its '{'."""
+        out: list[Stmt] = []
+        while not self.at("}"):
+            if self.at("eof"):
+                self.fail("'}'")
+            out.append(self.parse_stmt())
+        self.take()
+        return tuple(out)
+
+    @_nested
     def parse_stmt(self) -> Stmt:
-        self._enter()
-        try:
-            return self._parse_stmt_inner()
-        finally:
-            self._leave()
-
-    def _parse_stmt_inner(self) -> Stmt:
         if self.at_word("while") and self.at("(", 1):
             self.take()
             self.expect("(")
@@ -454,7 +443,7 @@ class _Parser:
             value = self.parse_expr()
             self.expect(";")
             return ReturnStmt(value)
-        if self.at("ident") and self.at("ident", 1) and self.at(";", 2):
+        if self._declares((";",)):
             type_ref = self.take()[1]
             name = self.take()[1]
             self.take()
@@ -518,17 +507,13 @@ class _Parser:
 
     # -- expressions
 
+    @_nested
     def parse_expr(self) -> Expr:
-        self._enter()
-        try:
-            left = self.parse_addsub()
-            if self.peek()[0] in _COMPARE_OPS:
-                op = self.take()[0]
-                right = self.parse_addsub()
-                return BinExpr(op, left, right)
-            return left
-        finally:
-            self._leave()
+        left = self.parse_addsub()
+        if self.peek()[0] in _COMPARE_OPS:
+            op = self.take()[0]
+            return BinExpr(op, left, self.parse_addsub())
+        return left
 
     def parse_addsub(self) -> Expr:
         left = self.parse_unary()
@@ -553,22 +538,22 @@ class _Parser:
         while self.at("."):
             self.take()
             name = self.ident("a member name")
-            if self.at("("):
-                expr = CallExpr(expr, name, self.parse_args())
-            else:
-                expr = FieldExpr(expr, name)
+            expr = self.parse_call(expr, name) if self.at("(") else FieldExpr(expr, name)
         return expr
 
-    def parse_args(self) -> tuple[Expr, ...]:
-        self.expect("(")
-        args: list[Expr] = []
-        if not self.at(")"):
-            args.append(self.parse_expr())
-            while self.at(","):
-                self.take()
-                args.append(self.parse_expr())
+    # An argument list and a parenthesised expression are each a level too:
+    # an expression inside another costs several Python frames a level.
+
+    @_nested
+    def parse_call(self, recv: Expr | None, op: str) -> CallExpr:
+        return CallExpr(recv, op, self.listed("(", ")", self.parse_expr))
+
+    @_nested
+    def parse_paren(self) -> Expr:
+        self.take()
+        expr = self.parse_expr()
         self.expect(")")
-        return tuple(args)
+        return expr
 
     def parse_primary(self) -> Expr:
         kind, text = self.peek()[:2]
@@ -583,14 +568,9 @@ class _Parser:
                 return BoolExpr(True)
             if text == "FALSE":
                 return BoolExpr(False)
-            if self.at("("):
-                return CallExpr(None, text, self.parse_args())
-            return NameExpr(text)
+            return self.parse_call(None, text) if self.at("(") else NameExpr(text)
         if kind == "(":
-            self.take()
-            expr = self.parse_expr()
-            self.expect(")")
-            return expr
+            return self.parse_paren()
         if kind == "[":
             return ListExpr(self.names("[", "]", "a symbol"))
         self.fail("an expression")
@@ -670,9 +650,9 @@ def _expr_text(expr: Expr, min_prec: int = 0) -> str:
     elif isinstance(expr, NotExpr):
         body = f"!{_expr_text(expr.operand, 3)}"
     elif isinstance(expr, BinExpr):
-        prec = _expr_prec(expr)
-        left = _expr_text(expr.left, prec)
-        right = _expr_text(expr.right, prec + 1)
+        # Both operands of a comparison are sums, and a sum's left operand may be one.
+        left = _expr_text(expr.left, 2)
+        right = _expr_text(expr.right, _expr_prec(expr) + 1)
         body = f"{left} {expr.op} {right}"
     else:
         raise TypeError(f"unknown expression {expr!r}")
@@ -706,20 +686,11 @@ def _stmt_lines(stmt: Stmt, depth: int) -> list[str]:
     if isinstance(stmt, LocalDecl):
         return [f"{pad}{stmt.type_ref} {stmt.name};"]
     if isinstance(stmt, WhileStmt):
-        lines = [f"{pad}while ({_expr_text(stmt.cond)}) {{"]
-        for inner in stmt.body:
-            lines.extend(_stmt_lines(inner, depth + 1))
-        lines.append(f"{pad}}}")
-        return lines
+        return _braced(f"while ({_expr_text(stmt.cond)})", stmt.body, depth)
     if isinstance(stmt, IfStmt):
-        lines = [f"{pad}if ({_expr_text(stmt.cond)}) {{"]
-        for inner in stmt.then:
-            lines.extend(_stmt_lines(inner, depth + 1))
+        lines = _braced(f"if ({_expr_text(stmt.cond)})", stmt.then, depth)
         if stmt.orelse:
-            lines.append(f"{pad}}} else {{")
-            for inner in stmt.orelse:
-                lines.extend(_stmt_lines(inner, depth + 1))
-        lines.append(f"{pad}}}")
+            lines[-1:] = _braced("} else", stmt.orelse, depth)
         return lines
     if isinstance(stmt, CallStmt):
         args = ", ".join(_expr_text(a) for a in stmt.args)
@@ -730,23 +701,18 @@ def _stmt_lines(stmt: Stmt, depth: int) -> list[str]:
             return [f"{pad}return;"]
         return [f"{pad}return {_expr_text(stmt.value)};"]
     if isinstance(stmt, BlockStmt):
-        lines = [f"{pad}{stmt.label}({', '.join(stmt.args)}) {{"]
-        for inner in stmt.body:
-            lines.extend(_stmt_lines(inner, depth + 1))
-        lines.append(f"{pad}}}")
-        return lines
+        return _braced(f"{stmt.label}({', '.join(stmt.args)})", stmt.body, depth)
     raise TypeError(f"unknown statement {stmt!r}")
 
 
-def _operation_lines(op: Operation, depth: int) -> list[str]:
+def _body_lines(body: Sequence[Stmt], depth: int) -> list[str]:
+    return [line for stmt in body for line in _stmt_lines(stmt, depth)]
+
+
+def _braced(head: str, body: Sequence[Stmt], depth: int) -> list[str]:
+    """``head {``, the body a level deeper, then ``}``."""
     pad = _INDENT * depth
-    ret = op.returns if op.returns is not None else "void"
-    params = ", ".join(f"{p.type_ref} {p.name}" for p in op.params)
-    lines = [f"{pad}{ret} {op.name}({params}) {{"]
-    for stmt in op.body:
-        lines.extend(_stmt_lines(stmt, depth + 1))
-    lines.append(f"{pad}}}")
-    return lines
+    return [f"{pad}{head} {{", *_body_lines(body, depth + 1), f"{pad}}}"]
 
 
 def _unit_lines(unit: ConceptUnit) -> list[str]:
@@ -771,10 +737,11 @@ def _unit_lines(unit: ConceptUnit) -> list[str]:
         for attr in attrs:
             lines.append(_attr_line(attr, 2))
         for op in named:
-            lines.extend(_operation_lines(op, 2))
+            ret = op.returns if op.returns is not None else "void"
+            params = ", ".join(f"{p.type_ref} {p.name}" for p in op.params)
+            lines += _braced(f"{ret} {op.name}({params})", op.body, 2)
         for op in bare:
-            for stmt in op.body:
-                lines.extend(_stmt_lines(stmt, 2))
+            lines += _body_lines(op.body, 2)
     if friends:
         lines.append(f"{_INDENT}public:")
         for friend in friends:

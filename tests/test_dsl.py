@@ -314,8 +314,12 @@ class TestRareForms:
             "        int F() {\n            return 1 - (2 + 3);\n        }\n",
             "        void F() {\n            s = [ONE, TWO];\n        }\n",
             "        friend Globals;\n",
+            "        Boolean F() {\n            return (1 == 2) == FALSE;\n        }\n",
         ],
-        ids=["bare-return", "parenthesised", "symbol-list", "friends-only"],
+        ids=[
+            "bare-return", "parenthesised", "symbol-list", "friends-only",
+            "comparison-left-of-comparison",
+        ],
     )
     def test_accepted_form_prints_back(self, members):
         text = e3_class(members + "}\n")
@@ -344,7 +348,31 @@ class TestRareForms:
         assert str(exc.value) == message
 
 
+# Expressions nested inside expressions, as (opening, innermost, closing)
+# text repeated around the innermost, with the column of the `return`
+# line (line 6) each is refused at and the token found there.
+DEEP_EXPRESSIONS = {
+    "parens": (("(", "1", ")"), 119, "("),
+    "calls": (("G(", "1", ")"), 218, "G"),
+    "method-calls": (("a.G(", "1", ")"), 416, "a"),
+    "fields": (("(", "a", ").b"), 119, "("),
+}
+
+
 class TestTotality:
+    @pytest.mark.parametrize("levels", [300, 5000])
+    @pytest.mark.parametrize("shape", DEEP_EXPRESSIONS)
+    def test_deep_expressions_are_refused_before_the_stack_runs_out(self, shape, levels):
+        (opening, innermost, closing), column, found = DEEP_EXPRESSIONS[shape]
+        expr = opening * levels + innermost + closing * levels
+        text = e3_class(f"        int F() {{\n            return {expr};\n        }}\n}}\n")
+        with pytest.raises(dsl.ParseFailure) as exc:
+            dsl.parse(text)
+        error = exc.value.errors[0]
+        assert (error.line, error.column, error.expected, error.found) == (
+            6, column, "shallower nesting", found
+        )
+
     @given(st.text(max_size=2048))
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_text_parses_or_diagnoses(self, text):
