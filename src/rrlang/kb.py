@@ -175,7 +175,10 @@ class KnowledgeBase:
         episode touched or its setup facts name, setup predicates from
         the scene, and the actions verbatim. An event that names an
         entity the scene lacks, or that no action codes, is refused
-        before anything is stored or shared."""
+        before anything is stored or shared, and so is a domain no
+        listing can spell: it names the recording and its @domain."""
+        if not (domain.isascii() and domain.isidentifier()):
+            raise KbError(f"domain {domain!r} is not an identifier")
         if not trace:
             raise EmptyTrace("nothing happened; there is no episode to record")
         # insertion-ordered sets: first mention order, one entry each

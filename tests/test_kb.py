@@ -159,6 +159,13 @@ class TestRecording:
         assert len(kb) == 0 and kb._nodes == {}
         assert kb.record_instance(trace, four_apple_world(), "apples").name == "Counting_apples_1"
 
+    @pytest.mark.parametrize("domain", ["red apples", "\u00e4pfel", "", "1apples"])
+    def test_a_domain_no_listing_can_spell_is_refused_before_sharing(self, domain):
+        kb = kbmod.KnowledgeBase()
+        with pytest.raises(kbmod.KbError, match="is not an identifier$"):
+            kb.record_instance(replay_four_apples(None), four_apple_world(), domain)
+        assert len(kb) == 0 and kb._nodes == {}
+
     def test_an_event_no_action_codes_is_refused_before_sharing(self):
         kb = kbmod.KnowledgeBase()
         events = [("PointedTo", "APPLE1"), ("Said", "ONE"), ("Jumped", None)]
